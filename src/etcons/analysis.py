@@ -9,13 +9,14 @@ intervals, and the conservation of the network-average state.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .engine import Trajectory
+from .engine import EventRecord, Trajectory
 from .graph import Graph, lambda2
 from .linalg import max_eig_sym
 from .protocols import ProtocolParams
@@ -97,6 +98,91 @@ def _grid_slice(traj: Trajectory, t_lo: float, t_hi: float) -> slice:
     return slice(i0, max(i1, i0 + 1))
 
 
+def _events_by_agent(traj: Trajectory) -> list[list[EventRecord]]:
+    """Each agent's broadcasts in run order, from one pass over the events."""
+    out: list[list[EventRecord]] = [[] for _ in range(traj.graph.n_nodes)]
+    for rec in traj.events:
+        out[rec.agent].append(rec)
+    return out
+
+
+def _neighbor_lists(graph: Graph) -> list[tuple[int, ...]]:
+    """``graph.neighbors(i)`` for every node, from one pass over the edges."""
+    out: list[list[int]] = [[] for _ in range(graph.n_nodes)]
+    for (a, b) in graph.edges:
+        out[a].append(b)
+        out[b].append(a)
+    return [tuple(sorted(nb)) for nb in out]
+
+
+class _ZenoBounds:
+    """Run-wide inputs of the inter-event bound, computed once per run.
+
+    ``bound(agent, k)`` then costs only the stored rows of that interval,
+    so a report over every interval is linear in events plus rows.
+    """
+
+    def __init__(self, traj: Trajectory):
+        self.traj = traj
+        self.events = _events_by_agent(traj)
+        self.cbar = max(traj.max_weight, 0.0)
+        self.norm_a = float(np.linalg.norm(traj.model.A, 2))
+        self.norm_k = float(np.linalg.norm(traj.gains.K, 2))
+        self.norm_bk = float(np.linalg.norm(traj.model.B @ traj.gains.K, 2))
+        self.fc = traj.gains.F @ traj.model.C if traj.variant == "observer" else None
+        self.starts = [seg.t_start for seg in traj.weight_segments]
+        self.neighbors = [_neighbor_lists(seg.graph) for seg in traj.weight_segments]
+
+    def bound(self, agent: int, k: int) -> float:
+        traj = self.traj
+        recs = self.events[agent]
+        if not (0 <= k + 1 < len(recs)):
+            raise ValueError(f"agent {agent} has no event pair ({k}, {k + 1})")
+        t_k, t_k1 = recs[k].time, recs[k + 1].time
+        # the active topology at t_k, as Trajectory.graph_at picks it
+        seg = max(bisect.bisect_right(self.starts, t_k) - 1, 0)
+        neigh = self.neighbors[seg][agent]
+        d_i = len(neigh)
+        if d_i == 0:
+            return math.inf
+
+        p = traj.params
+        cbar, norm_a, norm_k = self.cbar, self.norm_a, self.norm_k
+        rows = _grid_slice(traj, t_k, t_k1)
+        z = traj.estimates[rows]
+        diffs = z[:, [agent], :] - z[:, neigh, :]
+        sigma_i = float(self.norm_bk * np.linalg.norm(diffs, axis=2).sum(axis=1).max())
+
+        b = cbar * sigma_i
+        if self.fc is not None:
+            gap = traj.observer_states[rows, agent] - traj.states[rows, agent]
+            b += float(np.linalg.norm(gap @ self.fc.T, axis=1).max())
+        dist = traj.sim.disturbance
+        if dist is not None and traj.variant != "observer":
+            b += dist.amplitude * math.sqrt(traj.model.n)
+        if b <= 0.0:
+            return math.inf
+
+        denom = d_i * (1.0 + p.delta * cbar)
+
+        def theta(tau: float) -> float:
+            return math.sqrt(p.mu * math.exp(-p.nu * (t_k + tau)) / denom) / norm_k
+
+        def step(tau: float) -> float:
+            if norm_a == 0.0:
+                return theta(tau) / b
+            return math.log1p(norm_a * theta(tau) / b) / norm_a
+
+        tau = 0.0
+        for _ in range(200):
+            nxt = step(tau)
+            if abs(nxt - tau) < 1e-15:
+                tau = nxt
+                break
+            tau = nxt
+        return tau
+
+
 def zeno_bound(traj: Trajectory, agent: int, k: int) -> float:
     """Guaranteed minimum inter-event time after the agent's k-th broadcast.
 
@@ -115,56 +201,7 @@ def zeno_bound(traj: Trajectory, agent: int, k: int) -> float:
     limiting form tau = theta(tau) / b applies. Returns inf when the error
     cannot grow at all (no neighbours or zero drive).
     """
-    recs = traj.events_for(agent)
-    if not (0 <= k + 1 < len(recs)):
-        raise ValueError(f"agent {agent} has no event pair ({k}, {k + 1})")
-    t_k, t_k1 = recs[k].time, recs[k + 1].time
-    g = traj.graph_at(t_k)
-    neigh = g.neighbors(agent)
-    d_i = len(neigh)
-    if d_i == 0:
-        return math.inf
-
-    p = traj.params
-    cbar = max(traj.max_weight, 0.0)
-    norm_a = float(np.linalg.norm(traj.model.A, 2))
-    norm_k = float(np.linalg.norm(traj.gains.K, 2))
-    norm_bk = float(np.linalg.norm(traj.model.B @ traj.gains.K, 2))
-
-    rows = _grid_slice(traj, t_k, t_k1)
-    z = traj.estimates[rows]
-    diffs = z[:, [agent], :] - z[:, neigh, :]
-    sigma_i = float(norm_bk * np.linalg.norm(diffs, axis=2).sum(axis=1).max())
-
-    b = cbar * sigma_i
-    if traj.variant == "observer":
-        gap = traj.observer_states[rows] - traj.states[rows]
-        fc = traj.gains.F @ traj.model.C
-        b += float(np.linalg.norm(gap[:, agent, :] @ fc.T, axis=1).max())
-    dist = traj.sim.disturbance
-    if dist is not None and traj.variant != "observer":
-        b += dist.amplitude * math.sqrt(traj.model.n)
-    if b <= 0.0:
-        return math.inf
-
-    denom = d_i * (1.0 + p.delta * cbar)
-
-    def theta(tau: float) -> float:
-        return math.sqrt(p.mu * math.exp(-p.nu * (t_k + tau)) / denom) / norm_k
-
-    def step(tau: float) -> float:
-        if norm_a == 0.0:
-            return theta(tau) / b
-        return math.log1p(norm_a * theta(tau) / b) / norm_a
-
-    tau = 0.0
-    for _ in range(200):
-        nxt = step(tau)
-        if abs(nxt - tau) < 1e-15:
-            tau = nxt
-            break
-        tau = nxt
-    return tau
+    return _ZenoBounds(traj).bound(agent, k)
 
 
 @dataclass
@@ -205,16 +242,16 @@ def zeno_report(traj: Trajectory) -> ZenoReport:
     broadcasts (topology switches, dense-sampling mode) are not crossings
     of the trigger function, so no positive lower bound applies to them.
     """
+    bounds = _ZenoBounds(traj)
     checks = []
-    for agent in range(traj.graph.n_nodes):
-        recs = traj.events_for(agent)
+    for agent, recs in enumerate(bounds.events):
         for k in range(len(recs) - 1):
             if recs[k + 1].kind != "trigger":
                 continue
             checks.append(ZenoCheck(
                 agent=agent, k=k,
                 interval=recs[k + 1].time - recs[k].time,
-                bound=zeno_bound(traj, agent, k),
+                bound=bounds.bound(agent, k),
             ))
     return ZenoReport(checks=checks)
 
@@ -234,8 +271,8 @@ def event_stats(traj: Trajectory) -> EventStats:
     counts: dict[int, int] = {}
     mins: dict[int, float] = {}
     means: dict[int, float] = {}
-    for agent in range(traj.graph.n_nodes):
-        times = [r.time for r in traj.events_for(agent)]
+    for agent, recs in enumerate(_events_by_agent(traj)):
+        times = [r.time for r in recs]
         if times:
             counts[agent] = len(times)
         if len(times) >= 2:

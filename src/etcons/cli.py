@@ -197,20 +197,40 @@ def load_config(path: str) -> dict:
 # -- output writers -----------------------------------------------------
 
 
+def _row_lines(labels: list[str], width: int):
+    """Return ``fill(t, columns)``, which formats one stored row as CSV text.
+
+    Each label gets one line ``t,label,v1,..,v{width}``; ``columns`` holds
+    ``width`` arrays with one entry per label. The line template is built
+    once and each row is filled by a single ``%`` call on ``tolist()``
+    values. ``'%.17g' % x`` and ``_fmt(x)`` give the same text: both call
+    ``PyOS_double_to_string(x, 'g', 17)``.
+    """
+    template = "".join(f"%s,{label}" + ",%.17g" * width + "\n" for label in labels)
+    stride = width + 1
+    args = [None] * (stride * len(labels))
+
+    def fill(t, columns) -> str:
+        args[::stride] = [_fmt(t)] * len(labels)
+        for c, col in enumerate(columns, start=1):
+            args[c::stride] = col.tolist()
+        return template % tuple(args)
+
+    return fill
+
+
 def write_trajectory_csv(traj: Trajectory, path: str):
     n = traj.model.n
     cols = ["t", "agent"] + [f"x{i}" for i in range(n)]
+    blocks = [traj.states]
     if traj.observer_states is not None:
         cols += [f"chi{i}" for i in range(n)]
+        blocks.append(traj.observer_states)
+    fill = _row_lines([str(a) for a in range(traj.states.shape[1])], n * len(blocks))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for row, t in enumerate(traj.times):
-            for agent in range(traj.states.shape[1]):
-                parts = [_fmt(t), str(agent)]
-                parts += [_fmt(v) for v in traj.states[row, agent]]
-                if traj.observer_states is not None:
-                    parts += [_fmt(v) for v in traj.observer_states[row, agent]]
-                fh.write(",".join(parts) + "\n")
+            fh.write(fill(t, [b[row, :, c] for b in blocks for c in range(n)]))
 
 
 def write_events_csv(traj: Trajectory, path: str):
@@ -224,10 +244,9 @@ def write_weights_csv(traj: Trajectory, path: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,i,j,c\n")
         for seg in traj.weight_segments:
+            fill = _row_lines([f"{i},{j}" for i, j in seg.graph.edges], 1)
             for r in range(seg.values.shape[0]):
-                t = traj.times[seg.first_index + r]
-                for e, (i, j) in enumerate(seg.graph.edges):
-                    fh.write(f"{_fmt(t)},{i},{j},{_fmt(seg.values[r, e])}\n")
+                fh.write(fill(traj.times[seg.first_index + r], [seg.values[r]]))
 
 
 def _gains_dict(gains: GainSet) -> dict:

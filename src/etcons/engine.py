@@ -160,15 +160,6 @@ class Trajectory:
                 break
         return active
 
-    def segment_at(self, t: float) -> WeightSegment:
-        active = self.weight_segments[0]
-        for seg in self.weight_segments:
-            if seg.t_start <= t:
-                active = seg
-            else:
-                break
-        return active
-
     @property
     def max_weight(self) -> float:
         return max(float(seg.values.max()) for seg in self.weight_segments)
