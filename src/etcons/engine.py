@@ -15,12 +15,12 @@ within the same instant, one broadcast per agent per instant.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dynamics import BroadcastSample
 from .errors import (
@@ -169,13 +169,17 @@ class Trajectory:
         return self.states[-1]
 
 
-def locate_event(f, t_lo: float, t_hi: float, event_tol: float) -> float:
+def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
+                 f_hi: float | None = None) -> float:
     """Bisect the first sign change of ``f`` on [t_lo, t_hi].
 
     Requires f(t_lo) < 0 <= f(t_hi); returns the upper end of a bracket of
-    width <= event_tol, so f at the returned time is >= 0.
+    width <= event_tol, so f at the returned time is >= 0. ``f_hi`` is
+    f(t_hi) when the caller already holds it.
     """
-    f_lo, f_hi = f(t_lo), f(t_hi)
+    f_lo = f(t_lo)
+    if f_hi is None:
+        f_hi = f(t_hi)
     if not (f_lo < 0 <= f_hi):
         raise ValueError(
             f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}"
@@ -214,20 +218,73 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+def _taylor_radius(k: int) -> float:
+    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta}."""
+    log_u = math.log(2.0 ** -53)
+
+    def excess(th: float) -> float:
+        return (k + 1) * math.log(th) - math.lgamma(k + 2) + 2 * th - log_u
+
+    lo, hi = 1e-300, 64.0
+    for _ in range(100):
+        mid = math.sqrt(lo * hi) if hi > 4 * lo else 0.5 * (lo + hi)
+        if excess(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+#: _TAYLOR_THETA[k] bounds ||A||_1 s for a degree-k truncation of e^{As}
+_MAX_DEGREE = 16
+_TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
+
+
 class _Expm:
-    """Cached e^{A h} evaluations keyed by the exact step width."""
+    """e^{A s} from a truncated Taylor series, numpy only.
+
+    P_k = A^k / k! is computed once. For theta = ||A||_1 |s| the degree K
+    is the smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
+    remainder of the series is then at most unit roundoff u relative to
+    ||e^{As}|| >= e^{-theta}. When A^k is exactly zero the series is exact
+    at degree k - 1 for every s (the triple integrator stops at K = 2).
+    Widths beyond the reach of degree _MAX_DEGREE are scaled by 2^-j and
+    the result squared j times.
+    """
 
     def __init__(self, A: np.ndarray):
-        self.A = np.asarray(A, dtype=float)
-        self._cache: dict[float, np.ndarray] = {}
+        A = np.asarray(A, dtype=float)
+        self._norm = float(np.abs(A).sum(axis=0).max())
+        term = np.eye(A.shape[0])
+        self._P = [term]
+        self._exact = False
+        for k in range(1, _MAX_DEGREE + 1):
+            term = (term @ A) / k
+            if not term.any():
+                self._exact = True
+                break
+            self._P.append(term)
+        for P in self._P:
+            P.setflags(write=False)
 
-    def at(self, h: float) -> np.ndarray:
-        out = self._cache.get(h)
-        if out is None:
-            out = sla.expm(self.A * h)
-            if len(self._cache) > 256:
-                self._cache.clear()
-            self._cache[h] = out
+    def at(self, s: float) -> np.ndarray:
+        P = self._P
+        squarings = 0
+        if self._exact:
+            k = len(P) - 1
+        else:
+            theta = self._norm * abs(s)
+            if theta > _TAYLOR_THETA[-1]:
+                # smallest j with theta 2^-j below the degree-cap radius
+                squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
+                s = math.ldexp(s, -squarings)
+                theta = math.ldexp(theta, -squarings)
+            k = min(bisect.bisect_left(_TAYLOR_THETA, theta), _MAX_DEGREE)
+        out = P[k]
+        for j in range(k - 1, -1, -1):
+            out = out * s + P[j]
+        for _ in range(squarings):
+            out = out @ out
         return out
 
 
@@ -321,7 +378,7 @@ class _Simulation:
             return self._w_const
         if self._dist_kind == "sinusoid":
             s = self._amp * np.sin(self._omega * t + self._phases)
-            return (s[:, None] * self._mask) * np.ones((1, self.model.n))
+            return s[:, None] * self._mask  # (N, 1), broadcast against xdot
         return self._w_table[min(cell, self._n_cells - 1)]
 
     # -- flow ----------------------------------------------------------
@@ -348,9 +405,10 @@ class _Simulation:
             c = y[N * n:]
         return x, chi, c
 
-    def _rhs(self, t: float, y: np.ndarray, Z: np.ndarray, cell: int) -> np.ndarray:
+    def _rhs(self, t: float, y: np.ndarray, Z: np.ndarray, cell: int,
+             dq=None) -> np.ndarray:
         x, chi, c = self._unpack(y)
-        u, cdot = self.kernel.flow_terms(Z, c)
+        u, cdot = self.kernel.flow_terms(Z, c, dq)
         w = self._disturbance(t, cell)
         m = self.model
         xdot = x @ m.A.T + u @ m.B.T
@@ -361,33 +419,43 @@ class _Simulation:
         chidot = chi @ m.A.T + u @ m.B.T + (chi - x) @ self._FC.T
         return np.concatenate([xdot.ravel(), chidot.ravel(), cdot])
 
+    # Steps return (y1, z1, k1, f1, err, dq1): dq1 is the edge work of z1,
+    # shared with the endpoint trigger check.
+
     def _step_rk4(self, t, y, Z, h, cell, k1):
-        e_half = self.expm.at(0.5 * h)
-        e_full = self.expm.at(h)
-        z_half = Z @ e_half.T
-        z_full = Z @ e_full.T
+        edge_terms = self.kernel.edge_terms
+        z_half = Z @ self.expm.at(0.5 * h).T
+        z_full = Z @ self.expm.at(h).T
         if k1 is None:
             k1 = self._rhs(t, y, Z, cell)
-        k2 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k1, z_half, cell)
-        k3 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k2, z_half, cell)
-        k4 = self._rhs(t + h, y + h * k3, z_full, cell)
+        dq_half = edge_terms(z_half)
+        k2 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k1, z_half, cell, dq_half)
+        k3 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k2, z_half, cell, dq_half)
+        dq_full = edge_terms(z_full)
+        k4 = self._rhs(t + h, y + h * k3, z_full, cell, dq_full)
         y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        f1 = self._rhs(t + h, y1, z_full, cell)
-        return y1, z_full, k1, f1, 0.0
+        f1 = self._rhs(t + h, y1, z_full, cell, dq_full)
+        return y1, z_full, k1, f1, 0.0, dq_full
 
     def _step_dopri(self, t, y, Z, h, cell, k1):
         ks = [None] * 7
         ks[0] = k1 if k1 is not None else self._rhs(t, y, Z, cell)
-        z_end = None
+        z_end = dq_end = None
         for i in range(1, 7):
             yi = y.copy()
             for j, a in enumerate(_DP_A[i]):
                 if a != 0.0:
                     yi += (h * a) * ks[j]
-            zi = Z @ self.expm.at(_DP_C[i] * h).T
             if _DP_C[i] == 1.0:
-                z_end = zi
-            ks[i] = self._rhs(t + _DP_C[i] * h, yi, zi, cell)
+                # stages 6 and 7 both sit at the step end
+                if z_end is None:
+                    z_end = Z @ self.expm.at(h).T
+                    dq_end = self.kernel.edge_terms(z_end)
+                zi, dq = z_end, dq_end
+            else:
+                zi = Z @ self.expm.at(_DP_C[i] * h).T
+                dq = None
+            ks[i] = self._rhs(t + _DP_C[i] * h, yi, zi, cell, dq)
         y1 = y.copy()
         for j in range(7):
             if _DP_B5[j] != 0.0:
@@ -400,7 +468,7 @@ class _Simulation:
         scale = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         f1 = ks[6]  # FSAL: stage 7 is the derivative at (t+h, y1)
-        return y1, z_end, ks[0], f1, err
+        return y1, z_end, ks[0], f1, err, dq_end
 
     # -- triggers --------------------------------------------------------
 
@@ -434,14 +502,17 @@ class _Simulation:
         """Trigger every agent whose f >= 0, ascending index, resets
         immediately visible, at most one broadcast per agent."""
         triggered: list[int] = []
+        eligible = np.ones(self.n_agents, dtype=bool)
+        if self.leader is not None:
+            eligible[self.leader] = False
         while True:
             f = self._trigger_values_now(t)
-            cands = [i for i in range(self.n_agents)
-                     if i != self.leader and i not in triggered and f[i] >= 0]
-            if not cands:
+            cands = np.flatnonzero(eligible & (f >= 0))
+            if not cands.size:
                 return triggered
-            i = cands[0]
+            i = int(cands[0])
             self._apply_trigger(i, t, f[i], kind)
+            eligible[i] = False
             triggered.append(i)
 
     def _force_broadcast(self, t: float, kind: str):
@@ -479,7 +550,8 @@ class _Simulation:
 
     # -- event localization ------------------------------------------------
 
-    def _localize(self, t0, y0, f0, t1, y1, f1) -> float:
+    def _localize(self, t0, y0, f0, t1, y1, f1, g1: float) -> float:
+        """Event time in (t0, t1]; ``g1`` is the trigger maximum at t1."""
         h = t1 - t0
         if h <= self.cfg.event_tol:
             return t1
@@ -491,17 +563,13 @@ class _Simulation:
         z0 = self.Z
 
         def g(tm: float) -> float:
-            if tm >= t1:
-                ym, zm = y1, z0 @ self.expm.at(h).T
-            else:
-                s = (tm - t0) / h
-                ym = _hermite(y0, f0, y1, f1, h, s)
-                zm = z0 @ self.expm.at(tm - t0).T
+            ym = _hermite(y0, f0, y1, f1, h, (tm - t0) / h)
+            zm = z0 @ self.expm.at(tm - t0).T
             live = ym[live_slice].reshape(self.n_agents, self.model.n)
             _, _, cm = self._unpack(ym)
             return float(self.kernel.trigger_values(live, zm, cm, tm).max())
 
-        return locate_event(g, t0, t1, self.cfg.event_tol)
+        return locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -530,7 +598,7 @@ class _Simulation:
             t_next = tc if full else self.t + h
             cell = self._cell_of(self.t)
             y0 = self._pack()
-            y1, z1, k1, f1, err = step(self.t, y0, self.Z, h, cell, self._k1)
+            y1, z1, k1, f1, err, dq1 = step(self.t, y0, self.Z, h, cell, self._k1)
             if adaptive:
                 if err > 1.0:
                     self._h_ctrl = h * max(0.2, 0.9 * err ** -0.2)
@@ -541,11 +609,12 @@ class _Simulation:
                 raise NonFiniteStateError(f"non-finite state after step at t={self.t:.6f}")
             x1, chi1, c1 = self._unpack(y1)
             live1 = chi1 if self.variant == "observer" else x1
-            fvals = self.kernel.trigger_values(live1, z1, c1, t_next)
-            if fvals.max() >= 0:
-                t_star = self._localize(self.t, y0, k1, t_next, y1, f1)
+            g1 = float(self.kernel.trigger_values(live1, z1, c1, t_next, dq1).max())
+            if g1 >= 0:
+                t_star = self._localize(self.t, y0, k1, t_next, y1, f1, g1)
                 if t_star < t_next:
-                    y1, z1, k1, f1, _ = step(self.t, y0, self.Z, t_star - self.t, cell, k1)
+                    y1, z1, k1, f1, _, _ = step(self.t, y0, self.Z, t_star - self.t,
+                                                cell, k1)
                     if not np.isfinite(y1).all():
                         raise NonFiniteStateError(
                             f"non-finite state after step at t={self.t:.6f}")

@@ -219,28 +219,29 @@ class ProtocolKernel:
         self.inc[self.ei, np.arange(m)] = 1.0
         self.inc[self.ej, np.arange(m)] = -1.0
         self.inc_abs = np.abs(self.inc)
-        self.degrees = self.inc_abs.sum(axis=1).astype(int)
 
     def edge_diffs(self, Z: np.ndarray) -> np.ndarray:
         """Estimate disagreement d_e = Z[i] - Z[j] per edge, (M, n)."""
-        return Z[self.ei] - Z[self.ej]
+        return Z.take(self.ei, axis=0) - Z.take(self.ej, axis=0)
 
     def edge_quadratic(self, d: np.ndarray) -> np.ndarray:
         """d' Gamma d per edge."""
         return ((d @ self.Gamma) * d).sum(axis=1)
 
-    def controls(self, Z: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Stacked control inputs (N, p); the leader's input is zero."""
-        return self.flow_terms(Z, c)[0]
+    def edge_terms(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Z-only edge work (d, q): diffs (M, n) and d' Gamma d (M,).
 
-    def weight_rates(self, Z: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Stacked adaptation rates (M,)."""
-        return self.flow_terms(Z, c)[1]
-
-    def flow_terms(self, Z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Control inputs (N, p) and weight rates (M,) sharing the edge work."""
+        ``flow_terms`` and ``trigger_values`` take it as ``dq`` so that
+        callers evaluating one estimate stack several times compute it once.
+        """
         d = self.edge_diffs(Z)
-        q = self.edge_quadratic(d)
+        return d, self.edge_quadratic(d)
+
+    def flow_terms(self, Z: np.ndarray, c: np.ndarray,
+                   dq: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Control inputs (N, p) and weight rates (M,) sharing the edge work."""
+        d, q = self.edge_terms(Z) if dq is None else dq
         cdot = self.kappa * (-self.varrho * c + q)
         s = self.inc @ (c[:, None] * d)
         if self.leader is not None:
@@ -248,7 +249,8 @@ class ProtocolKernel:
         return s @ self.K.T, cdot
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
-                       c: np.ndarray, t: float) -> np.ndarray:
+                       c: np.ndarray, t: float,
+                       dq: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Stacked trigger values (N,); the leader's entry is -inf.
 
         ``live`` is the stack the broadcasts sample from: X for state
@@ -256,7 +258,7 @@ class ProtocolKernel:
         """
         err = Z - live
         eqf = ((err @ self.Gamma) * err).sum(axis=1)
-        q = self.edge_quadratic(self.edge_diffs(Z))
+        q = (self.edge_terms(Z) if dq is None else dq)[1]
         err_coef = self.inc_abs @ (self.err_w * (1.0 + self.params.delta * c))
         dis = self.inc_abs @ (self.dis_w * q)
         f = err_coef * eqf - dis - self.params.mu * math.exp(-self.params.nu * t)
