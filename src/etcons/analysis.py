@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .engine import EventRecord, Trajectory
+from .engine import EventRecord, Trajectory, _Expm
 from .graph import Graph, lambda2
-from .linalg import max_eig_sym
+from .linalg import matrix_exponential, max_eig_sym
 from .protocols import ProtocolParams
 
 
@@ -300,9 +299,7 @@ def observer_error(traj: Trajectory) -> np.ndarray:
 
 def predicted_consensus_value(A: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     """Final consensus trajectory value: mean of e^{A t} x_i(0)."""
-    A = np.asarray(A, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    return sla.expm(A * float(t)) @ x0.mean(axis=0)
+    return matrix_exponential(A, t) @ np.asarray(x0, dtype=float).mean(axis=0)
 
 
 def invariance_deviation(traj: Trajectory) -> float:
@@ -310,29 +307,13 @@ def invariance_deviation(traj: Trajectory) -> float:
 
     The network average transported back through the drift is conserved by
     the protocol in continuous time; the deviation measures integration
-    error. Exponentials are accumulated incrementally (one small expm per
-    distinct grid spacing), which is exact up to rounding because
-    exponentials of the same matrix commute.
+    error. e^{-A t} is evaluated afresh at every stored time with the
+    engine's Taylor evaluator, so no rounding accumulates across rows.
     """
-    a = traj.model.A
-    m0 = traj.states[0].mean(axis=0)
-    e_acc = np.eye(a.shape[0])
-    cache: dict[float, np.ndarray] = {}
-    worst = 0.0
+    back = _Expm(-np.asarray(traj.model.A, dtype=float))
     means = traj.states.mean(axis=1)
-    times = traj.times
-    for idx in range(1, len(times)):
-        dt = times[idx] - times[idx - 1]
-        e_dt = cache.get(dt)
-        if e_dt is None:
-            e_dt = sla.expm(-a * dt)
-            if len(cache) > 256:
-                cache.clear()
-            cache[dt] = e_dt
-        e_acc = e_dt @ e_acc
-        dev = float(np.linalg.norm(e_acc @ means[idx] - m0))
-        worst = max(worst, dev)
-    return worst
+    moved = np.array([back.at(t) @ m for t, m in zip(traj.times.tolist(), means)])
+    return float(np.linalg.norm(moved - means[0], axis=1).max())
 
 
 def final_error_norm(traj: Trajectory) -> float:

@@ -1,9 +1,13 @@
 """Hybrid simulation loop: continuous flow, event detection, trigger resets.
 
-The augmented ODE state is (all agent states, all observer states when
-present, all edge weights). Broadcast estimates are never integrated: they
-are closed-form matrix-exponential propagations of the latest samples, so
-an agent's own estimate cannot drift away from its own state numerically.
+The augmented ODE state is one flat vector y = (x, chi, c): all agent
+states row-major (N n), then all observer states when present (N n), then
+the edge weights in ``graph.edges`` order (M). ``_Simulation._views`` is
+the only place that knows these offsets; everything else works on its
+reshaped views. Broadcast estimates are never integrated: they are
+closed-form matrix-exponential propagations of the latest samples, kept
+as the rows of the estimate stack Z, so an agent's own estimate cannot
+drift away from its own state numerically.
 
 Triggers are monitored at step endpoints. A sign change of any trigger
 function starts a bisection on a cubic Hermite dense-output interpolant of
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BroadcastSample
 from .errors import (
     ConfigError,
     DisconnectedGraphError,
@@ -108,11 +111,16 @@ class SimConfig:
 @dataclass
 class EventRecord:
     """One broadcast: the initial sync, an organic trigger, a forced
-    broadcast (dense-sampling mode), or a topology-switch broadcast."""
+    broadcast (dense-sampling mode), or a topology-switch broadcast.
+
+    ``value`` is the sampled state (observer state for observer runs) that
+    the agent sent at ``time``; neighbours propagate it as
+    e^{A (t - time)} value until the agent's next broadcast.
+    """
 
     agent: int
     time: float
-    sample: BroadcastSample
+    value: np.ndarray
     trigger_value_before: float
     kind: str = "trigger"
 
@@ -305,23 +313,18 @@ class _Simulation:
         self.kernel = ProtocolKernel(graph, params, gains.K, gains.Gamma)
         self.expm = _Expm(model.A)
 
-        n = model.n
-        self.X = np.array(x0, dtype=float).reshape(self.n_agents, n).copy()
+        shape = (self.n_agents, model.n)
+        parts = [np.asarray(x0, dtype=float).reshape(shape)]
         if variant == "observer":
-            if chi0 is None:
-                chi0 = np.zeros_like(self.X)
-            self.CHI = np.array(chi0, dtype=float).reshape(self.n_agents, n).copy()
+            parts.append(np.zeros(shape) if chi0 is None
+                         else np.asarray(chi0, dtype=float).reshape(shape))
             self._FC = gains.F @ model.C
         else:
-            self.CHI = None
             self._FC = None
-
-        live0 = self.CHI if variant == "observer" else self.X
-        self.sample_values = live0.copy()
-        self.sample_stamps = np.zeros(self.n_agents)
-        self.Z = live0.copy()
-        _, _, c0 = params.edge_arrays(graph)
-        self.c = c0.copy()
+        parts.append(self.kernel.c0)
+        # the augmented state (x, chi when observing, c), read through _views
+        self.y = np.concatenate([p.ravel() for p in parts])
+        self.Z = self._views(self.y)[3].copy()
 
         self.t = 0.0
         self.events: list[EventRecord] = []
@@ -383,31 +386,19 @@ class _Simulation:
 
     # -- flow ----------------------------------------------------------
 
-    @property
-    def _live(self) -> np.ndarray:
-        return self.CHI if self.variant == "observer" else self.X
-
-    def _pack(self) -> np.ndarray:
-        parts = [self.X.ravel()]
-        if self.CHI is not None:
-            parts.append(self.CHI.ravel())
-        parts.append(self.c)
-        return np.concatenate(parts)
-
-    def _unpack(self, y: np.ndarray):
+    def _views(self, y: np.ndarray):
+        """(x, chi | None, c, live) views of an augmented state; ``live``
+        is what agents broadcast: chi for observer runs, else x."""
         N, n = self.n_agents, self.model.n
         x = y[: N * n].reshape(N, n)
-        if self.CHI is not None:
-            chi = y[N * n: 2 * N * n].reshape(N, n)
-            c = y[2 * N * n:]
-        else:
-            chi = None
-            c = y[N * n:]
-        return x, chi, c
+        if self.variant != "observer":
+            return x, None, y[N * n:], x
+        chi = y[N * n: 2 * N * n].reshape(N, n)
+        return x, chi, y[2 * N * n:], chi
 
     def _rhs(self, t: float, y: np.ndarray, Z: np.ndarray, cell: int,
              dq=None) -> np.ndarray:
-        x, chi, c = self._unpack(y)
+        x, chi, c, _ = self._views(y)
         u, cdot = self.kernel.flow_terms(Z, c, dq)
         w = self._disturbance(t, cell)
         m = self.model
@@ -473,16 +464,14 @@ class _Simulation:
     # -- triggers --------------------------------------------------------
 
     def _trigger_values_now(self, t: float) -> np.ndarray:
-        return self.kernel.trigger_values(self._live, self.Z, self.c, t)
+        _, _, c, live = self._views(self.y)
+        return self.kernel.trigger_values(live, self.Z, c, t)
 
     def _apply_trigger(self, i: int, t: float, f_before: float, kind: str):
-        value = self._live[i].copy()
-        self.sample_values[i] = value
-        self.sample_stamps[i] = t
+        value = self._views(self.y)[3][i].copy()
         self.Z[i] = value
         self.events.append(EventRecord(
-            agent=i, time=t,
-            sample=BroadcastSample(value=value.copy(), stamp=t),
+            agent=i, time=t, value=value,
             trigger_value_before=float(f_before), kind=kind,
         ))
         if kind == "trigger":
@@ -519,10 +508,15 @@ class _Simulation:
         # f values are a pre-reset snapshot; forced broadcasts are not
         # crossings, the value is informational only
         f = self._trigger_values_now(t)
+        # one broadcast per agent per instant: skip agents already sent at t
+        done = {self.leader}
+        for e in reversed(self.events):
+            if e.time != t:
+                break
+            done.add(e.agent)
         for i in range(self.n_agents):
-            if i == self.leader or self.sample_stamps[i] == t:
-                continue
-            self._apply_trigger(i, t, f[i], kind)
+            if i not in done:
+                self._apply_trigger(i, t, f[i], kind)
 
     # -- storage ---------------------------------------------------------
 
@@ -533,20 +527,20 @@ class _Simulation:
         })
 
     def _store_row(self):
+        x, chi, c, _ = self._views(self.y)
+        rows = self._segments[-1]["rows"]
         if self._times and self._times[-1] == self.t:
             # refresh the row: post-trigger estimates/weights replace it
-            self._states[-1] = self.X.copy()
-            self._estimates[-1] = self.Z.copy()
-            if self.CHI is not None:
-                self._chis[-1] = self.CHI.copy()
-            self._segments[-1]["rows"][-1] = self.c.copy()
-            return
+            for stored in (self._times, self._states, self._estimates, rows):
+                stored.pop()
+            if chi is not None:
+                self._chis.pop()
         self._times.append(self.t)
-        self._states.append(self.X.copy())
+        self._states.append(x.copy())
         self._estimates.append(self.Z.copy())
-        if self.CHI is not None:
-            self._chis.append(self.CHI.copy())
-        self._segments[-1]["rows"].append(self.c.copy())
+        if chi is not None:
+            self._chis.append(chi.copy())
+        rows.append(c.copy())
 
     # -- event localization ------------------------------------------------
 
@@ -555,18 +549,12 @@ class _Simulation:
         h = t1 - t0
         if h <= self.cfg.event_tol:
             return t1
-        if self.variant == "observer":
-            live_slice = slice(self.n_agents * self.model.n,
-                               2 * self.n_agents * self.model.n)
-        else:
-            live_slice = slice(0, self.n_agents * self.model.n)
         z0 = self.Z
 
         def g(tm: float) -> float:
             ym = _hermite(y0, f0, y1, f1, h, (tm - t0) / h)
             zm = z0 @ self.expm.at(tm - t0).T
-            live = ym[live_slice].reshape(self.n_agents, self.model.n)
-            _, _, cm = self._unpack(ym)
+            _, _, cm, live = self._views(ym)
             return float(self.kernel.trigger_values(live, zm, cm, tm).max())
 
         return locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g1)
@@ -597,7 +585,7 @@ class _Simulation:
             full = h >= remaining
             t_next = tc if full else self.t + h
             cell = self._cell_of(self.t)
-            y0 = self._pack()
+            y0 = self.y
             y1, z1, k1, f1, err, dq1 = step(self.t, y0, self.Z, h, cell, self._k1)
             if adaptive:
                 if err > 1.0:
@@ -607,8 +595,7 @@ class _Simulation:
                 self._h_ctrl = min(self.cfg.dt, h * fac)
             if not np.isfinite(y1).all():
                 raise NonFiniteStateError(f"non-finite state after step at t={self.t:.6f}")
-            x1, chi1, c1 = self._unpack(y1)
-            live1 = chi1 if self.variant == "observer" else x1
+            _, _, c1, live1 = self._views(y1)
             g1 = float(self.kernel.trigger_values(live1, z1, c1, t_next, dq1).max())
             if g1 >= 0:
                 t_star = self._localize(self.t, y0, k1, t_next, y1, f1, g1)
@@ -633,23 +620,21 @@ class _Simulation:
                 self._commit(t_next, y1, z1, f1)
 
     def _commit(self, t, y, z, f1):
-        x, chi, c = self._unpack(y)
-        self.X = x.copy()
-        if chi is not None:
-            self.CHI = chi.copy()
-        self.c = c.copy()
-        self.Z = z.copy()
+        # steps return fresh arrays, so y and z are owned from here on
+        self.y = y
+        self.Z = z
         self.t = t
         self._k1 = f1
 
     def _apply_switch(self, t: float, new_graph: Graph):
-        old = {e: w for e, w in zip(self.kernel.graph.edges, self.c)}
+        c = self._views(self.y)[2]
+        old = dict(zip(self.kernel.graph.edges, c))
         kernel = ProtocolKernel(new_graph, self.params, self.gains.K, self.gains.Gamma)
         c_new = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
         self.kernel = kernel
-        self.c = c_new
+        self.y = np.concatenate([self.y[: self.y.size - c.size], c_new])
         self._open_segment(new_graph, t, first_index=len(self._times) - 1)
-        self._segments[-1]["rows"].append(self.c.copy())
+        self._segments[-1]["rows"].append(c_new)
         self._force_broadcast(t, kind="switch")
         self._store_row()  # refresh the row at t with post-switch estimates
         self._k1 = None
@@ -658,12 +643,8 @@ class _Simulation:
         self._store_row()
         f0 = self._trigger_values_now(0.0)
         for i in range(self.n_agents):
-            fv = float("nan") if i == self.leader else float(f0[i])
-            self.events.append(EventRecord(
-                agent=i, time=0.0,
-                sample=BroadcastSample(value=self.sample_values[i].copy(), stamp=0.0),
-                trigger_value_before=fv, kind="init",
-            ))
+            fv = float("nan") if i == self.leader else f0[i]
+            self._apply_trigger(i, 0.0, fv, "init")
         for tc, switch_graph in self._checkpoints():
             self._advance_to(tc)
             self._store_row()
@@ -686,7 +667,7 @@ class _Simulation:
             times=np.array(self._times),
             states=np.array(self._states),
             estimates=np.array(self._estimates),
-            observer_states=np.array(self._chis) if self.CHI is not None else None,
+            observer_states=np.array(self._chis) if self.variant == "observer" else None,
             weight_segments=segments,
             events=self.events,
             variant=self.variant,

@@ -19,7 +19,7 @@ from etcons.analysis import (
 )
 from etcons.engine import SimConfig, simulate
 from etcons.graph import build_graph, generate_graph
-from etcons.linalg import SystemModel, design_gains
+from etcons.linalg import SystemModel, design_gains, matrix_exponential
 from etcons.protocols import ProtocolParams
 
 A_TRIPLE = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -236,6 +236,18 @@ class TestPredictedConsensusValue:
 class TestInvarianceAndNorms:
     def test_invariance_small_on_real_run(self, base_traj):
         assert invariance_deviation(base_traj) < 1e-8
+
+    def test_invariance_exact_on_drift_flow(self, base_traj):
+        # states on the exact drift flow conserve the transported average;
+        # a rotation over 20 s takes the evaluator's scaling-and-squaring path
+        a = np.array([[0.0, 2.0], [-2.0, 0.0]])
+        steps = np.random.default_rng(5).uniform(1e-3, 0.05, 800)
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        x0 = np.random.default_rng(6).uniform(-1, 1, (4, 2))
+        states = np.array([x0 @ matrix_exponential(a, t).T for t in times])
+        traj = dataclasses.replace(base_traj, model=SystemModel(A=a, B=[[0.0], [1.0]]),
+                                   times=times, states=states)
+        assert invariance_deviation(traj) < 1e-12
 
     def test_final_error_norm_matches_direct_computation(self, base_traj):
         direct = stacked_norm(consensus_error(base_traj.states[-1]))

@@ -160,6 +160,12 @@ def traj(model, gains, params, ring6):
                     short_sim(t_end=5.0, seed=42), random_x0())
 
 
+@pytest.fixture(scope="module")
+def observer_traj(model, params, ring6):
+    return simulate(model, ring6, design_gains(model, observer=True), params,
+                    short_sim(t_end=5.0, seed=42), random_x0(), variant="observer")
+
+
 class TestEventMechanics:
 
     def test_initial_broadcast_round(self, traj):
@@ -210,10 +216,19 @@ class TestEventMechanics:
             gaps = np.diff(times)
             assert (gaps >= traj.sim.event_tol).all()
 
-    def test_samples_match_states_at_event(self, traj):
+    @pytest.mark.parametrize("variant", ["state", "observer"])
+    def test_samples_match_states_at_event(self, request, variant):
+        # agents broadcast what they hold: x, or chi when observing
+        if variant == "state":
+            traj = request.getfixturevalue("traj")
+            sent = traj.states
+        else:
+            traj = request.getfixturevalue("observer_traj")
+            sent = traj.observer_states
+        assert any(e.kind == "trigger" for e in traj.events)
         for e in traj.events:
             idx = int(np.searchsorted(traj.times, e.time))
-            assert np.array_equal(e.sample.value, traj.states[idx, e.agent])
+            assert np.array_equal(e.value, sent[idx, e.agent])
 
 
 class TestDeterminism:
@@ -319,6 +334,21 @@ class TestTopologySwitch:
         assert seg_ring2.values[0, idx2] == 0.0
         idx1 = seg_ring1.graph.edges.index(e)
         assert seg_ring1.values[-1, idx1] > 0.0
+
+    def test_one_broadcast_per_agent_at_switch_in_dense_mode(self, model, gains,
+                                                            params, ring6):
+        # the switch round and the forced round share the instant t = 0.1
+        sim = short_sim(t_end=0.2, dt=1e-2,
+                        topology_schedule=((0.1, generate_graph("star", 6)),))
+        traj = simulate(model, ring6, gains, params, sim, random_x0(7),
+                        broadcast_every_step=True)
+        at_switch = [e for e in traj.events if e.time == 0.1]
+        assert sorted(e.agent for e in at_switch) == list(range(6))
+        assert all(e.kind == "switch" for e in at_switch)
+        last_round = [e for e in traj.events if e.time == traj.times[-1]]
+        assert [e.kind for e in last_round] == ["forced"] * 6
+        # init, then one round at each of the 20 grid points
+        assert len(traj.events) == 6 + 20 * 6
 
     def test_schedule_must_keep_agent_count(self, model, gains, params, ring6):
         sim = short_sim(t_end=2.0, dwell_min=0.5,

@@ -175,8 +175,8 @@ class TestOscillatorEstimates:
             events = traj.events_for(i)
             last = np.searchsorted([e.time for e in events], traj.times, side="right") - 1
             for k, t in enumerate(traj.times):
-                sample = events[last[k]].sample
-                ref = matrix_exponential(a, t - sample.stamp) @ sample.value
+                ev = events[last[k]]
+                ref = matrix_exponential(a, t - ev.time) @ ev.value
                 err = np.linalg.norm(traj.estimates[k, i] - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref)
 
