@@ -313,14 +313,18 @@ class _Simulation:
         self.kernel = ProtocolKernel(graph, params, gains.K, gains.Gamma)
         self.expm = _Expm(model.A)
 
-        shape = (self.n_agents, model.n)
+        # the (N, n) layout and the transposed model, fixed for the run
+        self._shape = shape = (self.n_agents, model.n)
+        self._nx = self.n_agents * model.n
+        self._AT = model.A.T
+        self._BT = model.B.T
         parts = [np.asarray(x0, dtype=float).reshape(shape)]
         if variant == "observer":
             parts.append(np.zeros(shape) if chi0 is None
                          else np.asarray(chi0, dtype=float).reshape(shape))
-            self._FC = gains.F @ model.C
+            self._FCT = (gains.F @ model.C).T
         else:
-            self._FC = None
+            self._FCT = None
         parts.append(self.kernel.c0)
         # the augmented state (x, chi when observing, c), read through _views
         self.y = np.concatenate([p.ravel() for p in parts])
@@ -374,9 +378,7 @@ class _Simulation:
                                 size=(self._n_cells, N, n))
             self._w_table = table * mask[None, :, :]
 
-    def _disturbance(self, t: float, cell: int):
-        if self._dist_kind is None:
-            return None
+    def _disturbance(self, t: float, cell: int) -> np.ndarray:
         if self._dist_kind == "constant":
             return self._w_const
         if self._dist_kind == "sinusoid":
@@ -389,26 +391,25 @@ class _Simulation:
     def _views(self, y: np.ndarray):
         """(x, chi | None, c, live) views of an augmented state; ``live``
         is what agents broadcast: chi for observer runs, else x."""
-        N, n = self.n_agents, self.model.n
-        x = y[: N * n].reshape(N, n)
+        nx = self._nx
+        x = y[:nx].reshape(self._shape)
         if self.variant != "observer":
-            return x, None, y[N * n:], x
-        chi = y[N * n: 2 * N * n].reshape(N, n)
-        return x, chi, y[2 * N * n:], chi
+            return x, None, y[nx:], x
+        chi = y[nx: 2 * nx].reshape(self._shape)
+        return x, chi, y[2 * nx:], chi
 
     def _rhs(self, t: float, y: np.ndarray, Z: np.ndarray, cell: int,
              dq=None) -> np.ndarray:
         x, chi, c, _ = self._views(y)
         u, cdot = self.kernel.flow_terms(Z, c, dq)
-        w = self._disturbance(t, cell)
-        m = self.model
-        xdot = x @ m.A.T + u @ m.B.T
-        if w is not None:
-            xdot = xdot + w
+        bu = u @ self._BT
+        xdot = x @ self._AT + bu
+        if self._dist_kind is not None:
+            xdot = xdot + self._disturbance(t, cell)
         if chi is None:
-            return np.concatenate([xdot.ravel(), cdot])
-        chidot = chi @ m.A.T + u @ m.B.T + (chi - x) @ self._FC.T
-        return np.concatenate([xdot.ravel(), chidot.ravel(), cdot])
+            return np.concatenate((xdot.ravel(), cdot))
+        chidot = chi @ self._AT + bu + (chi - x) @ self._FCT
+        return np.concatenate((xdot.ravel(), chidot.ravel(), cdot))
 
     # Steps return (y1, z1, k1, f1, err, dq1): dq1 is the edge work of z1,
     # shared with the endpoint trigger check.
@@ -652,6 +653,7 @@ class _Simulation:
                 self._apply_switch(tc, switch_graph)
             if self.broadcast_every_step:
                 self._force_broadcast(tc, kind="forced")
+                self._store_row()  # refresh the row at tc with the new estimates
         return self._finalize()
 
     def _finalize(self) -> Trajectory:

@@ -1,10 +1,13 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import etcons
 from etcons.cli import main
 
 BASE_CONFIG = {
@@ -113,6 +116,23 @@ class TestRunCommand:
             with open(os.path.join(out_a, name), "rb") as fa, \
                  open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    def test_byte_identical_outputs_any_blas_thread_count(self, tmp_path):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["graph"] = {"generator": "complete", "n": 30}
+        cfg["sim"]["t_end"] = 0.2
+        path = write_config(tmp_path, cfg)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(etcons.__file__)))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            subprocess.run([sys.executable, "-m", "etcons.cli", "run", path,
+                            "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("trajectory.csv", "events.csv", "weights.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes(), name
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -377,3 +377,15 @@ class TestTrajectoryShape:
         # 10 grid points after t=0, all 6 agents each
         assert len(forced) == 60
         assert len([e for e in traj.events if e.kind == "init"]) == 6
+
+    def test_dense_mode_rows_hold_forced_samples(self, model, gains, params, ring6):
+        # the row at a grid point is stored after that point's forced round
+        sim = short_sim(t_end=0.2, dt=1e-2)
+        traj = simulate(model, ring6, gains, params, sim, random_x0(7),
+                        broadcast_every_step=True)
+        forced = [e for e in traj.events if e.kind == "forced"]
+        assert len(forced) == 20 * 6
+        for e in forced:
+            row = int(np.searchsorted(traj.times, e.time))
+            assert traj.times[row] == e.time
+            assert np.array_equal(traj.estimates[row, e.agent], e.value)

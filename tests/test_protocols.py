@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etcons.dynamics import AgentRuntime, BroadcastSample
 from etcons.errors import ConfigError
@@ -11,6 +14,7 @@ from etcons.protocols import (
     ProtocolParams,
     control_input,
     observer_rate,
+    trigger_value,
     trigger_value_leader_follower,
     trigger_value_observer,
     trigger_value_state,
@@ -275,3 +279,83 @@ class TestKernelAgainstLocalFunctions:
                    trigger_value_leader_follower):
             names = set(inspect.signature(fn).parameters)
             assert not names & {"lambda2", "n_agents", "graph", "laplacian"}
+
+
+@st.composite
+def hub_graphs(draw):
+    """Connected graphs on 4..12 nodes with at least one node of degree >= 3:
+    a star, a complete graph, or a random tree plus a hub and extra edges."""
+    kind = draw(st.sampled_from(["star", "complete", "random"]))
+    n_nodes = draw(st.integers(4, 12))
+    leader = draw(st.one_of(st.none(), st.integers(0, n_nodes - 1)))
+    if kind != "random":
+        return generate_graph(kind, n_nodes, leader=leader)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, n_nodes)}
+    hub = int(rng.integers(0, n_nodes))
+    for j in rng.choice(np.delete(np.arange(n_nodes), hub), 3, replace=False):
+        edges.add((min(hub, int(j)), max(hub, int(j))))
+    for _ in range(int(rng.integers(0, 2 * n_nodes))):
+        a, b = (int(v) for v in rng.integers(0, n_nodes, size=2))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return build_graph(n_nodes, sorted(edges), leader=leader)
+
+
+class TestKernelProperties:
+    """The stacked evaluator against the per-agent formulas on drawn
+    graphs, state dimensions and values."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(g=hub_graphs(), n=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 10.0))
+    def test_matches_local_functions(self, g, n, seed, t):
+        assert max(g.degree(i) for i in range(g.n_nodes)) >= 3
+        rng = np.random.default_rng(seed)
+        k = rng.normal(size=(1, n))
+        gamma = k.T @ k
+        kappa, varrho = rng.uniform(0.05, 2.0, size=2)
+        params = ProtocolParams(delta=float(rng.uniform(0.1, 3.0)), mu=2.0, nu=0.5,
+                                kappa=float(kappa), varrho=float(varrho))
+        kernel = ProtocolKernel(g, params, k, gamma)
+        z = rng.normal(size=(g.n_nodes, n))
+        live = z - 0.1 * rng.normal(size=(g.n_nodes, n))
+        c = rng.uniform(0.0, 3.0, size=len(g.edges))
+        u_stack, cdot_stack = kernel.flow_terms(z, c)
+        f_stack = kernel.trigger_values(live, z, c, t)
+        for e, (a, b) in enumerate(g.edges):
+            r = weight_rate(kappa, varrho, c[e], z[a] - z[b], gamma)
+            assert cdot_stack[e] == pytest.approx(r, rel=1e-12, abs=1e-12)
+        for i in range(g.n_nodes):
+            if i == g.leader:
+                assert np.array_equal(u_stack[i], np.zeros(1))
+                assert f_stack[i] == -np.inf
+                continue
+            est = {j: z[j] for j in g.neighbors(i)}
+            w = {j: c[g.edges.index((min(i, j), max(i, j)))] for j in g.neighbors(i)}
+            assert np.allclose(u_stack[i], control_input(k, z[i], est, w),
+                               rtol=1e-12, atol=1e-12)
+            f_local = trigger_value(z[i] - live[i], z[i], est, w, params.delta,
+                                    params.mu, params.nu, gamma, t, leader=g.leader)
+            assert f_stack[i] == pytest.approx(f_local, rel=1e-12, abs=1e-12)
+
+
+class TestKernelMemory:
+    def test_no_node_by_edge_arrays(self):
+        # ring N = 2000: one dense N x M float array would take 32 MB
+        g = generate_graph("ring", 2000)
+        rng = np.random.default_rng(5)
+        k = rng.normal(size=(1, 3))
+        params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5)
+        z = rng.normal(size=(2000, 3))
+        live = z + 0.1 * rng.normal(size=(2000, 3))
+        c = rng.uniform(0.0, 3.0, size=len(g.edges))
+        tracemalloc.start()
+        try:
+            kernel = ProtocolKernel(g, params, k, k.T @ k)
+            kernel.flow_terms(z, c)
+            kernel.trigger_values(live, z, c, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
