@@ -47,7 +47,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    LaplacianView,
     build_graph,
     generate_graph,
     has_leader_spanning_tree,
@@ -64,7 +63,6 @@ from .linalg import (
     is_hurwitz,
     matrix_exponential,
     max_eig_sym,
-    min_eig_sym,
     observer_gain,
     solve_care,
 )
@@ -74,9 +72,6 @@ from .protocols import (
     control_input,
     observer_rate,
     trigger_value,
-    trigger_value_leader_follower,
-    trigger_value_observer,
-    trigger_value_state,
     weight_rate,
 )
 

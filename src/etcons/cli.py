@@ -43,6 +43,15 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _number(spec: dict, key: str, where: str, default=None):
+    """spec[key] (``default`` when absent), which must be a JSON number:
+    not a string, bool or null."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    return value
+
+
 def _parse_graph(spec: dict, where: str = "graph") -> Graph:
     _check_keys(spec, {"n", "edges", "generator", "leader"}, {"n"}, where)
     leader = spec.get("leader")
@@ -87,7 +96,8 @@ def _parse_states(spec, n_agents: int, n: int, rng, where: str) -> np.ndarray:
         return arr
     rand = spec["random"]
     _check_keys(rand, {"low", "high"}, {"low", "high"}, f"{where}.random")
-    low, high = float(rand["low"]), float(rand["high"])
+    low = float(_number(rand, "low", f"{where}.random"))
+    high = float(_number(rand, "high", f"{where}.random"))
     if not (low < high):
         raise ConfigError(f"{where}.random: low must be below high")
     return rng.uniform(low, high, size=(n_agents, n))
@@ -117,7 +127,9 @@ class RunSetup:
         if self.variant not in ("state", "observer", "leader_follower"):
             raise ConfigError(f"protocol.variant: unknown variant {self.variant!r}")
         self.params = ProtocolParams(
-            delta=float(pspec["delta"]), mu=float(pspec["mu"]), nu=float(pspec["nu"]),
+            delta=float(_number(pspec, "delta", "protocol")),
+            mu=float(_number(pspec, "mu", "protocol")),
+            nu=float(_number(pspec, "nu", "protocol")),
             kappa=_parse_edge_map(pspec.get("kappa", 0.2), "protocol.kappa"),
             varrho=_parse_edge_map(pspec.get("varrho", 0.0), "protocol.varrho"),
             c0=_parse_edge_map(pspec.get("c0", 0.0), "protocol.c0"),
@@ -125,32 +137,35 @@ class RunSetup:
 
         sspec = cfg["sim"]
         _check_keys(sspec, {"t_end", "dt", "event_tol", "solver", "seed", "disturbance",
-                            "topology_schedule", "dwell_min", "max_events_per_unit_time",
-                            "rtol", "atol"},
+                            "topology_schedule", "dwell_min", "max_events_per_unit_time"},
                     {"t_end", "dt"}, "sim")
+        # older configs name the one integrator; any other value is an error
+        if sspec.get("solver", "rk4") != "rk4":
+            raise ConfigError(f"sim.solver: only 'rk4' is supported, the adaptive "
+                              f"solver was removed; got {sspec['solver']!r}")
         disturbance = None
         if "disturbance" in sspec:
             dspec = sspec["disturbance"]
             _check_keys(dspec, {"kind", "amplitude", "frequency", "seed"},
                         {"kind", "amplitude"}, "sim.disturbance")
             disturbance = DisturbanceSpec(
-                kind=dspec["kind"], amplitude=float(dspec["amplitude"]),
-                frequency=float(dspec.get("frequency", 1.0)),
+                kind=dspec["kind"],
+                amplitude=float(_number(dspec, "amplitude", "sim.disturbance")),
+                frequency=float(_number(dspec, "frequency", "sim.disturbance", 1.0)),
                 seed=dspec.get("seed"),
             )
         schedule = []
         for i, entry in enumerate(sspec.get("topology_schedule", [])):
             _check_keys(entry, {"t", "graph"}, {"t", "graph"},
                         f"sim.topology_schedule[{i}]")
-            schedule.append((float(entry["t"]),
+            schedule.append((float(_number(entry, "t", f"sim.topology_schedule[{i}]")),
                              _parse_graph(entry["graph"], f"sim.topology_schedule[{i}].graph")))
-        kwargs = {}
-        for key in ("event_tol", "solver", "dwell_min", "max_events_per_unit_time",
-                    "rtol", "atol"):
-            if key in sspec:
-                kwargs[key] = sspec[key]
+        kwargs = {key: _number(sspec, key, "sim")
+                  for key in ("event_tol", "dwell_min", "max_events_per_unit_time")
+                  if key in sspec}
         self.sim = SimConfig(
-            t_end=float(sspec["t_end"]), dt=float(sspec["dt"]),
+            t_end=float(_number(sspec, "t_end", "sim")),
+            dt=float(_number(sspec, "dt", "sim")),
             seed=sspec.get("seed"), disturbance=disturbance,
             topology_schedule=tuple(schedule), **kwargs,
         )

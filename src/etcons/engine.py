@@ -9,12 +9,14 @@ closed-form matrix-exponential propagations of the latest samples, kept
 as the rows of the estimate stack Z, so an agent's own estimate cannot
 drift away from its own state numerically.
 
-Triggers are monitored at step endpoints. A sign change of any trigger
-function starts a bisection on a cubic Hermite dense-output interpolant of
-the step; the flow is then re-integrated up to the localized instant, the
-triggering agents broadcast (ascending index, each reset immediately
-visible), and integration resumes. Simultaneous crossings are processed
-within the same instant, one broadcast per agent per instant.
+The flow between events is integrated by classical RK4, one step from
+the current instant to the next base-grid or switch instant. Triggers are
+monitored at step endpoints. A sign change of any trigger function starts
+a bisection on a cubic Hermite dense-output interpolant of the step; the
+flow is then re-integrated up to the localized instant, the triggering
+agents broadcast (ascending index, each reset immediately visible), and
+integration resumes. Simultaneous crossings are processed within the same
+instant, one broadcast per agent per instant.
 """
 
 from __future__ import annotations
@@ -71,14 +73,11 @@ class SimConfig:
     t_end: float
     dt: float
     event_tol: float = 1e-8
-    solver: str = "rk4"
     seed: int | None = None
     disturbance: DisturbanceSpec | None = None
     topology_schedule: tuple = ()
     dwell_min: float = 1e-2
     max_events_per_unit_time: int = 10_000
-    rtol: float = 1e-8
-    atol: float = 1e-10
 
     def __post_init__(self):
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
@@ -89,8 +88,6 @@ class SimConfig:
             raise ConfigError(
                 f"event_tol must lie in (0, dt]; got {self.event_tol} with dt={self.dt}"
             )
-        if self.solver not in ("rk4", "rk45-adaptive"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
         if self.dwell_min <= 0:
             raise ConfigError("dwell_min must be positive")
         if self.max_events_per_unit_time < 1:
@@ -210,22 +207,6 @@ def _hermite(y0, f0, y1, f1, h, s):
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
 
 
-# Dormand-Prince 5(4) tableau; the last stage is the FSAL derivative.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-
-
 def _taylor_radius(k: int) -> float:
     """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta}."""
     log_u = math.log(2.0 ** -53)
@@ -343,7 +324,6 @@ class _Simulation:
         self._open_segment(graph, 0.0, first_index=0)
 
         self._setup_disturbance()
-        self._h_ctrl = sim.dt
 
     # -- disturbance ---------------------------------------------------
 
@@ -411,7 +391,7 @@ class _Simulation:
         chidot = chi @ self._AT + bu + (chi - x) @ self._FCT
         return np.concatenate((xdot.ravel(), chidot.ravel(), cdot))
 
-    # Steps return (y1, z1, k1, f1, err, dq1): dq1 is the edge work of z1,
+    # A step returns (y1, z1, k1, f1, dq1): dq1 is the edge work of z1,
     # shared with the endpoint trigger check.
 
     def _step_rk4(self, t, y, Z, h, cell, k1):
@@ -427,40 +407,7 @@ class _Simulation:
         k4 = self._rhs(t + h, y + h * k3, z_full, cell, dq_full)
         y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         f1 = self._rhs(t + h, y1, z_full, cell, dq_full)
-        return y1, z_full, k1, f1, 0.0, dq_full
-
-    def _step_dopri(self, t, y, Z, h, cell, k1):
-        ks = [None] * 7
-        ks[0] = k1 if k1 is not None else self._rhs(t, y, Z, cell)
-        z_end = dq_end = None
-        for i in range(1, 7):
-            yi = y.copy()
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    yi += (h * a) * ks[j]
-            if _DP_C[i] == 1.0:
-                # stages 6 and 7 both sit at the step end
-                if z_end is None:
-                    z_end = Z @ self.expm.at(h).T
-                    dq_end = self.kernel.edge_terms(z_end)
-                zi, dq = z_end, dq_end
-            else:
-                zi = Z @ self.expm.at(_DP_C[i] * h).T
-                dq = None
-            ks[i] = self._rhs(t + _DP_C[i] * h, yi, zi, cell, dq)
-        y1 = y.copy()
-        for j in range(7):
-            if _DP_B5[j] != 0.0:
-                y1 += (h * _DP_B5[j]) * ks[j]
-        err_vec = np.zeros_like(y)
-        for j in range(7):
-            d = _DP_B5[j] - _DP_B4[j]
-            if d != 0.0:
-                err_vec += (h * d) * ks[j]
-        scale = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(y), np.abs(y1))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        f1 = ks[6]  # FSAL: stage 7 is the derivative at (t+h, y1)
-        return y1, z_end, ks[0], f1, err, dq_end
+        return y1, z_full, k1, f1, dq_full
 
     # -- triggers --------------------------------------------------------
 
@@ -578,31 +525,20 @@ class _Simulation:
         return min(int(t / self.cfg.dt + 1e-9), self._n_cells - 1)
 
     def _advance_to(self, tc: float):
-        step = self._step_rk4 if self.cfg.solver == "rk4" else self._step_dopri
-        adaptive = self.cfg.solver != "rk4"
         while tc - self.t > 1e-12 * max(1.0, tc):
-            remaining = tc - self.t
-            h = min(self._h_ctrl, remaining) if adaptive else remaining
-            full = h >= remaining
-            t_next = tc if full else self.t + h
             cell = self._cell_of(self.t)
             y0 = self.y
-            y1, z1, k1, f1, err, dq1 = step(self.t, y0, self.Z, h, cell, self._k1)
-            if adaptive:
-                if err > 1.0:
-                    self._h_ctrl = h * max(0.2, 0.9 * err ** -0.2)
-                    continue
-                fac = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                self._h_ctrl = min(self.cfg.dt, h * fac)
+            y1, z1, k1, f1, dq1 = self._step_rk4(self.t, y0, self.Z, tc - self.t,
+                                                 cell, self._k1)
             if not np.isfinite(y1).all():
                 raise NonFiniteStateError(f"non-finite state after step at t={self.t:.6f}")
             _, _, c1, live1 = self._views(y1)
-            g1 = float(self.kernel.trigger_values(live1, z1, c1, t_next, dq1).max())
+            g1 = float(self.kernel.trigger_values(live1, z1, c1, tc, dq1).max())
             if g1 >= 0:
-                t_star = self._localize(self.t, y0, k1, t_next, y1, f1, g1)
-                if t_star < t_next:
-                    y1, z1, k1, f1, _, _ = step(self.t, y0, self.Z, t_star - self.t,
-                                                cell, k1)
+                t_star = self._localize(self.t, y0, k1, tc, y1, f1, g1)
+                if t_star < tc:
+                    y1, z1, k1, f1, _ = self._step_rk4(self.t, y0, self.Z,
+                                                       t_star - self.t, cell, k1)
                     if not np.isfinite(y1).all():
                         raise NonFiniteStateError(
                             f"non-finite state after step at t={self.t:.6f}")
@@ -618,7 +554,7 @@ class _Simulation:
                     self._sweep(t_star)
                 self._store_row()
             else:
-                self._commit(t_next, y1, z1, f1)
+                self._commit(tc, y1, z1, f1)
 
     def _commit(self, t, y, z, f1):
         # steps return fresh arrays, so y and z are owned from here on

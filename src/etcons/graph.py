@@ -61,22 +61,6 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True)
-class LaplacianView:
-    """Laplacian of a graph plus, in leader mode, its partition blocks.
-
-    ``L`` is symmetric for leaderless graphs. In leader mode the leader row
-    is zero and the follower block ``L1`` (followers in ascending public
-    index) with coupling column ``L2`` satisfy ``L = [[0, 0], [L2, L1]]``
-    after permuting the leader to the front.
-    """
-
-    L: np.ndarray
-    degrees: np.ndarray
-    L1: np.ndarray | None = None
-    L2: np.ndarray | None = None
-
-
 def build_graph(n: int, edges, leader: int | None = None) -> Graph:
     """Validate and canonicalize a graph given as an edge list.
 
@@ -128,41 +112,37 @@ def generate_graph(name: str, n: int, leader: int | None = None) -> Graph:
     return build_graph(n, edges, leader=leader)
 
 
-def laplacian(g: Graph) -> LaplacianView:
-    """Laplacian with l_ii = sum_j a_ij and l_ij = -a_ij.
+def laplacian(g: Graph) -> np.ndarray:
+    """Laplacian with l_ii = sum_j a_ij and l_ij = -a_ij, as floats.
 
     Built in integer arithmetic, so row sums are exactly zero before the
-    float conversion. Leader mode zeroes the leader row and attaches the
-    partition blocks.
+    float conversion. In leader mode the leader row is zero.
     """
     a = g.adjacency()
     lap = np.diag(a.sum(axis=1)) - a
-    degrees = np.diag(lap).copy()
     assert (lap.sum(axis=1) == 0).all()
-    l_float = lap.astype(float)
-    if g.leader is None:
-        return LaplacianView(L=l_float, degrees=degrees)
-    l1, l2 = leader_partition(g)
-    return LaplacianView(L=l_float, degrees=degrees, L1=l1, L2=l2)
+    return lap.astype(float)
+
+
+def _reachable(g: Graph, root: int) -> int:
+    """Number of nodes reachable from ``root`` over the undirected edge set."""
+    adj = [[] for _ in range(g.n_nodes)]
+    for (i, j) in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen)
 
 
 def is_connected(g: Graph) -> bool:
     """Breadth-first connectivity over the undirected edge set."""
-    if g.n_nodes == 1:
-        return True
-    adj = {i: [] for i in range(g.n_nodes)}
-    for (i, j) in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n_nodes
+    return _reachable(g, 0) == g.n_nodes
 
 
 def has_leader_spanning_tree(g: Graph) -> bool:
@@ -174,19 +154,7 @@ def has_leader_spanning_tree(g: Graph) -> bool:
     """
     if g.leader is None:
         raise ValueError("graph has no leader")
-    adj = {i: [] for i in range(g.n_nodes)}
-    for (i, j) in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {g.leader}
-    stack = [g.leader]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n_nodes
+    return _reachable(g, g.leader) == g.n_nodes
 
 
 def lambda2(g: Graph) -> float:
@@ -201,7 +169,7 @@ def lambda2(g: Graph) -> float:
         raise DisconnectedGraphError(
             f"graph with {g.n_nodes} nodes and {len(g.edges)} edges is disconnected"
         )
-    w = np.linalg.eigvalsh(laplacian(g).L)
+    w = np.linalg.eigvalsh(laplacian(g))
     return float(w[1])
 
 
@@ -215,7 +183,5 @@ def leader_partition(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     if g.leader is None:
         raise ValueError("graph has no leader")
     order = [g.leader] + [i for i in range(g.n_nodes) if i != g.leader]
-    a = g.adjacency()
-    lap = (np.diag(a.sum(axis=1)) - a).astype(float)
-    perm = lap[np.ix_(order, order)]
+    perm = laplacian(g)[np.ix_(order, order)]
     return perm[1:, 1:].copy(), perm[1:, :1].copy()

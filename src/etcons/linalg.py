@@ -231,8 +231,3 @@ def _check_symmetric(M) -> np.ndarray:
 def max_eig_sym(M) -> float:
     """Largest eigenvalue of a symmetric matrix."""
     return float(np.linalg.eigvalsh(_check_symmetric(M))[-1])
-
-
-def min_eig_sym(M) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(_check_symmetric(M))[0])

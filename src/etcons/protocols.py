@@ -153,25 +153,6 @@ def trigger_value(
     return f
 
 
-def trigger_value_state(error, own_estimate, neighbor_estimates, weights,
-                        delta, mu, nu, Gamma, t) -> float:
-    """Leaderless state-feedback trigger."""
-    return trigger_value(error, own_estimate, neighbor_estimates, weights,
-                         delta, mu, nu, Gamma, t, leader=None)
-
-
-#: observer-based trigger: identical shape with chi-estimates substituted
-trigger_value_observer = trigger_value_state
-
-
-def trigger_value_leader_follower(error, own_estimate, neighbor_estimates,
-                                  weights, delta, mu, nu, Gamma, t,
-                                  leader: int) -> float:
-    """Follower trigger with the halved leader-edge coefficients."""
-    return trigger_value(error, own_estimate, neighbor_estimates, weights,
-                         delta, mu, nu, Gamma, t, leader=leader)
-
-
 def observer_rate(
     A: np.ndarray,
     B: np.ndarray,

@@ -1,4 +1,5 @@
 import copy
+import glob
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import etcons
-from etcons.cli import main
+from etcons.cli import RunSetup, load_config, main
 
 BASE_CONFIG = {
     "model": {
@@ -21,6 +22,8 @@ BASE_CONFIG = {
     "sim": {"t_end": 2.0, "dt": 0.001, "event_tol": 1e-7, "seed": 42},
     "initial_states": {"random": {"low": -1.0, "high": 1.0}},
 }
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -173,6 +176,36 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "event_tol", "1e-8"),
+        ("sim", "t_end", "abc"),
+        ("sim", "max_events_per_unit_time", "x"),
+        ("sim", "dwell_min", None),
+        ("protocol", "delta", "x"),
+    ])
+    def test_malformed_number_exit_2(self, tmp_path, capsys, section, key, value):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg[section][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{section}.{key}" in err
+
+    def test_solver_key_accepts_only_rk4(self, tmp_path, capsys):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["sim"]["solver"] = "rk4"
+        assert main(["gains", write_config(tmp_path, cfg)]) == 0
+        for key, value in (("solver", "rk45-adaptive"), ("solver", "euler"),
+                           ("rtol", 1e-8), ("atol", 1e-10)):
+            cfg = copy.deepcopy(BASE_CONFIG)
+            cfg["sim"][key] = value
+            path = write_config(tmp_path, cfg)
+            assert main(["run", path, "--out", str(tmp_path / "o")]) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and key in err, err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_zeno_guard_exit_4(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["sim"]["max_events_per_unit_time"] = 1
@@ -218,3 +251,12 @@ class TestSweepCommand:
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["sweep", path, "--param", "protocol.zeta",
                      "--values", "1,2"]) == 2
+
+
+@pytest.mark.parametrize("directory", ["configs", os.path.join("perfbench", "configs")])
+def test_shipped_configs_parse(directory):
+    paths = sorted(glob.glob(os.path.join(REPO, directory, "*.json")))
+    assert len(paths) == 6
+    for path in paths:
+        setup = RunSetup(load_config(path))
+        assert setup.sim.t_end > 0, path

@@ -12,7 +12,6 @@ from etcons.linalg import (
     is_hurwitz,
     matrix_exponential,
     max_eig_sym,
-    min_eig_sym,
     observer_gain,
     solve_care,
 )
@@ -202,14 +201,9 @@ class TestEigenHelpers:
         assert max_eig_sym(P_TRIPLE) == pytest.approx(oracle, rel=1e-9)
         assert max_eig_sym(P_TRIPLE) == pytest.approx(7.6079884163, abs=1e-6)
 
-    def test_min_eig(self):
-        assert min_eig_sym(np.diag([3.0, -1.0, 2.0])) == pytest.approx(-1.0)
-
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             max_eig_sym([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            min_eig_sym([[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestSystemModel:

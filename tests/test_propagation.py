@@ -116,14 +116,14 @@ def _x0(n_agents, n, seed=3):
     return np.random.default_rng(seed).uniform(-1, 1, (n_agents, n))
 
 
-def _run(a, variant, solver, t_end=1.0, schedule=()):
+def _run(a, variant, t_end=1.0, schedule=()):
     model = _model(a)
     gains = design_gains(model, observer=variant == "observer")
     if variant == "leader_follower":
         graph = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)], leader=0)
     else:
         graph = generate_graph("ring", 5)
-    sim = SimConfig(t_end=t_end, dt=1e-3, event_tol=1e-8, solver=solver, seed=1,
+    sim = SimConfig(t_end=t_end, dt=1e-3, event_tol=1e-8, seed=1,
                     dwell_min=0.2, topology_schedule=schedule)
     return simulate(model, graph, gains, PARAMS, sim, _x0(5, model.n), variant=variant)
 
@@ -137,17 +137,18 @@ def no_scipy_expm(monkeypatch):
 
 
 class TestNoScipyInLoop:
-    @pytest.mark.parametrize("solver", ["rk4", "rk45-adaptive"])
-    @pytest.mark.parametrize("variant", ["state", "observer", "leader_follower"])
+    # ids name the integrator the run uses: RK4, the engine's only one
+    @pytest.mark.parametrize("variant", ["state", "observer", "leader_follower"],
+                             ids=lambda v: f"{v}-rk4")
     @pytest.mark.parametrize("a", [A_OSC, A_TRIPLE], ids=["oscillator", "triple"])
-    def test_variants(self, no_scipy_expm, a, variant, solver):
-        traj = _run(a, variant, solver, t_end=0.5)
+    def test_variants(self, no_scipy_expm, a, variant):
+        traj = _run(a, variant, t_end=0.5)
         assert traj.times[-1] == 0.5
 
     def test_switching_schedule(self, no_scipy_expm):
         schedule = ((0.25, generate_graph("complete", 5)),
                     (0.5, generate_graph("ring", 5)))
-        traj = _run(A_OSC, "state", "rk4", t_end=0.75, schedule=schedule)
+        traj = _run(A_OSC, "state", t_end=0.75, schedule=schedule)
         assert len(traj.weight_segments) == 3
 
 
@@ -168,7 +169,7 @@ def _recorded_localizations(monkeypatch):
 class TestOscillatorEstimates:
     @pytest.mark.parametrize("variant", ["state", "observer"])
     def test_estimates_are_closed_form(self, variant):
-        traj = _run(A_OSC, variant, "rk4", t_end=2.0)
+        traj = _run(A_OSC, variant, t_end=2.0)
         assert sum(e.kind == "trigger" for e in traj.events) > 0
         a = np.array(A_OSC)
         for i in range(traj.estimates.shape[1]):
@@ -182,7 +183,7 @@ class TestOscillatorEstimates:
 
     def test_endpoint_value_is_g_at_t_hi(self, monkeypatch):
         calls = _recorded_localizations(monkeypatch)
-        _run(A_OSC, "state", "rk4", t_end=2.0)
+        _run(A_OSC, "state", t_end=2.0)
         assert calls
         for f, t_lo, t_hi, tol, f_hi in calls:
             assert f(t_hi) == f_hi  # the step's endpoint check, same bits
@@ -191,7 +192,7 @@ class TestOscillatorEstimates:
 
     def test_bad_bracket_still_raises(self, monkeypatch):
         calls = _recorded_localizations(monkeypatch)
-        _run(A_OSC, "state", "rk4", t_end=2.0)
+        _run(A_OSC, "state", t_end=2.0)
         f, t_lo, t_hi, tol, _ = calls[0]
         with pytest.raises(ValueError):
             locate_event(f, t_lo, t_hi, tol, f_hi=-1.0)

@@ -15,9 +15,6 @@ from etcons.protocols import (
     control_input,
     observer_rate,
     trigger_value,
-    trigger_value_leader_follower,
-    trigger_value_observer,
-    trigger_value_state,
     weight_rate,
 )
 
@@ -134,54 +131,49 @@ class TestWeightRate:
 
 class TestTriggerValueState:
     def test_error_reset_strictly_negative(self):
-        f = trigger_value_state(scalar(0.0), scalar(1.0), {1: scalar(0.0)},
-                                {1: 2.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0)
+        f = trigger_value(scalar(0.0), scalar(1.0), {1: scalar(0.0)},
+                          {1: 2.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0, leader=None)
         assert f == pytest.approx(-0.25 - 2.0)
         assert f < 0
 
     def test_scalar_substitution_no_fire(self):
         # (1 + 1*2)*0.01 - 0.25*1 - 2 = -2.22
-        f = trigger_value_state(scalar(0.1), scalar(1.0), {1: scalar(0.0)},
-                                {1: 2.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0)
+        f = trigger_value(scalar(0.1), scalar(1.0), {1: scalar(0.0)},
+                          {1: 2.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0, leader=None)
         assert f == pytest.approx(-2.22)
 
     def test_scalar_substitution_fires(self):
         # 3*1 - 0.25 - 2 = 0.75
-        f = trigger_value_state(scalar(1.0), scalar(1.0), {1: scalar(0.0)},
-                                {1: 2.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0)
+        f = trigger_value(scalar(1.0), scalar(1.0), {1: scalar(0.0)},
+                          {1: 2.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0, leader=None)
         assert f == pytest.approx(0.75)
         assert f >= 0
-
-    def test_observer_alias_structural_identity(self):
-        args = (scalar(0.3), scalar(1.0), {1: scalar(0.2)}, {1: 1.5},
-                1.0, 2.0, 0.5, GAMMA1, 0.7)
-        assert trigger_value_observer(*args) == trigger_value_state(*args)
 
 
 class TestTriggerValueLeaderFollower:
     def test_error_reset_strictly_negative(self):
-        f = trigger_value_leader_follower(
+        f = trigger_value(
             scalar(0.0), scalar(1.0), {0: scalar(0.0), 2: scalar(0.5)},
             {0: 2.0, 2: 1.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0, leader=0)
         assert f < 0
 
     def test_leader_edge_substitution_no_fire(self):
         # 0.5*(1+2)*1 - 0.5*1 - 2 = -1
-        f = trigger_value_leader_follower(
+        f = trigger_value(
             scalar(1.0), scalar(1.0), {0: scalar(0.0)}, {0: 2.0},
             1.0, 2.0, 0.5, GAMMA1, 0.0, leader=0)
         assert f == pytest.approx(-1.0)
 
     def test_leader_edge_substitution_fires(self):
         # 0.5*3*4 - 0.5*1 - 2 = 3.5
-        f = trigger_value_leader_follower(
+        f = trigger_value(
             scalar(2.0), scalar(1.0), {0: scalar(0.0)}, {0: 2.0},
             1.0, 2.0, 0.5, GAMMA1, 0.0, leader=0)
         assert f == pytest.approx(3.5)
 
     def test_follower_edges_keep_quarter_share(self):
         # mixed neighbourhood: leader edge halves, follower edge quarters
-        f = trigger_value_leader_follower(
+        f = trigger_value(
             scalar(0.0), scalar(2.0), {0: scalar(0.0), 2: scalar(0.0)},
             {0: 1.0, 2: 1.0}, 1.0, 2.0, 0.5, GAMMA1, 0.0, leader=0)
         assert f == pytest.approx(-0.5 * 4.0 - 0.25 * 4.0 - 2.0)
@@ -245,9 +237,9 @@ class TestKernelAgainstLocalFunctions:
                      for j in g.neighbors(i)}
                 assert np.allclose(u_stack[i], control_input(k, z[i], est, w),
                                    rtol=1e-12, atol=1e-12)
-                f_local = trigger_value_state(z[i] - live[i], z[i], est, w,
-                                              params.delta, params.mu, params.nu,
-                                              gamma, 0.8)
+                f_local = trigger_value(z[i] - live[i], z[i], est, w,
+                                        params.delta, params.mu, params.nu,
+                                        gamma, 0.8, leader=None)
                 assert f_stack[i] == pytest.approx(f_local, rel=1e-12, abs=1e-12)
             for e, (a, b) in enumerate(g.edges):
                 r = weight_rate(0.4, 0.05, c[e], z[a] - z[b], gamma)
@@ -267,7 +259,7 @@ class TestKernelAgainstLocalFunctions:
                      for j in g.neighbors(i)}
                 assert np.allclose(u_stack[i], control_input(k, z[i], est, w),
                                    rtol=1e-12, atol=1e-12)
-                f_local = trigger_value_leader_follower(
+                f_local = trigger_value(
                     z[i] - live[i], z[i], est, w, params.delta, params.mu,
                     params.nu, gamma, 0.3, leader=0)
                 assert f_stack[i] == pytest.approx(f_local, rel=1e-12, abs=1e-12)
@@ -275,8 +267,7 @@ class TestKernelAgainstLocalFunctions:
     def test_signatures_carry_no_global_quantities(self):
         # the per-agent operations close over nothing but incident-edge data
         import inspect
-        for fn in (control_input, weight_rate, trigger_value_state,
-                   trigger_value_leader_follower):
+        for fn in (control_input, weight_rate, trigger_value):
             names = set(inspect.signature(fn).parameters)
             assert not names & {"lambda2", "n_agents", "graph", "laplacian"}
 
