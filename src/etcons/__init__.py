@@ -17,14 +17,6 @@ from .analysis import (
     zeno_bound,
     zeno_report,
 )
-from .dynamics import (
-    AgentRuntime,
-    BroadcastSample,
-    agent_derivative,
-    measurement_error,
-    output,
-    propagate_estimate,
-)
 from .engine import (
     DisturbanceSpec,
     EventRecord,
@@ -53,7 +45,6 @@ from .graph import (
     is_connected,
     lambda2,
     laplacian,
-    leader_partition,
 )
 from .linalg import (
     GainSet,
@@ -66,13 +57,6 @@ from .linalg import (
     observer_gain,
     solve_care,
 )
-from .protocols import (
-    ProtocolKernel,
-    ProtocolParams,
-    control_input,
-    observer_rate,
-    trigger_value,
-    weight_rate,
-)
+from .protocols import ProtocolKernel, ProtocolParams
 
 __version__ = "0.1.0"

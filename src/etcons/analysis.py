@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EventRecord, Trajectory, _Expm
+from .engine import EventRecord, Trajectory
 from .graph import Graph, lambda2
-from .linalg import matrix_exponential, max_eig_sym
+from .linalg import _Expm, matrix_exponential, max_eig_sym
 from .protocols import ProtocolParams
 
 
@@ -138,7 +138,7 @@ class _ZenoBounds:
         if not (0 <= k + 1 < len(recs)):
             raise ValueError(f"agent {agent} has no event pair ({k}, {k + 1})")
         t_k, t_k1 = recs[k].time, recs[k + 1].time
-        # the active topology at t_k, as Trajectory.graph_at picks it
+        # the active topology at t_k: the last segment starting by then
         seg = max(bisect.bisect_right(self.starts, t_k) - 1, 0)
         neigh = self.neighbors[seg][agent]
         d_i = len(neigh)

@@ -52,16 +52,39 @@ def _number(spec: dict, key: str, where: str, default=None):
     return value
 
 
+def _integer(spec: dict, key: str, where: str, required: bool = False,
+             minimum: int | None = None):
+    """spec[key], which must be a JSON integer (not a float, string or
+    bool) of at least ``minimum``; None when absent or null unless
+    ``required``."""
+    value = spec.get(key)
+    if value is None and not required:
+        return None
+    ok = isinstance(value, int) and not isinstance(value, bool)
+    if not ok or (minimum is not None and value < minimum):
+        what = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ConfigError(f"{where}.{key}: expected {what}, got {value!r}")
+    return value
+
+
+def _matrix(value, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a numeric matrix, got {value!r}") from None
+
+
 def _parse_graph(spec: dict, where: str = "graph") -> Graph:
     _check_keys(spec, {"n", "edges", "generator", "leader"}, {"n"}, where)
-    leader = spec.get("leader")
+    n = _integer(spec, "n", where, required=True)
+    leader = _integer(spec, "leader", where)
     if "generator" in spec:
         if "edges" in spec:
             raise ConfigError(f"{where}: give either a generator or an edge list, not both")
-        return generate_graph(spec["generator"], int(spec["n"]), leader=leader)
+        return generate_graph(spec["generator"], n, leader=leader)
     if "edges" not in spec:
         raise ConfigError(f"{where}: needs an edge list or a generator name")
-    return build_graph(int(spec["n"]), spec["edges"], leader=leader)
+    return build_graph(n, spec["edges"], leader=leader)
 
 
 def _parse_edge_map(value, where: str):
@@ -88,7 +111,7 @@ def _parse_states(spec, n_agents: int, n: int, rng, where: str) -> np.ndarray:
     if ("values" in spec) == ("random" in spec):
         raise ConfigError(f"{where}: give exactly one of 'values' or 'random'")
     if "values" in spec:
-        arr = np.asarray(spec["values"], dtype=float)
+        arr = _matrix(spec["values"], f"{where}.values")
         if arr.shape != (n_agents, n):
             raise ConfigError(
                 f"{where}: values have shape {arr.shape}, expected ({n_agents}, {n})"
@@ -113,10 +136,10 @@ class RunSetup:
 
         mspec = cfg["model"]
         _check_keys(mspec, {"A", "B", "C"}, {"A", "B"}, "model")
-        self.model = SystemModel(A=np.asarray(mspec["A"], dtype=float),
-                                 B=np.asarray(mspec["B"], dtype=float),
+        self.model = SystemModel(A=_matrix(mspec["A"], "model.A"),
+                                 B=_matrix(mspec["B"], "model.B"),
                                  C=None if "C" not in mspec
-                                 else np.asarray(mspec["C"], dtype=float))
+                                 else _matrix(mspec["C"], "model.C"))
 
         self.graph = _parse_graph(cfg["graph"])
 
@@ -152,7 +175,7 @@ class RunSetup:
                 kind=dspec["kind"],
                 amplitude=float(_number(dspec, "amplitude", "sim.disturbance")),
                 frequency=float(_number(dspec, "frequency", "sim.disturbance", 1.0)),
-                seed=dspec.get("seed"),
+                seed=_integer(dspec, "seed", "sim.disturbance", minimum=0),
             )
         schedule = []
         for i, entry in enumerate(sspec.get("topology_schedule", [])):
@@ -161,12 +184,15 @@ class RunSetup:
             schedule.append((float(_number(entry, "t", f"sim.topology_schedule[{i}]")),
                              _parse_graph(entry["graph"], f"sim.topology_schedule[{i}].graph")))
         kwargs = {key: _number(sspec, key, "sim")
-                  for key in ("event_tol", "dwell_min", "max_events_per_unit_time")
-                  if key in sspec}
+                  for key in ("event_tol", "dwell_min") if key in sspec}
+        if "max_events_per_unit_time" in sspec:
+            kwargs["max_events_per_unit_time"] = _integer(
+                sspec, "max_events_per_unit_time", "sim", required=True)
         self.sim = SimConfig(
             t_end=float(_number(sspec, "t_end", "sim")),
             dt=float(_number(sspec, "dt", "sim")),
-            seed=sspec.get("seed"), disturbance=disturbance,
+            seed=_integer(sspec, "seed", "sim", minimum=0),
+            disturbance=disturbance,
             topology_schedule=tuple(schedule), **kwargs,
         )
 

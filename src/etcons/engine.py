@@ -21,7 +21,6 @@ instant, one broadcast per agent per instant.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .errors import (
     ZenoGuardError,
 )
 from .graph import Graph, has_leader_spanning_tree, is_connected
-from .linalg import GainSet, SystemModel
+from .linalg import GainSet, SystemModel, _Expm
 from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
@@ -156,15 +155,6 @@ class Trajectory:
     def events_for(self, agent: int) -> list[EventRecord]:
         return [e for e in self.events if e.agent == agent]
 
-    def graph_at(self, t: float) -> Graph:
-        active = self.weight_segments[0].graph
-        for seg in self.weight_segments:
-            if seg.t_start <= t:
-                active = seg.graph
-            else:
-                break
-        return active
-
     @property
     def max_weight(self) -> float:
         return max(float(seg.values.max()) for seg in self.weight_segments)
@@ -207,76 +197,6 @@ def _hermite(y0, f0, y1, f1, h, s):
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
 
 
-def _taylor_radius(k: int) -> float:
-    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta}."""
-    log_u = math.log(2.0 ** -53)
-
-    def excess(th: float) -> float:
-        return (k + 1) * math.log(th) - math.lgamma(k + 2) + 2 * th - log_u
-
-    lo, hi = 1e-300, 64.0
-    for _ in range(100):
-        mid = math.sqrt(lo * hi) if hi > 4 * lo else 0.5 * (lo + hi)
-        if excess(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-#: _TAYLOR_THETA[k] bounds ||A||_1 s for a degree-k truncation of e^{As}
-_MAX_DEGREE = 16
-_TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
-
-
-class _Expm:
-    """e^{A s} from a truncated Taylor series, numpy only.
-
-    P_k = A^k / k! is computed once. For theta = ||A||_1 |s| the degree K
-    is the smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
-    remainder of the series is then at most unit roundoff u relative to
-    ||e^{As}|| >= e^{-theta}. When A^k is exactly zero the series is exact
-    at degree k - 1 for every s (the triple integrator stops at K = 2).
-    Widths beyond the reach of degree _MAX_DEGREE are scaled by 2^-j and
-    the result squared j times.
-    """
-
-    def __init__(self, A: np.ndarray):
-        A = np.asarray(A, dtype=float)
-        self._norm = float(np.abs(A).sum(axis=0).max())
-        term = np.eye(A.shape[0])
-        self._P = [term]
-        self._exact = False
-        for k in range(1, _MAX_DEGREE + 1):
-            term = (term @ A) / k
-            if not term.any():
-                self._exact = True
-                break
-            self._P.append(term)
-        for P in self._P:
-            P.setflags(write=False)
-
-    def at(self, s: float) -> np.ndarray:
-        P = self._P
-        squarings = 0
-        if self._exact:
-            k = len(P) - 1
-        else:
-            theta = self._norm * abs(s)
-            if theta > _TAYLOR_THETA[-1]:
-                # smallest j with theta 2^-j below the degree-cap radius
-                squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
-                s = math.ldexp(s, -squarings)
-                theta = math.ldexp(theta, -squarings)
-            k = min(bisect.bisect_left(_TAYLOR_THETA, theta), _MAX_DEGREE)
-        out = P[k]
-        for j in range(k - 1, -1, -1):
-            out = out * s + P[j]
-        for _ in range(squarings):
-            out = out @ out
-        return out
-
-
 class _Simulation:
     """Single-run engine state; see ``simulate`` for the public contract."""
 
@@ -314,7 +234,6 @@ class _Simulation:
         self.t = 0.0
         self.events: list[EventRecord] = []
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
-        self._k1 = None
 
         self._times: list[float] = []
         self._states: list[np.ndarray] = []
@@ -391,23 +310,23 @@ class _Simulation:
         chidot = chi @ self._AT + bu + (chi - x) @ self._FCT
         return np.concatenate((xdot.ravel(), chidot.ravel(), cdot))
 
-    # A step returns (y1, z1, k1, f1, dq1): dq1 is the edge work of z1,
-    # shared with the endpoint trigger check.
+    # A step returns (y1, z1, k1, dq1): k1 is the slope at the step's own
+    # start, dq1 the edge work of z1, shared with the endpoint trigger check.
 
-    def _step_rk4(self, t, y, Z, h, cell, k1):
+    def _step_rk4(self, t, y, Z, h, cell):
         edge_terms = self.kernel.edge_terms
         z_half = Z @ self.expm.at(0.5 * h).T
         z_full = Z @ self.expm.at(h).T
-        if k1 is None:
-            k1 = self._rhs(t, y, Z, cell)
+        k1 = self._rhs(t, y, Z, cell)
         dq_half = edge_terms(z_half)
         k2 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k1, z_half, cell, dq_half)
         k3 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k2, z_half, cell, dq_half)
         dq_full = edge_terms(z_full)
         k4 = self._rhs(t + h, y + h * k3, z_full, cell, dq_full)
         y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        f1 = self._rhs(t + h, y1, z_full, cell, dq_full)
-        return y1, z_full, k1, f1, dq_full
+        if not np.isfinite(y1).all():
+            raise NonFiniteStateError(f"non-finite state after step at t={t:.6f}")
+        return y1, z_full, k1, dq_full
 
     # -- triggers --------------------------------------------------------
 
@@ -433,7 +352,6 @@ class _Simulation:
                     f"t={t:.6f}; exceeds max_events_per_unit_time="
                     f"{self.cfg.max_events_per_unit_time}"
                 )
-        self._k1 = None
 
     def _sweep(self, t: float, kind: str = "trigger") -> list[int]:
         """Trigger every agent whose f >= 0, ascending index, resets
@@ -526,23 +444,18 @@ class _Simulation:
 
     def _advance_to(self, tc: float):
         while tc - self.t > 1e-12 * max(1.0, tc):
-            cell = self._cell_of(self.t)
-            y0 = self.y
-            y1, z1, k1, f1, dq1 = self._step_rk4(self.t, y0, self.Z, tc - self.t,
-                                                 cell, self._k1)
-            if not np.isfinite(y1).all():
-                raise NonFiniteStateError(f"non-finite state after step at t={self.t:.6f}")
+            t0, y0, h = self.t, self.y, tc - self.t
+            cell = self._cell_of(t0)
+            y1, z1, k1, dq1 = self._step_rk4(t0, y0, self.Z, h, cell)
             _, _, c1, live1 = self._views(y1)
             g1 = float(self.kernel.trigger_values(live1, z1, c1, tc, dq1).max())
             if g1 >= 0:
-                t_star = self._localize(self.t, y0, k1, tc, y1, f1, g1)
+                # the interpolant's end slope, needed on crossing steps only
+                f1 = self._rhs(t0 + h, y1, z1, cell, dq1)
+                t_star = self._localize(t0, y0, k1, tc, y1, f1, g1)
                 if t_star < tc:
-                    y1, z1, k1, f1, _ = self._step_rk4(self.t, y0, self.Z,
-                                                       t_star - self.t, cell, k1)
-                    if not np.isfinite(y1).all():
-                        raise NonFiniteStateError(
-                            f"non-finite state after step at t={self.t:.6f}")
-                self._commit(t_star, y1, z1, f1)
+                    y1, z1, _, _ = self._step_rk4(t0, y0, self.Z, t_star - t0, cell)
+                self._commit(t_star, y1, z1)
                 triggered = self._sweep(t_star)
                 if not triggered:
                     # the localized crossing sits within the interpolation
@@ -554,14 +467,13 @@ class _Simulation:
                     self._sweep(t_star)
                 self._store_row()
             else:
-                self._commit(tc, y1, z1, f1)
+                self._commit(tc, y1, z1)
 
-    def _commit(self, t, y, z, f1):
+    def _commit(self, t, y, z):
         # steps return fresh arrays, so y and z are owned from here on
         self.y = y
         self.Z = z
         self.t = t
-        self._k1 = f1
 
     def _apply_switch(self, t: float, new_graph: Graph):
         c = self._views(self.y)[2]
@@ -574,7 +486,6 @@ class _Simulation:
         self._segments[-1]["rows"].append(c_new)
         self._force_broadcast(t, kind="switch")
         self._store_row()  # refresh the row at t with post-switch estimates
-        self._k1 = None
 
     def run(self) -> Trajectory:
         self._store_row()

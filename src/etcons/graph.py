@@ -3,8 +3,8 @@
 Graphs are undirected with unit edge weights. In leader-follower mode one
 node is marked as the leader: it influences its neighbours but receives no
 input itself, so its Laplacian row is zero and the matrix is no longer
-symmetric. Spectral quantities (``lambda2``, partition eigenvalues) are
-consumed by the analysis layer only; the protocols never see them.
+symmetric. The spectral quantity ``lambda2`` is consumed by the analysis
+layer only; the protocols never see it.
 """
 
 from __future__ import annotations
@@ -25,19 +25,6 @@ class Graph:
     n_nodes: int
     edges: tuple[Edge, ...]
     leader: int | None = None
-
-    def has_edge(self, i: int, j: int) -> bool:
-        a, b = (i, j) if i < j else (j, i)
-        return (a, b) in self._edge_set
-
-    @property
-    def _edge_set(self) -> frozenset[Edge]:
-        # cached on first use; object.__setattr__ because the dataclass is frozen
-        cached = self.__dict__.get("_edge_set_cache")
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         out = [b if a == i else a for (a, b) in self.edges if i in (a, b)]
@@ -172,16 +159,3 @@ def lambda2(g: Graph) -> float:
     w = np.linalg.eigvalsh(laplacian(g))
     return float(w[1])
 
-
-def leader_partition(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Partition blocks (L1, L2) of the Laplacian with the leader first.
-
-    The leader is permuted internally to index 0; followers keep ascending
-    public order inside L1. Under the spanning-tree assumption L1 is
-    symmetric positive definite.
-    """
-    if g.leader is None:
-        raise ValueError("graph has no leader")
-    order = [g.leader] + [i for i in range(g.n_nodes) if i != g.leader]
-    perm = laplacian(g)[np.ix_(order, order)]
-    return perm[1:, 1:].copy(), perm[1:, :1].copy()

@@ -3,10 +3,14 @@
 The Riccati equation is solved by extracting the stable invariant subspace
 of the associated Hamiltonian matrix (ordered real Schur form) followed by
 Newton-Kleinman refinement sweeps that push the residual below tolerance.
+e^{As} has one evaluator, ``_Expm``, a truncated Taylor series in numpy
+that the engine, the analysis layer and ``matrix_exponential`` share.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -203,15 +207,85 @@ def design_gains(model: SystemModel, observer: bool = False) -> GainSet:
     return GainSet(P=p, K=k, Gamma=gamma, F=f)
 
 
+def _taylor_radius(k: int) -> float:
+    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta}."""
+    log_u = math.log(2.0 ** -53)
+
+    def excess(th: float) -> float:
+        return (k + 1) * math.log(th) - math.lgamma(k + 2) + 2 * th - log_u
+
+    lo, hi = 1e-300, 64.0
+    for _ in range(100):
+        mid = math.sqrt(lo * hi) if hi > 4 * lo else 0.5 * (lo + hi)
+        if excess(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+#: _TAYLOR_THETA[k] bounds ||A||_1 s for a degree-k truncation of e^{As}
+_MAX_DEGREE = 16
+_TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
+
+
+class _Expm:
+    """e^{A s} from a truncated Taylor series, numpy only.
+
+    P_k = A^k / k! is computed once. For theta = ||A||_1 |s| the degree K
+    is the smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
+    remainder of the series is then at most unit roundoff u relative to
+    ||e^{As}|| >= e^{-theta}. When A^k is exactly zero the series is exact
+    at degree k - 1 for every s (the triple integrator stops at K = 2).
+    Widths beyond the reach of degree _MAX_DEGREE are scaled by 2^-j and
+    the result squared j times.
+    """
+
+    def __init__(self, A: np.ndarray):
+        A = np.asarray(A, dtype=float)
+        self._norm = float(np.abs(A).sum(axis=0).max())
+        term = np.eye(A.shape[0])
+        self._P = [term]
+        self._exact = False
+        for k in range(1, _MAX_DEGREE + 1):
+            term = (term @ A) / k
+            if not term.any():
+                self._exact = True
+                break
+            self._P.append(term)
+        for P in self._P:
+            P.setflags(write=False)
+
+    def at(self, s: float) -> np.ndarray:
+        P = self._P
+        squarings = 0
+        if self._exact:
+            k = len(P) - 1
+        else:
+            theta = self._norm * abs(s)
+            if theta > _TAYLOR_THETA[-1]:
+                # smallest j with theta 2^-j below the degree-cap radius
+                squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
+                s = math.ldexp(s, -squarings)
+                theta = math.ldexp(theta, -squarings)
+            k = min(bisect.bisect_left(_TAYLOR_THETA, theta), _MAX_DEGREE)
+        out = P[k]
+        for j in range(k - 1, -1, -1):
+            out = out * s + P[j]
+        for _ in range(squarings):
+            out = out @ out
+        return out
+
+
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:
-    """e^{A t} by scaling-and-squaring with a degree-13 Pade approximant
-    (scipy's expm, the Al-Mohy/Higham 2009 method)."""
+    """e^{A t} from the truncated Taylor evaluator ``_Expm``, as a fresh
+    writable array."""
     A = np.asarray(A, dtype=float)
     if not np.isfinite(t):
         raise ValueError(f"non-finite time {t!r}")
     if not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
-    return sla.expm(A * float(t))
+    return _Expm(A).at(float(t)).copy()
 
 
 def is_hurwitz(M) -> bool:

@@ -14,10 +14,11 @@ the error coefficient on the leader edge (w_e = 1/2) and doubles its
 disagreement share (v_e = 1/2). Observer-based runs substitute the
 observer state chi for x everywhere; the formulas are unchanged.
 
-Every operation here consumes agent-local and incident-edge data only.
-``ProtocolKernel`` stacks the same per-agent computations across the
-network for the simulation engine; it carries no global graph quantities
-beyond the edge list itself.
+Each formula reads agent-local and incident-edge data only.
+``ProtocolKernel`` is their one implementation: it evaluates them for
+every agent and edge at once and carries no global graph quantity beyond
+the edge list itself. The tests check it against per-agent forms of the
+three formulas kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -87,90 +88,9 @@ class ProtocolParams:
         return kappa, varrho, c0
 
 
-def control_input(
-    K: np.ndarray,
-    own_estimate: np.ndarray,
-    neighbor_estimates: Mapping[int, np.ndarray],
-    weights: Mapping[int, float],
-) -> np.ndarray:
-    """u_i = K sum_j c_ij (est_i - est_j) over the agent's neighbours.
-
-    The same sum serves the state-feedback, observer-based (estimates are
-    chi_tilde) and leader-follower (leader included as a neighbour) laws.
-    """
-    u = np.zeros(K.shape[0])
-    for j, c in weights.items():
-        if j not in neighbor_estimates:
-            raise ValueError(f"missing broadcast sample from neighbor {j}")
-        u += c * (K @ (own_estimate - neighbor_estimates[j]))
-    return u
-
-
-def weight_rate(
-    kappa: float,
-    varrho: float,
-    c: float,
-    diff: np.ndarray,
-    Gamma: np.ndarray,
-) -> float:
-    """cdot = kappa [-varrho c + diff' Gamma diff] for one edge.
-
-    ``diff`` is the estimate disagreement across the edge; on a leader edge
-    it is the follower-to-leader gap.
-    """
-    diff = np.atleast_1d(np.asarray(diff, dtype=float))
-    return float(kappa * (-varrho * c + diff @ Gamma @ diff))
-
-
-def trigger_value(
-    error: np.ndarray,
-    own_estimate: np.ndarray,
-    neighbor_estimates: Mapping[int, np.ndarray],
-    weights: Mapping[int, float],
-    delta: float,
-    mu: float,
-    nu: float,
-    Gamma: np.ndarray,
-    t: float,
-    leader: int | None = None,
-) -> float:
-    """Trigger function value for one agent; an event fires at f >= 0.
-
-    With ``leader`` set (leader-follower mode, leader among the
-    neighbours), the leader edge takes coefficient 1/2 on both the error
-    and the disagreement term; every other edge takes 1 and 1/4.
-    """
-    error = np.atleast_1d(np.asarray(error, dtype=float))
-    eqf = float(error @ Gamma @ error)
-    f = -mu * math.exp(-nu * t)
-    for j, c in weights.items():
-        diff = np.atleast_1d(own_estimate - neighbor_estimates[j])
-        q = float(diff @ Gamma @ diff)
-        if leader is not None and j == leader:
-            f += 0.5 * (1.0 + delta * c) * eqf - 0.5 * q
-        else:
-            f += (1.0 + delta * c) * eqf - 0.25 * q
-    return f
-
-
-def observer_rate(
-    A: np.ndarray,
-    B: np.ndarray,
-    C: np.ndarray,
-    F: np.ndarray,
-    chi: np.ndarray,
-    u: np.ndarray,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Observer flow chidot = A chi + B u + F (C chi - y)."""
-    if F is None:
-        raise ValueError("observer gain F is required")
-    chi = np.asarray(chi, dtype=float)
-    return A @ chi + B @ np.atleast_1d(u) + F @ (C @ chi - np.atleast_1d(y))
-
-
 class ProtocolKernel:
-    """Network-stacked evaluation of the per-agent protocol formulas.
+    """The control input, weight rate and trigger value of every agent
+    and edge, evaluated together.
 
     Every sum over an agent's incident edges is a segment sum by edge
     endpoint (``np.bincount`` over the edge list): one evaluation costs

@@ -1,20 +1,100 @@
 """Reference implementations that the tests check the package against.
 
-They are the straightforward per-value and per-check forms of code that
-``src/etcons`` runs in a faster shape: the CSV writers format one value
-per f-string, and the Zeno report rescans the event list and every weight
-row for each interval it checks.
+They are the straightforward per-agent, per-value and per-check forms of
+code that ``src/etcons`` runs in a faster shape: the protocol formulas are
+written for one agent or one edge (``ProtocolKernel`` stacks them), the
+CSV writers format one value per f-string, and the Zeno report rescans
+the event list and every weight row for each interval it checks.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
 from etcons.analysis import ZenoCheck, ZenoReport, _grid_slice
 from etcons.cli import _fmt
 from etcons.engine import Trajectory
+from etcons.graph import Graph
+
+
+def control_input(
+    K: np.ndarray,
+    own_estimate: np.ndarray,
+    neighbor_estimates: Mapping[int, np.ndarray],
+    weights: Mapping[int, float],
+) -> np.ndarray:
+    """u_i = K sum_j c_ij (est_i - est_j) over the agent's neighbours.
+
+    The same sum serves the state-feedback, observer-based (estimates are
+    chi_tilde) and leader-follower (leader included as a neighbour) laws.
+    """
+    u = np.zeros(K.shape[0])
+    for j, c in weights.items():
+        if j not in neighbor_estimates:
+            raise ValueError(f"missing broadcast sample from neighbor {j}")
+        u += c * (K @ (own_estimate - neighbor_estimates[j]))
+    return u
+
+
+def weight_rate(
+    kappa: float,
+    varrho: float,
+    c: float,
+    diff: np.ndarray,
+    Gamma: np.ndarray,
+) -> float:
+    """cdot = kappa [-varrho c + diff' Gamma diff] for one edge.
+
+    ``diff`` is the estimate disagreement across the edge; on a leader edge
+    it is the follower-to-leader gap.
+    """
+    diff = np.atleast_1d(np.asarray(diff, dtype=float))
+    return float(kappa * (-varrho * c + diff @ Gamma @ diff))
+
+
+def trigger_value(
+    error: np.ndarray,
+    own_estimate: np.ndarray,
+    neighbor_estimates: Mapping[int, np.ndarray],
+    weights: Mapping[int, float],
+    delta: float,
+    mu: float,
+    nu: float,
+    Gamma: np.ndarray,
+    t: float,
+    leader: int | None = None,
+) -> float:
+    """Trigger function value for one agent; an event fires at f >= 0.
+
+    With ``leader`` set (leader-follower mode, leader among the
+    neighbours), the leader edge takes coefficient 1/2 on both the error
+    and the disagreement term; every other edge takes 1 and 1/4.
+    """
+    error = np.atleast_1d(np.asarray(error, dtype=float))
+    eqf = float(error @ Gamma @ error)
+    f = -mu * math.exp(-nu * t)
+    for j, c in weights.items():
+        diff = np.atleast_1d(own_estimate - neighbor_estimates[j])
+        q = float(diff @ Gamma @ diff)
+        if leader is not None and j == leader:
+            f += 0.5 * (1.0 + delta * c) * eqf - 0.5 * q
+        else:
+            f += (1.0 + delta * c) * eqf - 0.25 * q
+    return f
+
+
+def graph_at(traj: Trajectory, t: float) -> Graph:
+    """The topology active at time t."""
+    active = traj.weight_segments[0].graph
+    for seg in traj.weight_segments:
+        if seg.t_start <= t:
+            active = seg.graph
+        else:
+            break
+    return active
 
 
 def write_trajectory_csv(traj: Trajectory, path: str):
@@ -48,7 +128,7 @@ def zeno_bound(traj: Trajectory, agent: int, k: int) -> float:
     if not (0 <= k + 1 < len(recs)):
         raise ValueError(f"agent {agent} has no event pair ({k}, {k + 1})")
     t_k, t_k1 = recs[k].time, recs[k + 1].time
-    g = traj.graph_at(t_k)
+    g = graph_at(traj, t_k)
     neigh = g.neighbors(agent)
     d_i = len(neigh)
     if d_i == 0:

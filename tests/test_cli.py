@@ -182,10 +182,28 @@ class TestExitCodes:
         ("sim", "max_events_per_unit_time", "x"),
         ("sim", "dwell_min", None),
         ("protocol", "delta", "x"),
+        ("sim", "max_events_per_unit_time", 2.5),
+        ("sim", "seed", "x"),
+        ("sim", "seed", 1.5),
+        ("sim", "seed", -1),
+        ("sim.disturbance", "seed", "x"),
+        ("graph", "n", "abc"),
+        ("graph", "n", 6.5),
+        ("graph", "leader", "x"),
+        ("model", "A", "x"),
+        ("model", "B", [[0], [0, 1], [1]]),
+        ("initial_states", "values", "x"),
     ])
     def test_malformed_number_exit_2(self, tmp_path, capsys, section, key, value):
+        # ``section`` is a dotted path; the base gains a disturbance and
+        # explicit initial values so that every addressed key exists
         cfg = copy.deepcopy(BASE_CONFIG)
-        cfg[section][key] = value
+        cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1, "seed": 3}
+        cfg["initial_states"] = {"values": [[0.0, 0.0, 0.0]] * 6}
+        node = cfg
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

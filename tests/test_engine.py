@@ -266,6 +266,19 @@ class TestFlowQuality:
         assert np.allclose(final[1e-2], final[1e-3], rtol=1e-6, atol=1e-8)
         assert np.allclose(final[2.5e-4], final[1e-3], rtol=0.0, atol=1e-11)
 
+    def test_random_disturbance_cells_are_exact(self, params):
+        # xdot = w_k on a lone scalar integrator: every stage of a step must
+        # see its own cell's draw, so each step adds dt * w_k and the state
+        # is the running sum of the drawn table
+        m = SystemModel(A=[[0.0]], B=[[1.0]])
+        dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
+        sim = short_sim(t_end=1.0, disturbance=dist)
+        traj = simulate(m, build_graph(1, []), design_gains(m), params, sim, [[0.7]])
+        w = np.random.default_rng(9).uniform(-0.2, 0.2, size=(1000, 1, 1))[:, 0, 0]
+        expected = 0.7 + np.concatenate([[0.0], np.cumsum(1e-3 * w)])
+        assert traj.states.shape == (1001, 1, 1)
+        assert np.allclose(traj.states[:, 0, 0], expected, rtol=0.0, atol=1e-13)
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_flow_detected(self, params):
         # synthetic unstable open loop: gains of zero leave xdot = 10 x

@@ -9,7 +9,6 @@ from etcons.graph import (
     is_connected,
     lambda2,
     laplacian,
-    leader_partition,
 )
 
 
@@ -63,9 +62,10 @@ class TestBuildGraph:
         edges = [(i, (i + 1) % 6) for i in range(6)]
         g = build_graph(6, edges, leader=0)
         assert g.leader == 0
-        l1, l2 = leader_partition(g)
-        assert l1.shape == (5, 5)
-        assert l2.shape == (5, 1)
+        lap = laplacian(g)
+        assert lap.shape == (6, 6)
+        assert not lap[0].any()
+        assert np.array_equal(np.diag(lap)[1:], [2.0] * 5)
 
     def test_canonical_ordering(self):
         a = build_graph(4, [(3, 2), (1, 0), (0, 2)])
@@ -187,39 +187,7 @@ class TestLambda2:
 
 
 class TestLeaderPartition:
-    def test_two_node_direct(self):
-        g = build_graph(2, [(0, 1)], leader=0)
-        l1, l2 = leader_partition(g)
-        assert np.array_equal(l1, [[1.0]])
-        assert np.array_equal(l2, [[-1.0]])
-
-    def test_leader_without_edges_still_partitions(self):
-        g = build_graph(3, [(1, 2)], leader=0)
-        assert not has_leader_spanning_tree(g)
-        l1, l2 = leader_partition(g)
-        assert l1.shape == (2, 2)
-        assert np.array_equal(l2, [[0.0], [0.0]])
-
-    def test_l1_positive_definite_under_spanning_tree(self):
-        edges = [(i, (i + 1) % 6) for i in range(6)]
-        g = build_graph(6, edges, leader=0)
-        l1, _ = leader_partition(g)
-        assert np.linalg.eigvalsh(l1).min() > 0
-
-    def test_blocks_reassemble_full_laplacian(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            g = random_connected_graph(rng, n)
-            leader = int(rng.integers(0, n))
-            g = build_graph(n, g.edges, leader=leader)
-            l1, l2 = leader_partition(g)
-            full = np.zeros((n, n))
-            full[1:, 1:] = l1
-            full[1:, :1] = l2
-            order = [leader] + [i for i in range(n) if i != leader]
-            inv = np.argsort(order)
-            assert np.array_equal(full[np.ix_(inv, inv)], laplacian(g))
+    """The leader's block of the Laplacian: its row is zero."""
 
     def test_nonsymmetric_leader_row_zero(self):
         g = build_graph(3, [(0, 1), (1, 2)], leader=1)

@@ -1,12 +1,12 @@
 """Closed-form estimate propagation inside the step loop.
 
-The engine evaluates e^{As} with its own truncated Taylor series
-(``engine._Expm``) and shares the Z-only edge work between the stages and
+The engine evaluates e^{As} with the package's truncated Taylor series
+(``linalg._Expm``) and shares the Z-only edge work between the stages and
 checks that see the same estimate stack. These tests pin the accuracy of
 that exponential against scipy, that ``simulate`` never reaches scipy's
 ``expm``, that stored estimates are the closed-form propagation of the
-last samples on a non-nilpotent model, and that the shared edge work and
-the passed-in endpoint value change nothing.
+last samples on a non-nilpotent model (checked with scipy's ``expm``), and
+that the shared edge work and the passed-in endpoint value change nothing.
 """
 
 import math
@@ -18,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcons import engine
-from etcons.engine import SimConfig, _Expm, locate_event, simulate
+from etcons.engine import SimConfig, locate_event, simulate
 from etcons.graph import build_graph, generate_graph
-from etcons.linalg import SystemModel, design_gains, matrix_exponential
+from etcons.linalg import SystemModel, _Expm, design_gains
 from etcons.protocols import ProtocolKernel, ProtocolParams
 
 EPS = np.finfo(float).eps
@@ -177,7 +177,7 @@ class TestOscillatorEstimates:
             last = np.searchsorted([e.time for e in events], traj.times, side="right") - 1
             for k, t in enumerate(traj.times):
                 ev = events[last[k]]
-                ref = matrix_exponential(a, t - ev.time) @ ev.value
+                ref = scipy.linalg.expm(a * (t - ev.time)) @ ev.value
                 err = np.linalg.norm(traj.estimates[k, i] - ref)
                 assert err <= 1e-12 * np.linalg.norm(ref)
 

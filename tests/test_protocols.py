@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -6,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etcons.dynamics import AgentRuntime, BroadcastSample
 from etcons.errors import ConfigError
 from etcons.graph import build_graph, generate_graph
-from etcons.protocols import (
-    ProtocolKernel,
-    ProtocolParams,
-    control_input,
-    observer_rate,
-    trigger_value,
-    weight_rate,
-)
+from etcons.protocols import ProtocolKernel, ProtocolParams
+from oracles import control_input, trigger_value, weight_rate
 
 GAMMA1 = np.array([[1.0]])
 K1 = np.array([[-1.0]])
@@ -84,17 +76,6 @@ class TestControlInput:
     def test_missing_neighbor_sample(self):
         with pytest.raises(ValueError, match="missing broadcast sample"):
             control_input(K1, scalar(0.0), {}, {1: 1.0})
-
-    def test_consumes_only_local_runtime_data(self):
-        # everything the law needs fits in one agent's runtime view
-        rt = AgentRuntime(
-            x=scalar(1.0),
-            own_sample=BroadcastSample(value=scalar(1.0), stamp=0.0),
-            neighbor_samples={1: BroadcastSample(value=scalar(3.0), stamp=0.0)},
-        )
-        est = {j: s.value for j, s in rt.neighbor_samples.items()}
-        u = control_input(K1, rt.own_sample.value, est, {1: 1.0})
-        assert u[0] == pytest.approx(2.0)
 
 
 class TestWeightRate:
@@ -179,27 +160,6 @@ class TestTriggerValueLeaderFollower:
         assert f == pytest.approx(-0.5 * 4.0 - 0.25 * 4.0 - 2.0)
 
 
-class TestObserverRate:
-    def test_injection_vanishes_on_exact_estimate(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        b = np.array([[0.0], [1.0]])
-        c = np.array([[1.0, 0.0]])
-        f = np.array([[-1.0], [-1.0]])
-        chi = np.array([0.7, -0.2])
-        rate = observer_rate(a, b, c, f, chi, np.zeros(1), c @ chi)
-        assert np.allclose(rate, a @ chi)
-
-    def test_scalar_substitution(self):
-        rate = observer_rate(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
-                             -np.ones((1, 1)), scalar(1.0), scalar(0.0), scalar(0.0))
-        assert rate[0] == pytest.approx(-1.0)
-
-    def test_requires_gain(self):
-        with pytest.raises(ValueError):
-            observer_rate(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
-                          None, scalar(1.0), scalar(0.0), scalar(0.0))
-
-
 class TestKernelAgainstLocalFunctions:
     """The stacked evaluator must agree with the per-agent formulas."""
 
@@ -265,7 +225,7 @@ class TestKernelAgainstLocalFunctions:
                 assert f_stack[i] == pytest.approx(f_local, rel=1e-12, abs=1e-12)
 
     def test_signatures_carry_no_global_quantities(self):
-        # the per-agent operations close over nothing but incident-edge data
+        # the per-agent oracles close over nothing but incident-edge data
         import inspect
         for fn in (control_input, weight_rate, trigger_value):
             names = set(inspect.signature(fn).parameters)
