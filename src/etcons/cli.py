@@ -43,12 +43,24 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], where: str
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: not a float, string, bool or null."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float: not a string, bool, null,
+    NaN, infinity (Python's ``json`` reads ``NaN`` and ``Infinity``) or an
+    integer beyond the float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _number(spec: dict, key: str, where: str, default=None):
-    """spec[key] (``default`` when absent), which must be a JSON number:
-    not a string, bool or null."""
+    """spec[key] (``default`` when absent), which must be a finite number."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return value
 
 
@@ -60,18 +72,19 @@ def _integer(spec: dict, key: str, where: str, required: bool = False,
     value = spec.get(key)
     if value is None and not required:
         return None
-    ok = isinstance(value, int) and not isinstance(value, bool)
-    if not ok or (minimum is not None and value < minimum):
+    if not _is_integer(value) or (minimum is not None and value < minimum):
         what = "an integer" if minimum is None else f"an integer >= {minimum}"
         raise ConfigError(f"{where}.{key}: expected {what}, got {value!r}")
     return value
 
 
 def _matrix(value, where: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a numeric matrix, got {value!r}") from None
+    """A rectangular array of finite JSON numbers, as floats. A ragged
+    row stays a list in the object array and fails the check."""
+    arr = np.asarray(value, dtype=object)
+    if not all(map(_is_number, arr.flat)):
+        raise ConfigError(f"{where}: expected a matrix of finite numbers, got {value!r}")
+    return arr.astype(float)
 
 
 def _parse_graph(spec: dict, where: str = "graph") -> Graph:
@@ -84,26 +97,31 @@ def _parse_graph(spec: dict, where: str = "graph") -> Graph:
         return generate_graph(spec["generator"], n, leader=leader)
     if "edges" not in spec:
         raise ConfigError(f"{where}: needs an edge list or a generator name")
-    return build_graph(n, spec["edges"], leader=leader)
+    edges = spec["edges"]
+    if not isinstance(edges, list):
+        raise ConfigError(f"{where}.edges: expected a list of [i, j] pairs, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_integer, e))):
+            raise ConfigError(f"{where}.edges: expected [i, j] pairs of node "
+                              f"indices, got {e!r}")
+    return build_graph(n, edges, leader=leader)
 
 
-def _parse_edge_map(value, where: str):
-    """Scalar, or {'i-j': value} mapping keyed by node pairs."""
-    if isinstance(value, dict):
-        out = {}
-        for key, v in value.items():
-            parts = str(key).split("-")
-            if len(parts) != 2:
-                raise ConfigError(f"{where}: bad edge key {key!r}, expected 'i-j'")
-            try:
-                out[(int(parts[0]), int(parts[1]))] = float(v)
-            except ValueError:
-                raise ConfigError(f"{where}: bad edge entry {key!r}: {v!r}") from None
-        return out
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number or an edge map, got {value!r}") from None
+def _parse_edge_map(spec: dict, key: str, default: float):
+    """protocol[key]: a number for every edge, or an {'i-j': number}
+    mapping keyed by node pairs."""
+    value = spec.get(key, default)
+    if not isinstance(value, dict):
+        return float(_number(spec, key, "protocol", default))
+    where = f"protocol.{key}"
+    out = {}
+    for pair, v in value.items():
+        try:
+            i, j = (int(part) for part in pair.split("-"))
+        except ValueError:
+            raise ConfigError(f"{where}: bad edge key {pair!r}, expected 'i-j'") from None
+        out[(i, j)] = float(_number(value, pair, where))
+    return out
 
 
 def _parse_states(spec, n_agents: int, n: int, rng, where: str) -> np.ndarray:
@@ -153,9 +171,9 @@ class RunSetup:
             delta=float(_number(pspec, "delta", "protocol")),
             mu=float(_number(pspec, "mu", "protocol")),
             nu=float(_number(pspec, "nu", "protocol")),
-            kappa=_parse_edge_map(pspec.get("kappa", 0.2), "protocol.kappa"),
-            varrho=_parse_edge_map(pspec.get("varrho", 0.0), "protocol.varrho"),
-            c0=_parse_edge_map(pspec.get("c0", 0.0), "protocol.c0"),
+            kappa=_parse_edge_map(pspec, "kappa", 0.2),
+            varrho=_parse_edge_map(pspec, "varrho", 0.0),
+            c0=_parse_edge_map(pspec, "c0", 0.0),
         )
 
         sspec = cfg["sim"]

@@ -12,15 +12,17 @@ drift away from its own state numerically.
 The flow between events is integrated by classical RK4, one step from
 the current instant to the next base-grid or switch instant. Triggers are
 monitored at step endpoints. A sign change of any trigger function starts
-a bisection on a cubic Hermite dense-output interpolant of the step; the
-flow is then re-integrated up to the localized instant, the triggering
-agents broadcast (ascending index, each reset immediately visible), and
-integration resumes. Simultaneous crossings are processed within the same
-instant, one broadcast per agent per instant.
+a bisection on RK4's continuous extension of the step (its own stages);
+the flow is re-integrated up to the localized instant and every agent
+whose trigger function is nonnegative there broadcasts (ascending index,
+each reset immediately visible, one broadcast per agent per instant). If
+none is, the crossing is localized again from that instant. Each
+instant's row is stored once, after its last reset.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ from .linalg import GainSet, SystemModel, _Expm
 from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
+_SLACK = 1e-12  # relative: checkpoint times closer than this are one instant
 DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
 
 
@@ -127,6 +130,8 @@ class WeightSegment:
 
     ``first_index`` points into ``Trajectory.times``; row k of ``values``
     holds the weights at ``times[first_index + k]`` for ``graph.edges``.
+    The engine appends rows to a list while it runs and stacks them when
+    the run ends.
     """
 
     graph: Graph
@@ -189,12 +194,18 @@ def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
     return hi
 
 
-def _hermite(y0, f0, y1, f1, h, s):
-    """Cubic Hermite interpolant at fraction s of a step of width h."""
-    s2 = s * s
-    s3 = s2 * s
-    return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * f0
-            + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * f1)
+def _rk4_extension(y0, h, k, theta):
+    """RK4's continuous extension: the state at fraction ``theta`` of the
+    step of width h from y0 with stages ``k`` = (k1, k2, k3, k4).
+
+    Third order in theta h (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6); y0 itself at theta = 0 and the RK4 step at theta = 1.
+    """
+    k1, k2, k3, k4 = k
+    t2 = theta * theta
+    c = 2 * t2 * theta / 3
+    return y0 + h * ((theta - 1.5 * t2 + c) * k1 + (t2 - c) * (k2 + k3)
+                     + (c - 0.5 * t2) * k4)
 
 
 class _Simulation:
@@ -224,8 +235,6 @@ class _Simulation:
             parts.append(np.zeros(shape) if chi0 is None
                          else np.asarray(chi0, dtype=float).reshape(shape))
             self._FCT = (gains.F @ model.C).T
-        else:
-            self._FCT = None
         parts.append(self.kernel.c0)
         # the augmented state (x, chi when observing, c), read through _views
         self.y = np.concatenate([p.ravel() for p in parts])
@@ -239,22 +248,15 @@ class _Simulation:
         self._states: list[np.ndarray] = []
         self._estimates: list[np.ndarray] = []
         self._chis: list[np.ndarray] = []
-        self._segments: list[dict] = []
-        self._open_segment(graph, 0.0, first_index=0)
+        self._segments = [WeightSegment(graph, 0.0, 0, [])]
 
-        self._setup_disturbance()
+        self._grid = self._checkpoints()
+        self._setup_disturbance(n_cells=self._grid[-1][1] + 1)
 
     # -- disturbance ---------------------------------------------------
 
-    def _setup_disturbance(self):
-        cfg = self.cfg
-        self._n_cells = max(1, int(math.floor(cfg.t_end / cfg.dt + 1e-9)))
-        if cfg.t_end - self._n_cells * cfg.dt > 1e-9 * cfg.dt:
-            self._n_cells += 1
-        d = cfg.disturbance
-        self._w_table = None
-        self._w_const = None
-        self._phases = None
+    def _setup_disturbance(self, n_cells: int):
+        d = self.cfg.disturbance
         if d is None or d.amplitude == 0.0:
             self._dist_kind = None
             return
@@ -274,7 +276,7 @@ class _Simulation:
             seed = d.seed if d.seed is not None else (self.cfg.seed or 0) + 1
             rng = np.random.default_rng(seed)
             table = rng.uniform(-d.amplitude, d.amplitude,
-                                size=(self._n_cells, N, n))
+                                size=(n_cells, N, n))
             self._w_table = table * mask[None, :, :]
 
     def _disturbance(self, t: float, cell: int) -> np.ndarray:
@@ -283,7 +285,7 @@ class _Simulation:
         if self._dist_kind == "sinusoid":
             s = self._amp * np.sin(self._omega * t + self._phases)
             return s[:, None] * self._mask  # (N, 1), broadcast against xdot
-        return self._w_table[min(cell, self._n_cells - 1)]
+        return self._w_table[cell]
 
     # -- flow ----------------------------------------------------------
 
@@ -310,8 +312,9 @@ class _Simulation:
         chidot = chi @ self._AT + bu + (chi - x) @ self._FCT
         return np.concatenate((xdot.ravel(), chidot.ravel(), cdot))
 
-    # A step returns (y1, z1, k1, dq1): k1 is the slope at the step's own
-    # start, dq1 the edge work of z1, shared with the endpoint trigger check.
+    # A step returns (y1, z1, k, dq1): k holds the four stages, which also
+    # give the step's continuous extension, dq1 the edge work of z1, shared
+    # with the endpoint trigger check.
 
     def _step_rk4(self, t, y, Z, h, cell):
         edge_terms = self.kernel.edge_terms
@@ -326,7 +329,7 @@ class _Simulation:
         y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(y1).all():
             raise NonFiniteStateError(f"non-finite state after step at t={t:.6f}")
-        return y1, z_full, k1, dq_full
+        return y1, z_full, (k1, k2, k3, k4), dq_full
 
     # -- triggers --------------------------------------------------------
 
@@ -353,22 +356,19 @@ class _Simulation:
                     f"{self.cfg.max_events_per_unit_time}"
                 )
 
-    def _sweep(self, t: float, kind: str = "trigger") -> list[int]:
+    def _sweep(self, t: float) -> bool:
         """Trigger every agent whose f >= 0, ascending index, resets
-        immediately visible, at most one broadcast per agent."""
-        triggered: list[int] = []
+        immediately visible, at most one broadcast per agent; whether any
+        fired. The leader's f is -inf, so it never fires."""
         eligible = np.ones(self.n_agents, dtype=bool)
-        if self.leader is not None:
-            eligible[self.leader] = False
         while True:
             f = self._trigger_values_now(t)
             cands = np.flatnonzero(eligible & (f >= 0))
             if not cands.size:
-                return triggered
+                return not eligible.all()
             i = int(cands[0])
-            self._apply_trigger(i, t, f[i], kind)
+            self._apply_trigger(i, t, f[i], "trigger")
             eligible[i] = False
-            triggered.append(i)
 
     def _force_broadcast(self, t: float, kind: str):
         # f values are a pre-reset snapshot; forced broadcasts are not
@@ -386,39 +386,28 @@ class _Simulation:
 
     # -- storage ---------------------------------------------------------
 
-    def _open_segment(self, graph: Graph, t_start: float, first_index: int):
-        self._segments.append({
-            "graph": graph, "t_start": t_start,
-            "first_index": first_index, "rows": [],
-        })
-
     def _store_row(self):
+        """Record the current instant, after every reset at it."""
         x, chi, c, _ = self._views(self.y)
-        rows = self._segments[-1]["rows"]
-        if self._times and self._times[-1] == self.t:
-            # refresh the row: post-trigger estimates/weights replace it
-            for stored in (self._times, self._states, self._estimates, rows):
-                stored.pop()
-            if chi is not None:
-                self._chis.pop()
         self._times.append(self.t)
         self._states.append(x.copy())
         self._estimates.append(self.Z.copy())
         if chi is not None:
             self._chis.append(chi.copy())
-        rows.append(c.copy())
+        self._segments[-1].values.append(c.copy())
 
     # -- event localization ------------------------------------------------
 
-    def _localize(self, t0, y0, f0, t1, y1, f1, g1: float) -> float:
-        """Event time in (t0, t1]; ``g1`` is the trigger maximum at t1."""
+    def _localize(self, t0, y0, k, t1, g1: float) -> float:
+        """Event time in (t0, t1] on the continuous extension of the step
+        with stages ``k``; ``g1`` is the trigger maximum at t1."""
         h = t1 - t0
         if h <= self.cfg.event_tol:
             return t1
         z0 = self.Z
 
         def g(tm: float) -> float:
-            ym = _hermite(y0, f0, y1, f1, h, (tm - t0) / h)
+            ym = _rk4_extension(y0, h, k, (tm - t0) / h)
             zm = z0 @ self.expm.at(tm - t0).T
             _, _, cm, live = self._views(ym)
             return float(self.kernel.trigger_values(live, zm, cm, tm).max())
@@ -428,6 +417,9 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def _checkpoints(self):
+        """(t, cell, switch graph or None) of every checkpoint: the base
+        grid k dt, ending exactly at t_end, merged with the switch instants.
+        ``cell`` is the base-grid cell that the steps ending at t lie in."""
         cfg = self.cfg
         n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
         pts = [k * cfg.dt for k in range(1, n_full + 1)]
@@ -436,94 +428,80 @@ class _Simulation:
         else:
             pts[-1] = cfg.t_end
         switches = {t: g for (t, g) in cfg.topology_schedule if t <= cfg.t_end}
+        for s in switches:
+            # 700 * 1e-3 is 0.7000000000000001: a switch at 0.7 takes its place
+            j = bisect.bisect_left(pts, s)
+            for i in (j - 1, j):
+                if 0 <= i < len(pts) and abs(pts[i] - s) <= _SLACK * max(1.0, s):
+                    pts[i] = s
         merged = sorted(set(pts) | set(switches))
-        return [(t, switches.get(t)) for t in merged]
+        return [(t, bisect.bisect_left(pts, t), switches.get(t)) for t in merged]
 
-    def _cell_of(self, t: float) -> int:
-        return min(int(t / self.cfg.dt + 1e-9), self._n_cells - 1)
-
-    def _advance_to(self, tc: float):
-        while tc - self.t > 1e-12 * max(1.0, tc):
-            t0, y0, h = self.t, self.y, tc - self.t
-            cell = self._cell_of(t0)
-            y1, z1, k1, dq1 = self._step_rk4(t0, y0, self.Z, h, cell)
+    def _advance_to(self, tc: float, cell: int):
+        """Integrate up to checkpoint tc, processing and storing every
+        trigger instant before it; ``run`` stores the row at tc."""
+        slack = _SLACK * max(1.0, tc)
+        while tc - self.t > slack:
+            t0, y0 = self.t, self.y
+            y1, z1, k, dq1 = self._step_rk4(t0, y0, self.Z, tc - t0, cell)
             _, _, c1, live1 = self._views(y1)
             g1 = float(self.kernel.trigger_values(live1, z1, c1, tc, dq1).max())
-            if g1 >= 0:
-                # the interpolant's end slope, needed on crossing steps only
-                f1 = self._rhs(t0 + h, y1, z1, cell, dq1)
-                t_star = self._localize(t0, y0, k1, tc, y1, f1, g1)
-                if t_star < tc:
-                    y1, z1, _, _ = self._step_rk4(t0, y0, self.Z, t_star - t0, cell)
-                self._commit(t_star, y1, z1)
-                triggered = self._sweep(t_star)
-                if not triggered:
-                    # the localized crossing sits within the interpolation
-                    # slack of zero on the committed state: broadcast the
-                    # closest agent, then let any cascade play out
-                    f = self._trigger_values_now(t_star)
-                    i = int(np.argmax(f))
-                    self._apply_trigger(i, t_star, f[i], "trigger")
-                    self._sweep(t_star)
+            # steps return fresh arrays, so y1 and z1 are owned once committed
+            if g1 < 0:
+                self.t, self.y, self.Z = tc, y1, z1
+                continue
+            t_star = self._localize(t0, y0, k, tc, g1)
+            if t_star < tc:
+                y1, z1, _, _ = self._step_rk4(t0, y0, self.Z, t_star - t0, cell)
+            self.t, self.y, self.Z = t_star, y1, z1
+            # if the re-integrated state is still below zero at t_star, no
+            # agent fires: the next pass localizes again from t_star, where
+            # the extension returns this very state, so the bracket holds
+            if self._sweep(t_star) and tc - t_star > slack:
                 self._store_row()
-            else:
-                self._commit(tc, y1, z1)
-
-    def _commit(self, t, y, z):
-        # steps return fresh arrays, so y and z are owned from here on
-        self.y = y
-        self.Z = z
-        self.t = t
 
     def _apply_switch(self, t: float, new_graph: Graph):
         c = self._views(self.y)[2]
+        self._segments[-1].values.append(c.copy())  # the old graph's row at t
         old = dict(zip(self.kernel.graph.edges, c))
         kernel = ProtocolKernel(new_graph, self.params, self.gains.K, self.gains.Gamma)
         c_new = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
         self.kernel = kernel
         self.y = np.concatenate([self.y[: self.y.size - c.size], c_new])
-        self._open_segment(new_graph, t, first_index=len(self._times) - 1)
-        self._segments[-1]["rows"].append(c_new)
+        # the new segment opens with the next row stored, the one at t
+        self._segments.append(WeightSegment(new_graph, t, len(self._times), []))
         self._force_broadcast(t, kind="switch")
-        self._store_row()  # refresh the row at t with post-switch estimates
 
     def run(self) -> Trajectory:
-        self._store_row()
         f0 = self._trigger_values_now(0.0)
         for i in range(self.n_agents):
             fv = float("nan") if i == self.leader else f0[i]
             self._apply_trigger(i, 0.0, fv, "init")
-        for tc, switch_graph in self._checkpoints():
-            self._advance_to(tc)
-            self._store_row()
+        self._store_row()
+        for tc, cell, switch_graph in self._grid:
+            self._advance_to(tc, cell)
             if switch_graph is not None:
                 self._apply_switch(tc, switch_graph)
             if self.broadcast_every_step:
                 self._force_broadcast(tc, kind="forced")
-                self._store_row()  # refresh the row at tc with the new estimates
+            self._store_row()
         return self._finalize()
 
     def _finalize(self) -> Trajectory:
-        segments = []
         for seg in self._segments:
-            segments.append(WeightSegment(
-                graph=seg["graph"], t_start=seg["t_start"],
-                first_index=seg["first_index"],
-                values=np.array(seg["rows"]) if seg["rows"] else
-                np.zeros((0, len(seg["graph"].edges))),
-            ))
+            seg.values = np.array(seg.values)
         return Trajectory(
             times=np.array(self._times),
             states=np.array(self._states),
             estimates=np.array(self._estimates),
             observer_states=np.array(self._chis) if self.variant == "observer" else None,
-            weight_segments=segments,
+            weight_segments=self._segments,
             events=self.events,
             variant=self.variant,
             model=self.model,
             gains=self.gains,
             params=self.params,
-            graph=self._segments[0]["graph"],
+            graph=self._segments[0].graph,
             sim=self.cfg,
         )
 

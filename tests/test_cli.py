@@ -1,6 +1,7 @@
 import copy
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ BASE_CONFIG = {
     "initial_states": {"random": {"low": -1.0, "high": 1.0}},
 }
 
+NAN = float("nan")
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
@@ -193,16 +195,34 @@ class TestExitCodes:
         ("model", "A", "x"),
         ("model", "B", [[0], [0, 1], [1]]),
         ("initial_states", "values", "x"),
+        ("sim", "dwell_min", NAN),
+        ("sim.topology_schedule[0]", "t", NAN),
+        ("sim.disturbance", "frequency", NAN),
+        ("initial_states", "values", [[NAN, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 5),
+        ("initial_states.random", "low", -math.inf),
+        ("protocol", "kappa", "0.2"),
+        ("protocol", "kappa", True),
+        ("protocol", "kappa", {"0-1": None}),
+        ("graph", "edges", [[2, 0.5]]),
+        ("graph", "edges", [["0", "1"]]),
+        ("graph", "edges", [[0, 1, 2]]),
+        pytest.param("sim", "t_end", 10 ** 400, id="sim-t_end-10**400"),
+        ("model", "A", [[0, True, 0], [0, 0, 1], [0, 0, 0]]),
     ])
     def test_malformed_number_exit_2(self, tmp_path, capsys, section, key, value):
-        # ``section`` is a dotted path; the base gains a disturbance and
-        # explicit initial values so that every addressed key exists
+        # ``section`` is a dotted path with optional [index] parts; the base
+        # gains a disturbance, a switch, an edge list and explicit initial
+        # values (random ones for the random cases) so that every addressed
+        # key exists
         cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["graph"] = {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
         cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1, "seed": 3}
-        cfg["initial_states"] = {"values": [[0.0, 0.0, 0.0]] * 6}
+        cfg["sim"]["topology_schedule"] = [{"t": 1.0, "graph": {"generator": "star", "n": 6}}]
+        if not section.startswith("initial_states.random"):
+            cfg["initial_states"] = {"values": [[0.0, 0.0, 0.0]] * 6}
         node = cfg
-        for part in section.split("."):
-            node = node[part]
+        for part in section.replace("]", "").replace("[", ".").split("."):
+            node = node[int(part) if part.isdigit() else part]
         node[key] = value
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etcons.analysis import consensus_error, invariance_deviation, stacked_norm
 from etcons.engine import (
     DisturbanceSpec,
     SimConfig,
+    _rk4_extension,
+    _Simulation,
     locate_event,
     simulate,
 )
@@ -180,10 +183,10 @@ class TestEventMechanics:
             assert (e.agent, e.time) not in seen
             seen.add((e.agent, e.time))
 
-    def test_trigger_value_at_event_nonnegative_within_slack(self, traj):
+    def test_trigger_value_at_event_nonnegative(self, traj):
         for e in traj.events:
             if e.kind == "trigger":
-                assert e.trigger_value_before >= -1e-6
+                assert e.trigger_value_before >= 0
 
     def test_event_times_appear_in_grid(self, traj):
         times = set(traj.times.tolist())
@@ -225,6 +228,65 @@ class TestEventMechanics:
         for e in traj.events:
             idx = int(np.searchsorted(traj.times, e.time))
             assert np.array_equal(e.value, sent[idx, e.agent])
+
+
+class TestRelocalization:
+    def test_early_localization_is_localized_again(self, model, gains, params,
+                                                  ring6, monkeypatch):
+        # the first localization returns a time halfway before the crossing,
+        # where no agent's f is >= 0 yet: nothing may fire or be stored
+        # there, and the crossing must be found again from that instant
+        sim = short_sim()
+        x0 = random_x0(42)
+        plain = simulate(model, ring6, gains, params, sim, x0)
+        first = next(e.time for e in plain.events if e.kind == "trigger")
+        localize = _Simulation._localize
+        forced = []
+
+        def early(self, t0, *args):
+            t_star = localize(self, t0, *args)
+            if forced:
+                return t_star
+            forced.append(t0 + (t_star - t0) / 2)
+            return forced[0]
+
+        monkeypatch.setattr(_Simulation, "_localize", early)
+        traj = simulate(model, ring6, gains, params, sim, x0)
+        triggers = [e for e in traj.events if e.kind == "trigger"]
+        assert all(e.trigger_value_before >= 0 for e in triggers)
+        assert not np.any(traj.times == forced[0])
+        assert abs(triggers[0].time - first) <= sim.event_tol
+
+
+class TestContinuousExtension:
+    def test_matches_the_step_at_theta_one(self, model, gains, params, ring6):
+        engine = _Simulation(model, ring6, gains, params, short_sim(), random_x0(),
+                             "state")
+        h = 1e-3
+        y1, _, k, _ = engine._step_rk4(0.0, engine.y, engine.Z, h, 0)
+        assert np.array_equal(_rk4_extension(engine.y, h, k, 0.0), engine.y)
+        ulp = np.spacing(np.maximum(np.abs(engine.y), np.abs(y1)))
+        assert (np.abs(_rk4_extension(engine.y, h, k, 1.0) - y1) <= 4 * ulp).all()
+
+    def test_error_on_a_rotation_shrinks_like_h4(self):
+        # ydot = A y; max error over the step against the exact flow
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        y0 = np.array([1.0, 0.5])
+        thetas = np.linspace(0.0, 1.0, 21)
+
+        def dense_error(h):
+            k1 = A @ y0
+            k2 = A @ (y0 + 0.5 * h * k1)
+            k3 = A @ (y0 + 0.5 * h * k2)
+            k4 = A @ (y0 + h * k3)
+            k = (k1, k2, k3, k4)
+            return max(np.abs(_rk4_extension(y0, h, k, th)
+                              - scipy.linalg.expm(A * th * h) @ y0).max()
+                       for th in thetas)
+
+        errors = [dense_error(h) for h in (0.2, 0.1, 0.05, 0.025)]
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert (ratios > 14).all() and (ratios < 18).all(), ratios
 
 
 class TestDeterminism:
@@ -359,6 +421,18 @@ class TestTopologySwitch:
         assert [e.kind for e in last_round] == ["forced"] * 6
         # init, then one round at each of the 20 grid points
         assert len(traj.events) == 6 + 20 * 6
+
+    def test_switch_at_a_rounded_grid_point_is_one_instant(self, model, gains,
+                                                           params, ring6):
+        # 700 * 1e-3 is 0.7000000000000001: the switch at 0.7 takes that grid
+        # point's place, so the instant is stored once, under the switch's time
+        sim = short_sim(t_end=1.0, seed=5, dwell_min=0.5,
+                        topology_schedule=((0.7, generate_graph("star", 6)),))
+        traj = simulate(model, ring6, gains, params, sim, random_x0(5))
+        assert (np.diff(traj.times) > 0).all()
+        new = traj.weight_segments[1]
+        assert traj.times[new.first_index] == 0.7
+        assert not np.any(traj.times == 700 * 1e-3)
 
     def test_schedule_must_keep_agent_count(self, model, gains, params, ring6):
         sim = short_sim(t_end=2.0, dwell_min=0.5,

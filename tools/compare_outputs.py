@@ -1,0 +1,95 @@
+"""Check that this tree writes the same output bytes as another revision.
+
+    python tools/compare_outputs.py REV
+
+Runs the six shipped configs and the ring400/complete70 benchmark configs
+(seed 42) through ``etcons run`` once with this tree's ``src/`` and once
+with REV's, extracted by ``git archive`` into a temporary directory, and
+compares trajectory.csv, events.csv, weights.csv and summary.json byte
+for byte. Prints one line per config and exits 1 on any difference.
+The two sides of a config run in parallel, one process each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import glob
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUTPUTS = ("trajectory.csv", "events.csv", "weights.csv", "summary.json")
+SEED = 42
+
+
+def _configs() -> list[tuple[str, dict]]:
+    out = []
+    for path in sorted(glob.glob(os.path.join(REPO, "configs", "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            out.append((os.path.splitext(os.path.basename(path))[0], json.load(fh)))
+    sys.path.insert(0, os.path.join(REPO, "perfbench"))
+    import workloads
+    for workload in ("ring-sparse", "complete-dense"):
+        out += workloads.configs(workload, SEED)
+    return out
+
+
+def _extract_src(rev: str, dest: str) -> str:
+    tar = subprocess.run(["git", "-C", REPO, "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest)
+    return os.path.join(dest, "src")
+
+
+def _start(src: str, config: str, out: str) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, "-m", "etcons.cli", "run", config, "--out", out],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    args = parser.parse_args(argv)
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        sides = {"this": os.path.join(REPO, "src"),
+                 args.rev: _extract_src(args.rev, os.path.join(tmp, "rev"))}
+        for name, cfg in _configs():
+            cfg.pop("outputs", None)
+            path = os.path.join(tmp, name + ".json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            outs = {side: os.path.join(tmp, side.replace(os.sep, "_"), name)
+                    for side in sides}
+            procs = {side: _start(src, path, outs[side]) for side, src in sides.items()}
+            failed = []
+            for side, proc in procs.items():
+                _, err = proc.communicate()
+                if proc.returncode:
+                    last = (err.decode().strip().splitlines() or [""])[-1]
+                    failed.append(f"{side} exit {proc.returncode}: {last}")
+            if failed:
+                differ = True
+                print(f"{name:16s} FAILED {'; '.join(failed)}", flush=True)
+                continue
+            a, b = outs.values()
+            changed = [f for f in OUTPUTS
+                       if not filecmp.cmp(os.path.join(a, f), os.path.join(b, f),
+                                          shallow=False)]
+            differ |= bool(changed)
+            verdict = "differ: " + ", ".join(changed) if changed else "identical"
+            print(f"{name:16s} {len(OUTPUTS) - len(changed)}/{len(OUTPUTS)} {verdict}",
+                  flush=True)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
