@@ -174,19 +174,20 @@ def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
     """Bisect the first sign change of ``f`` on [t_lo, t_hi].
 
     Requires f(t_lo) < 0 <= f(t_hi); returns the upper end of a bracket of
-    width <= event_tol, so f at the returned time is >= 0. ``f_hi`` is
+    width <= event_tol, or of two adjacent floats when event_tol is finer
+    than their spacing, so f at the returned time is >= 0. ``f_hi`` is
     f(t_hi) when the caller already holds it.
     """
     f_lo = f(t_lo)
     if f_hi is None:
         f_hi = f(t_hi)
     if not (f_lo < 0 <= f_hi):
-        raise ValueError(
-            f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}"
-        )
+        raise ValueError(f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}")
     lo, hi = t_lo, t_hi
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if f(mid) >= 0:
             hi = mid
         else:
@@ -238,7 +239,9 @@ class _Simulation:
         parts.append(self.kernel.c0)
         # the augmented state (x, chi when observing, c), read through _views
         self.y = np.concatenate([p.ravel() for p in parts])
+        # the estimate stack and its edge work, always updated together
         self.Z = self._views(self.y)[3].copy()
+        self.dq = self.kernel.edge_terms(self.Z)
 
         self.t = 0.0
         self.events: list[EventRecord] = []
@@ -299,10 +302,9 @@ class _Simulation:
         chi = y[nx: 2 * nx].reshape(self._shape)
         return x, chi, y[2 * nx:], chi
 
-    def _rhs(self, t: float, y: np.ndarray, Z: np.ndarray, cell: int,
-             dq=None) -> np.ndarray:
+    def _rhs(self, t: float, y: np.ndarray, dq, cell: int) -> np.ndarray:
         x, chi, c, _ = self._views(y)
-        u, cdot = self.kernel.flow_terms(Z, c, dq)
+        u, cdot = self.kernel.flow_terms(dq, c)
         bu = u @ self._BT
         xdot = x @ self._AT + bu
         if self._dist_kind is not None:
@@ -312,49 +314,53 @@ class _Simulation:
         chidot = chi @ self._AT + bu + (chi - x) @ self._FCT
         return np.concatenate((xdot.ravel(), chidot.ravel(), cdot))
 
-    # A step returns (y1, z1, k, dq1): k holds the four stages, which also
-    # give the step's continuous extension, dq1 the edge work of z1, shared
-    # with the endpoint trigger check.
+    # A step of width h from (t, y, Z) starts from the stage k1 its caller
+    # formed; it returns (y1, z1, dq1, k): the end state, the propagated stack
+    # with its edge work, and the four stages, which give the continuous extension.
 
-    def _step_rk4(self, t, y, Z, h, cell):
-        edge_terms = self.kernel.edge_terms
+    def _step_rk4(self, t, y, Z, k1, h, cell):
         z_half = Z @ self.expm.at(0.5 * h).T
         z_full = Z @ self.expm.at(h).T
-        k1 = self._rhs(t, y, Z, cell)
-        dq_half = edge_terms(z_half)
-        k2 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k1, z_half, cell, dq_half)
-        k3 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k2, z_half, cell, dq_half)
-        dq_full = edge_terms(z_full)
-        k4 = self._rhs(t + h, y + h * k3, z_full, cell, dq_full)
+        dq_half = self.kernel.edge_terms(z_half)
+        k2 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k1, dq_half, cell)
+        k3 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k2, dq_half, cell)
+        dq_full = self.kernel.edge_terms(z_full)
+        k4 = self._rhs(t + h, y + h * k3, dq_full, cell)
         y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(y1).all():
             raise NonFiniteStateError(f"non-finite state after step at t={t:.6f}")
-        return y1, z_full, (k1, k2, k3, k4), dq_full
+        return y1, z_full, dq_full, (k1, k2, k3, k4)
 
     # -- triggers --------------------------------------------------------
 
-    def _trigger_values_now(self, t: float) -> np.ndarray:
-        _, _, c, live = self._views(self.y)
-        return self.kernel.trigger_values(live, self.Z, c, t)
+    def _triggers(self, t: float, y: np.ndarray, Z: np.ndarray, dq) -> np.ndarray:
+        """Trigger values at t of state y and estimate stack Z with edge work dq."""
+        _, _, c, live = self._views(y)
+        return self.kernel.trigger_values(live, Z, dq, c, t)
 
-    def _apply_trigger(self, i: int, t: float, f_before: float, kind: str):
-        value = self._views(self.y)[3][i].copy()
-        self.Z[i] = value
-        self.events.append(EventRecord(
-            agent=i, time=t, value=value,
-            trigger_value_before=float(f_before), kind=kind,
-        ))
-        if kind == "trigger":
-            win = self._zeno_windows[i]
-            win.append(t)
-            while win and t - win[0] > 1.0:
-                win.popleft()
-            if len(win) > self.cfg.max_events_per_unit_time:
-                raise ZenoGuardError(
-                    f"agent {i} fired {len(win)} events within 1 s ending at "
-                    f"t={t:.6f}; exceeds max_events_per_unit_time="
-                    f"{self.cfg.max_events_per_unit_time}"
-                )
+    def _broadcast(self, agents, t: float, f, kind: str):
+        """Reset each agent's estimate to its live value at t, logging f[i],
+        then form the edge work of the new stack."""
+        live = self._views(self.y)[3]
+        for i in agents:
+            value = live[i].copy()
+            self.Z[i] = value
+            self.events.append(EventRecord(
+                agent=i, time=t, value=value,
+                trigger_value_before=float(f[i]), kind=kind,
+            ))
+            if kind == "trigger":
+                win = self._zeno_windows[i]
+                win.append(t)
+                while win and t - win[0] > 1.0:
+                    win.popleft()
+                if len(win) > self.cfg.max_events_per_unit_time:
+                    raise ZenoGuardError(
+                        f"agent {i} fired {len(win)} events within 1 s ending at "
+                        f"t={t:.6f}; exceeds max_events_per_unit_time="
+                        f"{self.cfg.max_events_per_unit_time}"
+                    )
+        self.dq = self.kernel.edge_terms(self.Z)
 
     def _sweep(self, t: float) -> bool:
         """Trigger every agent whose f >= 0, ascending index, resets
@@ -362,27 +368,25 @@ class _Simulation:
         fired. The leader's f is -inf, so it never fires."""
         eligible = np.ones(self.n_agents, dtype=bool)
         while True:
-            f = self._trigger_values_now(t)
+            f = self._triggers(t, self.y, self.Z, self.dq)
             cands = np.flatnonzero(eligible & (f >= 0))
             if not cands.size:
                 return not eligible.all()
             i = int(cands[0])
-            self._apply_trigger(i, t, f[i], "trigger")
+            self._broadcast((i,), t, f, "trigger")
             eligible[i] = False
 
     def _force_broadcast(self, t: float, kind: str):
         # f values are a pre-reset snapshot; forced broadcasts are not
         # crossings, the value is informational only
-        f = self._trigger_values_now(t)
+        f = self._triggers(t, self.y, self.Z, self.dq)
         # one broadcast per agent per instant: skip agents already sent at t
         done = {self.leader}
         for e in reversed(self.events):
             if e.time != t:
                 break
             done.add(e.agent)
-        for i in range(self.n_agents):
-            if i not in done:
-                self._apply_trigger(i, t, f[i], kind)
+        self._broadcast([i for i in range(self.n_agents) if i not in done], t, f, kind)
 
     # -- storage ---------------------------------------------------------
 
@@ -409,8 +413,7 @@ class _Simulation:
         def g(tm: float) -> float:
             ym = _rk4_extension(y0, h, k, (tm - t0) / h)
             zm = z0 @ self.expm.at(tm - t0).T
-            _, _, cm, live = self._views(ym)
-            return float(self.kernel.trigger_values(live, zm, cm, tm).max())
+            return float(self._triggers(tm, ym, zm, self.kernel.edge_terms(zm)).max())
 
         return locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g1)
 
@@ -443,17 +446,17 @@ class _Simulation:
         slack = _SLACK * max(1.0, tc)
         while tc - self.t > slack:
             t0, y0 = self.t, self.y
-            y1, z1, k, dq1 = self._step_rk4(t0, y0, self.Z, tc - t0, cell)
-            _, _, c1, live1 = self._views(y1)
-            g1 = float(self.kernel.trigger_values(live1, z1, c1, tc, dq1).max())
+            k1 = self._rhs(t0, y0, self.dq, cell)
+            y1, z1, dq1, k = self._step_rk4(t0, y0, self.Z, k1, tc - t0, cell)
+            g1 = float(self._triggers(tc, y1, z1, dq1).max())
             # steps return fresh arrays, so y1 and z1 are owned once committed
             if g1 < 0:
-                self.t, self.y, self.Z = tc, y1, z1
+                self.t, self.y, self.Z, self.dq = tc, y1, z1, dq1
                 continue
             t_star = self._localize(t0, y0, k, tc, g1)
             if t_star < tc:
-                y1, z1, _, _ = self._step_rk4(t0, y0, self.Z, t_star - t0, cell)
-            self.t, self.y, self.Z = t_star, y1, z1
+                y1, z1, dq1, _ = self._step_rk4(t0, y0, self.Z, k1, t_star - t0, cell)
+            self.t, self.y, self.Z, self.dq = t_star, y1, z1, dq1
             # if the re-integrated state is still below zero at t_star, no
             # agent fires: the next pass localizes again from t_star, where
             # the extension returns this very state, so the bracket holds
@@ -467,16 +470,17 @@ class _Simulation:
         kernel = ProtocolKernel(new_graph, self.params, self.gains.K, self.gains.Gamma)
         c_new = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
         self.kernel = kernel
+        self.dq = kernel.edge_terms(self.Z)  # re-indexed by the new edge list
         self.y = np.concatenate([self.y[: self.y.size - c.size], c_new])
         # the new segment opens with the next row stored, the one at t
         self._segments.append(WeightSegment(new_graph, t, len(self._times), []))
         self._force_broadcast(t, kind="switch")
 
     def run(self) -> Trajectory:
-        f0 = self._trigger_values_now(0.0)
-        for i in range(self.n_agents):
-            fv = float("nan") if i == self.leader else f0[i]
-            self._apply_trigger(i, 0.0, fv, "init")
+        f0 = self._triggers(0.0, self.y, self.Z, self.dq)
+        if self.leader is not None:
+            f0[self.leader] = np.nan
+        self._broadcast(range(self.n_agents), 0.0, f0, "init")
         self._store_row()
         for tc, cell, switch_graph in self._grid:
             self._advance_to(tc, cell)

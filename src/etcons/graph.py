@@ -30,10 +30,6 @@ class Graph:
         out = [b if a == i else a for (a, b) in self.edges if i in (a, b)]
         return tuple(sorted(out))
 
-    def degree(self, i: int) -> int:
-        """Number of incident edges (structural; ignores leader orientation)."""
-        return len(self.neighbors(i))
-
     def adjacency(self) -> np.ndarray:
         """Binary adjacency matrix; row i marks the in-neighbours of node i.
 

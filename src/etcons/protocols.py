@@ -97,8 +97,8 @@ class ProtocolKernel:
     O(M n) and the kernel holds no N x M array. A node sums, in
     ``graph.edges`` order, the edges where it is the lower endpoint, then
     those where it is the upper one, and adds the two. Inputs are the
-    estimate stack Z (N x n), the live stack X or CHI, and the edge weight
-    vector c (M,).
+    estimate stack Z (N x n) and its edge work ``dq`` (see ``edge_terms``),
+    the live stack X or CHI, and the edge weight vector c (M,).
     """
 
     def __init__(self, graph: Graph, params: ProtocolParams,
@@ -119,6 +119,7 @@ class ProtocolKernel:
         self.err_w = np.where(is_leader_edge, 0.5, 1.0)
         self.dis_w = np.where(is_leader_edge, 0.5, 0.25)
         n = self.Gamma.shape[0]
+        self._shape = (self.n_agents, n)
         self._ones = np.ones(n)
         # endpoint indices into a raveled (N, n) stack, one per edge entry
         cols = np.arange(n)
@@ -139,42 +140,40 @@ class ProtocolKernel:
         return ((v @ self.Gamma) * v) @ self._ones
 
     def edge_terms(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Z-only edge work (d, q): the estimate disagreements
-        d_e = Z[i] - Z[j] (M, n) and d' Gamma d (M,).
+        """The edge work ``dq`` = (d, q) of an estimate stack: the
+        disagreements d_e = Z[i] - Z[j] (M, n) and d' Gamma d (M,).
 
-        ``flow_terms`` and ``trigger_values`` take it as ``dq`` so that
-        callers evaluating one estimate stack several times compute it once.
+        It changes only when Z does, so the engine forms it once per stack
+        and hands it to ``flow_terms`` and ``trigger_values``.
         """
         d = Z.take(self.ei, axis=0) - Z.take(self.ej, axis=0)
         return d, self.quadratic(d)
 
-    def flow_terms(self, Z: np.ndarray, c: np.ndarray,
-                   dq: tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Control inputs (N, p) and weight rates (M,) sharing the edge work."""
-        d, q = self.edge_terms(Z) if dq is None else dq
+    def flow_terms(self, dq: tuple[np.ndarray, np.ndarray],
+                   c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Control inputs (N, p) and weight rates (M,) from the edge work."""
+        d, q = dq
         cdot = self.kappa * (self._neg_varrho * c + q)
         # sum_j c_ij (z_i - z_j): + c d_e at endpoint i, - c d_e at endpoint j
         cd = (c[:, None] * d).ravel()
-        size = Z.size
-        s = (np.bincount(self._flat_i, cd, size)
-             - np.bincount(self._flat_j, cd, size)).reshape(Z.shape)
+        N, n = self._shape
+        s = (np.bincount(self._flat_i, cd, N * n)
+             - np.bincount(self._flat_j, cd, N * n)).reshape(self._shape)
         if self.leader is not None:
             s[self.leader] = 0.0
         return s @ self.K.T, cdot
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
-                       c: np.ndarray, t: float,
-                       dq: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                       dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,
+                       t: float) -> np.ndarray:
         """Stacked trigger values (N,); the leader's entry is -inf.
 
         ``live`` is the stack the broadcasts sample from: X for state
         feedback and leader-follower runs, CHI for observer runs.
         """
         eqf = self.quadratic(Z - live)
-        q = (self.edge_terms(Z) if dq is None else dq)[1]
         err_coef = self._node_sum(self.err_w * (1.0 + self.params.delta * c))
-        dis = self._node_sum(self.dis_w * q)
+        dis = self._node_sum(self.dis_w * dq[1])
         f = err_coef * eqf - dis - self.params.mu * math.exp(-self.params.nu * t)
         if self.leader is not None:
             f[self.leader] = -np.inf

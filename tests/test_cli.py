@@ -139,6 +139,13 @@ class TestRunCommand:
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "2" / name).read_bytes(), name
 
+    def test_emit_writes_only_the_listed_files(self, tmp_path):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        out = tmp_path / "emitted"
+        cfg["outputs"] = {"directory": str(out), "emit": ["events", "summary"]}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        assert sorted(os.listdir(out)) == ["events.csv", "summary.json"]
+
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, BASE_CONFIG)
         env_dir = str(tmp_path / "envout")

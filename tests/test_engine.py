@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from etcons import engine as engine_module
 from etcons.analysis import consensus_error, invariance_deviation, stacked_norm
 from etcons.engine import (
     DisturbanceSpec,
@@ -71,6 +77,31 @@ class TestLocateEvent:
             locate_event(lambda t: -1.0, 0.0, 1.0, 1e-6)
         with pytest.raises(ValueError):
             locate_event(lambda t: 1.0, 0.0, 1.0, 1e-6)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # bisection stops at adjacent floats; a child process turns a hang
+        # into a timeout failure
+        code = textwrap.dedent("""
+            import numpy as np
+            from etcons.engine import SimConfig, locate_event, simulate
+            from etcons.graph import generate_graph
+            from etcons.linalg import SystemModel, design_gains
+            from etcons.protocols import ProtocolParams
+
+            assert locate_event(lambda t: t - 0.3, 0.0, 1.0, 1e-17) == 0.3
+            model = SystemModel(A=[[0.0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                                B=[[0.0], [0.0], [1.0]])
+            params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, kappa=0.2)
+            x0 = np.random.default_rng(42).uniform(-1, 1, (6, 3))
+            traj = simulate(model, generate_graph("ring", 6), design_gains(model),
+                            params, SimConfig(t_end=2.0, dt=1e-3, event_tol=1e-17), x0)
+            triggers = [e for e in traj.events if e.kind == "trigger"]
+            assert triggers and all(e.trigger_value_before >= 0 for e in triggers)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(engine_module.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestSimConfigValidation:
@@ -263,7 +294,8 @@ class TestContinuousExtension:
         engine = _Simulation(model, ring6, gains, params, short_sim(), random_x0(),
                              "state")
         h = 1e-3
-        y1, _, k, _ = engine._step_rk4(0.0, engine.y, engine.Z, h, 0)
+        k1 = engine._rhs(0.0, engine.y, engine.dq, 0)
+        y1, _, _, k = engine._step_rk4(0.0, engine.y, engine.Z, k1, h, 0)
         assert np.array_equal(_rk4_extension(engine.y, h, k, 0.0), engine.y)
         ulp = np.spacing(np.maximum(np.abs(engine.y), np.abs(y1)))
         assert (np.abs(_rk4_extension(engine.y, h, k, 1.0) - y1) <= 4 * ulp).all()
@@ -287,6 +319,52 @@ class TestContinuousExtension:
         errors = [dense_error(h) for h in (0.2, 0.1, 0.05, 0.025)]
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert (ratios > 14).all() and (ratios < 18).all(), ratios
+
+
+class TestCarriedEdgeWork:
+    """The engine carries each estimate stack with its edge work; every
+    step start and every trigger evaluation must see the pair in step."""
+
+    def _checked_run(self, monkeypatch, *args, **kwargs):
+        checks = []
+
+        def check(sim, Z, dq):
+            d, q = sim.kernel.edge_terms(Z)
+            assert np.array_equal(dq[0], d) and np.array_equal(dq[1], q)
+            checks.append(1)
+
+        step, triggers = _Simulation._step_rk4, _Simulation._triggers
+
+        def checked_step(sim, t, y, Z, k1, h, cell):
+            assert Z is sim.Z
+            check(sim, Z, sim.dq)
+            return step(sim, t, y, Z, k1, h, cell)
+
+        def checked_triggers(sim, t, y, Z, dq):
+            check(sim, Z, dq)
+            return triggers(sim, t, y, Z, dq)
+
+        monkeypatch.setattr(_Simulation, "_step_rk4", checked_step)
+        monkeypatch.setattr(_Simulation, "_triggers", checked_triggers)
+        traj = simulate(*args, **kwargs)
+        assert checks
+        return traj
+
+    def test_switching_run_with_forced_broadcasts(self, model, gains, params,
+                                                   ring6, monkeypatch):
+        schedule = ((0.1, generate_graph("star", 6)), (0.3, ring6))
+        sim = short_sim(t_end=0.5, dt=1e-2, topology_schedule=schedule)
+        traj = self._checked_run(monkeypatch, model, ring6, gains, params, sim,
+                                 random_x0(7), broadcast_every_step=True)
+        kinds = {e.kind for e in traj.events}
+        assert {"switch", "forced"} <= kinds
+
+    def test_observer_run(self, model, params, ring6, monkeypatch):
+        traj = self._checked_run(monkeypatch, model, ring6,
+                                 design_gains(model, observer=True), params,
+                                 short_sim(t_end=2.0, seed=42), random_x0(),
+                                 variant="observer")
+        assert any(e.kind == "trigger" for e in traj.events)
 
 
 class TestDeterminism:

@@ -91,7 +91,7 @@ class TestBuildGraph:
         assert len(generate_graph("path", 6).edges) == 5
         assert len(generate_graph("complete", 6).edges) == 15
         star = generate_graph("star", 6)
-        assert star.degree(0) == 5
+        assert len(star.neighbors(0)) == 5
         with pytest.raises(ConfigError):
             generate_graph("torus", 6)
 
