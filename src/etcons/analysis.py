@@ -105,15 +105,6 @@ def _events_by_agent(traj: Trajectory) -> list[list[EventRecord]]:
     return out
 
 
-def _neighbor_lists(graph: Graph) -> list[tuple[int, ...]]:
-    """``graph.neighbors(i)`` for every node, from one pass over the edges."""
-    out: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    for (a, b) in graph.edges:
-        out[a].append(b)
-        out[b].append(a)
-    return [tuple(sorted(nb)) for nb in out]
-
-
 class _ZenoBounds:
     """Run-wide inputs of the inter-event bound, computed once per run.
 
@@ -130,7 +121,7 @@ class _ZenoBounds:
         self.norm_bk = float(np.linalg.norm(traj.model.B @ traj.gains.K, 2))
         self.fc = traj.gains.F @ traj.model.C if traj.variant == "observer" else None
         self.starts = [seg.t_start for seg in traj.weight_segments]
-        self.neighbors = [_neighbor_lists(seg.graph) for seg in traj.weight_segments]
+        self.graphs = [seg.graph for seg in traj.weight_segments]
 
     def bound(self, agent: int, k: int) -> float:
         traj = self.traj
@@ -140,7 +131,7 @@ class _ZenoBounds:
         t_k, t_k1 = recs[k].time, recs[k + 1].time
         # the active topology at t_k: the last segment starting by then
         seg = max(bisect.bisect_right(self.starts, t_k) - 1, 0)
-        neigh = self.neighbors[seg][agent]
+        neigh = self.graphs[seg].neighbors(agent)
         d_i = len(neigh)
         if d_i == 0:
             return math.inf

@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import analysis
-from .engine import DisturbanceSpec, SimConfig, Trajectory, simulate
-from .errors import AssumptionError, ConfigError, EtconsError, SimulationError
+from .engine import (DISTURBANCE_KINDS, VARIANTS, DisturbanceSpec, SimConfig,
+                     Trajectory, simulate)
+from .errors import ConfigError, EtconsError
 from .graph import Graph, build_graph, generate_graph
 from .linalg import GainSet, SystemModel, design_gains
 from .protocols import ProtocolParams
@@ -32,15 +33,29 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _check_keys(section: dict, allowed: set[str], required: set[str], where: str):
+def _read(section, readers: dict, required, where: str) -> dict:
+    """The keys present in ``section``, each passed through its reader.
+
+    ``readers`` maps every allowed key to ``reader(value, dotted_path)``;
+    unknown and missing keys are config errors. Absent keys stay absent,
+    so the dataclasses the result is handed to keep their own defaults.
+    ``where`` is the section's dotted path, empty for the whole config.
+    """
+    name = where or "config"
     if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(section) - allowed
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(section) - set(readers)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    missing = set(required) - set(section)
     if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+        raise ConfigError(f"missing keys in {name}: {sorted(missing)}")
+    return {key: read(section[key], f"{where}.{key}" if where else key)
+            for key, read in readers.items() if key in section}
+
+
+def _section(readers: dict, required=()):
+    return lambda value, where: _read(value, readers, required, where)
 
 
 def _is_integer(value) -> bool:
@@ -56,26 +71,50 @@ def _is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _number(spec: dict, key: str, where: str, default=None):
-    """spec[key] (``default`` when absent), which must be a finite number."""
-    value = spec.get(key, default)
+def _number(value, where: str) -> float:
     if not _is_number(value):
-        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if not _is_integer(value):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
-def _integer(spec: dict, key: str, where: str, required: bool = False,
-             minimum: int | None = None):
-    """spec[key], which must be a JSON integer (not a float, string or
-    bool) of at least ``minimum``; None when absent or null unless
-    ``required``."""
-    value = spec.get(key)
-    if value is None and not required:
-        return None
-    if not _is_integer(value) or (minimum is not None and value < minimum):
-        what = "an integer" if minimum is None else f"an integer >= {minimum}"
-        raise ConfigError(f"{where}.{key}: expected {what}, got {value!r}")
+def _seed(value, where: str) -> int | None:
+    """A nonnegative integer, or null for an unseeded generator."""
+    if value is not None and not (_is_integer(value) and value >= 0):
+        raise ConfigError(f"{where}: expected an integer >= 0, got {value!r}")
     return value
+
+
+def _leader(value, where: str) -> int | None:
+    return None if value is None else _integer(value, where)
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(options: tuple):
+    def read(value, where: str):
+        if value not in options:
+            raise ConfigError(f"{where}: expected one of {list(options)}, got {value!r}")
+        return value
+    return read
+
+
+def _list_of(read_item):
+    """A reader for a JSON list whose entries go through ``read_item``."""
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(read_item(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return read
 
 
 def _matrix(value, where: str) -> np.ndarray:
@@ -87,151 +126,110 @@ def _matrix(value, where: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _parse_graph(spec: dict, where: str = "graph") -> Graph:
-    _check_keys(spec, {"n", "edges", "generator", "leader"}, {"n"}, where)
-    n = _integer(spec, "n", where, required=True)
-    leader = _integer(spec, "leader", where)
+def _edge(value, where: str) -> list:
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value))):
+        raise ConfigError(f"{where}: expected an [i, j] pair of node indices, got {value!r}")
+    return value
+
+
+def _graph(value, where: str) -> Graph:
+    spec = _read(value, {"n": _integer, "edges": _list_of(_edge), "generator": _text,
+                         "leader": _leader}, {"n"}, where)
+    if ("generator" in spec) == ("edges" in spec):
+        raise ConfigError(f"{where}: give exactly one of 'generator' or 'edges'")
     if "generator" in spec:
-        if "edges" in spec:
-            raise ConfigError(f"{where}: give either a generator or an edge list, not both")
-        return generate_graph(spec["generator"], n, leader=leader)
-    if "edges" not in spec:
-        raise ConfigError(f"{where}: needs an edge list or a generator name")
-    edges = spec["edges"]
-    if not isinstance(edges, list):
-        raise ConfigError(f"{where}.edges: expected a list of [i, j] pairs, got {edges!r}")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_integer, e))):
-            raise ConfigError(f"{where}.edges: expected [i, j] pairs of node "
-                              f"indices, got {e!r}")
-    return build_graph(n, edges, leader=leader)
+        return generate_graph(spec["generator"], spec["n"], leader=spec.get("leader"))
+    return build_graph(spec["n"], spec["edges"], leader=spec.get("leader"))
 
 
-def _parse_edge_map(spec: dict, key: str, default: float):
-    """protocol[key]: a number for every edge, or an {'i-j': number}
-    mapping keyed by node pairs."""
-    value = spec.get(key, default)
+def _edge_map(value, where: str):
+    """A number for every edge, or an {'i-j': number} mapping keyed by
+    node pairs; ``ProtocolParams`` checks the pairs against the graph."""
     if not isinstance(value, dict):
-        return float(_number(spec, key, "protocol", default))
-    where = f"protocol.{key}"
+        return _number(value, where)
     out = {}
     for pair, v in value.items():
         try:
             i, j = (int(part) for part in pair.split("-"))
         except ValueError:
             raise ConfigError(f"{where}: bad edge key {pair!r}, expected 'i-j'") from None
-        out[(i, j)] = float(_number(value, pair, where))
+        out[(i, j)] = _number(v, f"{where}.{pair}")
     return out
 
 
-def _parse_states(spec, n_agents: int, n: int, rng, where: str) -> np.ndarray:
-    _check_keys(spec, {"values", "random"}, set(), where)
-    if ("values" in spec) == ("random" in spec):
+def _switch(value, where: str) -> tuple[float, Graph]:
+    spec = _read(value, {"t": _number, "graph": _graph}, {"t", "graph"}, where)
+    return spec["t"], spec["graph"]
+
+
+def _disturbance(value, where: str) -> DisturbanceSpec:
+    return DisturbanceSpec(**_read(value, {"kind": _choice(DISTURBANCE_KINDS),
+                                           "amplitude": _number, "frequency": _number,
+                                           "seed": _seed}, {"kind", "amplitude"}, where))
+
+
+_STATES = _section({"values": _matrix,
+                    "random": _section({"low": _number, "high": _number}, {"low", "high"})})
+
+_CONFIG = {
+    "model": _section({"A": _matrix, "B": _matrix, "C": _matrix}, {"A", "B"}),
+    "graph": _graph,
+    "protocol": _section({"variant": _choice(VARIANTS), "delta": _number, "mu": _number,
+                          "nu": _number, "kappa": _edge_map, "varrho": _edge_map,
+                          "c0": _edge_map}, {"delta", "mu", "nu"}),
+    "sim": _section({
+        "t_end": _number, "dt": _number, "event_tol": _number,
+        # older configs name the one integrator; any other value is an error
+        "solver": _choice(("rk4",)),
+        "seed": _seed,
+        "disturbance": _disturbance,
+        "topology_schedule": _list_of(_switch),
+        "dwell_min": _number, "max_events_per_unit_time": _integer,
+    }, {"t_end", "dt"}),
+    "initial_states": _STATES,
+    "initial_observer_states": _STATES,
+    "outputs": _section({"directory": _text, "emit": _list_of(_choice(EMIT_CHOICES))}),
+}
+
+
+def _states(spec: dict, shape: tuple, rng, where: str) -> np.ndarray:
+    if len(spec) != 1:
         raise ConfigError(f"{where}: give exactly one of 'values' or 'random'")
     if "values" in spec:
-        arr = _matrix(spec["values"], f"{where}.values")
-        if arr.shape != (n_agents, n):
-            raise ConfigError(
-                f"{where}: values have shape {arr.shape}, expected ({n_agents}, {n})"
-            )
-        return arr
-    rand = spec["random"]
-    _check_keys(rand, {"low", "high"}, {"low", "high"}, f"{where}.random")
-    low = float(_number(rand, "low", f"{where}.random"))
-    high = float(_number(rand, "high", f"{where}.random"))
-    if not (low < high):
+        if spec["values"].shape != shape:
+            raise ConfigError(f"{where}: values have shape {spec['values'].shape}, "
+                              f"expected {shape}")
+        return spec["values"]
+    low, high = spec["random"]["low"], spec["random"]["high"]
+    if not low < high:
         raise ConfigError(f"{where}.random: low must be below high")
-    return rng.uniform(low, high, size=(n_agents, n))
+    return rng.uniform(low, high, size=shape)
 
 
 class RunSetup:
     """Validated experiment: everything ``simulate`` needs plus outputs."""
 
     def __init__(self, cfg: dict):
-        _check_keys(cfg, {"model", "graph", "protocol", "sim", "initial_states",
-                          "initial_observer_states", "outputs"},
-                    {"model", "graph", "protocol", "sim", "initial_states"}, "config")
-
-        mspec = cfg["model"]
-        _check_keys(mspec, {"A", "B", "C"}, {"A", "B"}, "model")
-        self.model = SystemModel(A=_matrix(mspec["A"], "model.A"),
-                                 B=_matrix(mspec["B"], "model.B"),
-                                 C=None if "C" not in mspec
-                                 else _matrix(mspec["C"], "model.C"))
-
-        self.graph = _parse_graph(cfg["graph"])
-
-        pspec = cfg["protocol"]
-        _check_keys(pspec, {"variant", "delta", "mu", "nu", "kappa", "varrho", "c0"},
-                    {"delta", "mu", "nu"}, "protocol")
-        self.variant = pspec.get("variant", "state")
-        if self.variant not in ("state", "observer", "leader_follower"):
-            raise ConfigError(f"protocol.variant: unknown variant {self.variant!r}")
-        self.params = ProtocolParams(
-            delta=float(_number(pspec, "delta", "protocol")),
-            mu=float(_number(pspec, "mu", "protocol")),
-            nu=float(_number(pspec, "nu", "protocol")),
-            kappa=_parse_edge_map(pspec, "kappa", 0.2),
-            varrho=_parse_edge_map(pspec, "varrho", 0.0),
-            c0=_parse_edge_map(pspec, "c0", 0.0),
-        )
-
-        sspec = cfg["sim"]
-        _check_keys(sspec, {"t_end", "dt", "event_tol", "solver", "seed", "disturbance",
-                            "topology_schedule", "dwell_min", "max_events_per_unit_time"},
-                    {"t_end", "dt"}, "sim")
-        # older configs name the one integrator; any other value is an error
-        if sspec.get("solver", "rk4") != "rk4":
-            raise ConfigError(f"sim.solver: only 'rk4' is supported, the adaptive "
-                              f"solver was removed; got {sspec['solver']!r}")
-        disturbance = None
-        if "disturbance" in sspec:
-            dspec = sspec["disturbance"]
-            _check_keys(dspec, {"kind", "amplitude", "frequency", "seed"},
-                        {"kind", "amplitude"}, "sim.disturbance")
-            disturbance = DisturbanceSpec(
-                kind=dspec["kind"],
-                amplitude=float(_number(dspec, "amplitude", "sim.disturbance")),
-                frequency=float(_number(dspec, "frequency", "sim.disturbance", 1.0)),
-                seed=_integer(dspec, "seed", "sim.disturbance", minimum=0),
-            )
-        schedule = []
-        for i, entry in enumerate(sspec.get("topology_schedule", [])):
-            _check_keys(entry, {"t", "graph"}, {"t", "graph"},
-                        f"sim.topology_schedule[{i}]")
-            schedule.append((float(_number(entry, "t", f"sim.topology_schedule[{i}]")),
-                             _parse_graph(entry["graph"], f"sim.topology_schedule[{i}].graph")))
-        kwargs = {key: _number(sspec, key, "sim")
-                  for key in ("event_tol", "dwell_min") if key in sspec}
-        if "max_events_per_unit_time" in sspec:
-            kwargs["max_events_per_unit_time"] = _integer(
-                sspec, "max_events_per_unit_time", "sim", required=True)
-        self.sim = SimConfig(
-            t_end=float(_number(sspec, "t_end", "sim")),
-            dt=float(_number(sspec, "dt", "sim")),
-            seed=_integer(sspec, "seed", "sim", minimum=0),
-            disturbance=disturbance,
-            topology_schedule=tuple(schedule), **kwargs,
-        )
+        cfg = _read(cfg, _CONFIG, {"model", "graph", "protocol", "sim", "initial_states"}, "")
+        self.model = SystemModel(**cfg["model"])
+        self.graph = cfg["graph"]
+        self.variant = cfg["protocol"].pop("variant", VARIANTS[0])  # simulate's default
+        self.params = ProtocolParams(**cfg["protocol"])
+        cfg["sim"].pop("solver", None)
+        self.sim = SimConfig(**cfg["sim"])
 
         rng = np.random.default_rng(self.sim.seed)
-        self.x0 = _parse_states(cfg["initial_states"], self.graph.n_nodes,
-                                self.model.n, rng, "initial_states")
+        shape = (self.graph.n_nodes, self.model.n)
+        self.x0 = _states(cfg["initial_states"], shape, rng, "initial_states")
         self.chi0 = None
         if "initial_observer_states" in cfg:
             if self.variant != "observer":
                 raise ConfigError("initial_observer_states only applies to the observer variant")
-            self.chi0 = _parse_states(cfg["initial_observer_states"], self.graph.n_nodes,
-                                      self.model.n, rng, "initial_observer_states")
-
-        ospec = cfg.get("outputs", {})
-        _check_keys(ospec, {"directory", "emit"}, set(), "outputs")
-        self.out_dir = ospec.get("directory")
-        emit = ospec.get("emit", list(EMIT_CHOICES))
-        bad = set(emit) - set(EMIT_CHOICES)
-        if bad:
-            raise ConfigError(f"outputs.emit: unknown entries {sorted(bad)}")
-        self.emit = tuple(emit)
+            self.chi0 = _states(cfg["initial_observer_states"], shape, rng,
+                                "initial_observer_states")
+        outputs = cfg.get("outputs", {})
+        self.out_dir = outputs.get("directory")
+        self.emit = outputs.get("emit", EMIT_CHOICES)
 
     def design(self) -> GainSet:
         return design_gains(self.model, observer=self.variant == "observer")
@@ -420,12 +418,8 @@ def _parse_sweep_value(raw: str):
 
 def _apply_override(cfg: dict, param: str, value):
     if param == "graph":
-        if not isinstance(value, str):
-            raise ConfigError(f"graph sweep values must be generator names, got {value!r}")
-        old = cfg["graph"]
-        cfg["graph"] = {"generator": value, "n": old["n"]}
-        if "leader" in old:
-            cfg["graph"]["leader"] = old["leader"]
+        cfg["graph"] = {k: v for k, v in cfg["graph"].items() if k in ("n", "leader")}
+        cfg["graph"]["generator"] = value
         return
     node = cfg
     parts = param.split(".")
@@ -443,7 +437,7 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v != ""]
     if not values:
         raise ConfigError("sweep needs a non-empty list of values")
-    out_root = _resolve_out_dir(args.out, base.get("outputs", {}).get("directory"))
+    out_root = _resolve_out_dir(args.out, RunSetup(base).out_dir)
     rows = []
     for raw in values:
         value = _parse_sweep_value(raw)
@@ -497,18 +491,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except AssumptionError as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return 3
-    except SimulationError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 4
     except EtconsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: config problems exit 2,
-violated standing assumptions (connectivity, stabilizability, ...) exit 3,
-and runtime failures of a simulation exit 4.
+Each class carries the CLI's exit code and message label: config problems
+exit 2, violated standing assumptions (connectivity, stabilizability, ...)
+exit 3, and runtime failures of a simulation exit 4.
 """
 
 
@@ -10,18 +10,21 @@ class EtconsError(Exception):
     """Base class for all package-specific errors."""
 
     exit_code = 1
+    label = "error"
 
 
 class ConfigError(EtconsError, ValueError):
     """Invalid user input: malformed config, bad graph spec, bad dimensions."""
 
     exit_code = 2
+    label = "config error"
 
 
 class AssumptionError(EtconsError):
     """A standing assumption of the protocol design does not hold."""
 
     exit_code = 3
+    label = "assumption violated"
 
 
 class DisconnectedGraphError(AssumptionError):
@@ -44,6 +47,7 @@ class SimulationError(EtconsError):
     """A simulation failed at runtime."""
 
     exit_code = 4
+    label = "runtime failure"
 
 
 class ZenoGuardError(SimulationError):

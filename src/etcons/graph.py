@@ -10,6 +10,7 @@ layer only; the protocols never see it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,22 +27,17 @@ class Graph:
     edges: tuple[Edge, ...]
     leader: int | None = None
 
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbours in ascending order, built on first use."""
+        out: list[list[int]] = [[] for _ in range(self.n_nodes)]
+        for (a, b) in self.edges:
+            out[a].append(b)
+            out[b].append(a)
+        return tuple(tuple(sorted(nb)) for nb in out)
+
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = [b if a == i else a for (a, b) in self.edges if i in (a, b)]
-        return tuple(sorted(out))
-
-    def adjacency(self) -> np.ndarray:
-        """Binary adjacency matrix; row i marks the in-neighbours of node i.
-
-        The leader row is zero: the leader accepts no influence.
-        """
-        a = np.zeros((self.n_nodes, self.n_nodes), dtype=int)
-        for (i, j) in self.edges:
-            a[i, j] = 1
-            a[j, i] = 1
-        if self.leader is not None:
-            a[self.leader, :] = 0
-        return a
+        return self._adjacency[i]
 
 
 def build_graph(n: int, edges, leader: int | None = None) -> Graph:
@@ -99,9 +95,14 @@ def laplacian(g: Graph) -> np.ndarray:
     """Laplacian with l_ii = sum_j a_ij and l_ij = -a_ij, as floats.
 
     Built in integer arithmetic, so row sums are exactly zero before the
-    float conversion. In leader mode the leader row is zero.
+    float conversion. In leader mode the leader row is zero: the leader
+    accepts no influence.
     """
-    a = g.adjacency()
+    a = np.zeros((g.n_nodes, g.n_nodes), dtype=int)
+    for (i, j) in g.edges:
+        a[i, j] = a[j, i] = 1
+    if g.leader is not None:
+        a[g.leader, :] = 0
     lap = np.diag(a.sum(axis=1)) - a
     assert (lap.sum(axis=1) == 0).all()
     return lap.astype(float)
@@ -109,14 +110,10 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def _reachable(g: Graph, root: int) -> int:
     """Number of nodes reachable from ``root`` over the undirected edge set."""
-    adj = [[] for _ in range(g.n_nodes)]
-    for (i, j) in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
     seen = {root}
     stack = [root]
     while stack:
-        for v in adj[stack.pop()]:
+        for v in g.neighbors(stack.pop()):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

@@ -33,11 +33,6 @@ from .errors import ConfigError
 from .graph import Edge, Graph
 
 
-def _edge_key(e) -> Edge:
-    i, j = int(e[0]), int(e[1])
-    return (i, j) if i < j else (j, i)
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Design constants of the adaptive event-based protocol.
@@ -45,7 +40,10 @@ class ProtocolParams:
     ``kappa``, ``varrho`` and ``c0`` may be scalars (applied to every edge)
     or per-edge mappings keyed by node pair. A single value is stored per
     undirected edge, which enforces the required symmetry of the gains and
-    of the initial weights identically.
+    of the initial weights identically. Each key is two distinct nodes of
+    the graph, no pair is keyed twice, and pairs that are not edges are
+    allowed (other graphs of a topology schedule use them). Errors name a
+    field by its config key, ``protocol.<field>``.
     """
 
     delta: float
@@ -62,25 +60,32 @@ class ProtocolParams:
                 raise ConfigError(f"{name} must be a positive constant, got {v}")
             object.__setattr__(self, name, v)
 
-    def _per_edge(self, value, edges: tuple[Edge, ...], name: str) -> np.ndarray:
-        if isinstance(value, Mapping):
-            table = {_edge_key(k if isinstance(k, tuple) else tuple(k)): float(v)
-                     for k, v in value.items()}
-            missing = [e for e in edges if e not in table]
-            if missing:
-                raise ConfigError(f"{name} missing entries for edges {missing}")
-            out = np.array([table[e] for e in edges], dtype=float)
+    def _per_edge(self, name: str, g: Graph) -> np.ndarray:
+        where = f"protocol.{name}"
+        value = getattr(self, name)
+        if not isinstance(value, Mapping):
+            out = np.full(len(g.edges), float(value))
         else:
-            out = np.full(len(edges), float(value))
+            table: dict[Edge, float] = {}
+            for (i, j), v in value.items():
+                if i == j or not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
+                    raise ConfigError(f"{where}: key {(i, j)} is not a pair of distinct "
+                                      f"nodes in 0..{g.n_nodes - 1}")
+                edge = (min(i, j), max(i, j))
+                if edge in table:
+                    raise ConfigError(f"{where}: key {(i, j)} repeats edge {edge}")
+                table[edge] = float(v)
+            missing = [e for e in g.edges if e not in table]
+            if missing:
+                raise ConfigError(f"{where} missing entries for edges {missing}")
+            out = np.array([table[e] for e in g.edges], dtype=float)
         if not np.isfinite(out).all():
-            raise ConfigError(f"{name} contains non-finite values")
+            raise ConfigError(f"{where} contains non-finite values")
         return out
 
     def edge_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(kappa, varrho, c0) aligned with g.edges; validates signs."""
-        kappa = self._per_edge(self.kappa, g.edges, "kappa")
-        varrho = self._per_edge(self.varrho, g.edges, "varrho")
-        c0 = self._per_edge(self.c0, g.edges, "c0")
+        """(kappa, varrho, c0) aligned with g.edges; validates keys and signs."""
+        kappa, varrho, c0 = (self._per_edge(name, g) for name in ("kappa", "varrho", "c0"))
         if (kappa <= 0).any():
             raise ConfigError("kappa must be positive on every edge")
         if (varrho < 0).any():

@@ -25,6 +25,9 @@ BASE_CONFIG = {
 }
 
 NAN = float("nan")
+# one kappa per edge of the malformed-config base's ring and star graphs
+RING_STAR_KAPPA = {f"{i}-{j}": 0.2 for i, j in
+                   [(i, (i + 1) % 6) for i in range(6)] + [(0, j) for j in range(2, 5)]}
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
@@ -215,13 +218,23 @@ class TestExitCodes:
         ("graph", "edges", [[0, 1, 2]]),
         pytest.param("sim", "t_end", 10 ** 400, id="sim-t_end-10**400"),
         ("model", "A", [[0, True, 0], [0, 0, 1], [0, 0, 0]]),
+        ("sim", "topology_schedule", 5),
+        ("outputs", "emit", 5),
+        ("outputs", "emit", [[1]]),
+        ("outputs", "emit", "summary"),
+        ("outputs", "directory", 5),
+        pytest.param("protocol", "kappa", {**RING_STAR_KAPPA, "1-0": 0.9},
+                     id="protocol-kappa-duplicate-edge"),
+        pytest.param("protocol", "kappa", {**RING_STAR_KAPPA, "7-9": 0.2},
+                     id="protocol-kappa-node-out-of-range"),
     ])
     def test_malformed_number_exit_2(self, tmp_path, capsys, section, key, value):
         # ``section`` is a dotted path with optional [index] parts; the base
-        # gains a disturbance, a switch, an edge list and explicit initial
-        # values (random ones for the random cases) so that every addressed
-        # key exists
+        # gains a disturbance, a switch, an edge list, explicit initial
+        # values (random ones for the random cases) and an outputs section
+        # so that every addressed key exists
         cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["outputs"] = {"directory": str(tmp_path / "o"), "emit": ["summary"]}
         cfg["graph"] = {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}
         cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1, "seed": 3}
         cfg["sim"]["topology_schedule"] = [{"t": 1.0, "graph": {"generator": "star", "n": 6}}]
@@ -233,9 +246,7 @@ class TestExitCodes:
         node[key] = value
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert f"{section}.{key}" in err
+        assert capsys.readouterr().err.startswith(f"config error: {section}.{key}")
 
     def test_solver_key_accepts_only_rk4(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)

@@ -49,6 +49,20 @@ class TestProtocolParams:
         with pytest.raises(ConfigError):
             params.edge_arrays(g)
 
+    def test_map_keys_are_distinct_nodes_keyed_once(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        for kappa, named in (({(0, 1): 0.2, (1, 0): 0.9, (1, 2): 0.2}, "(1, 0)"),
+                             ({(0, 1): 0.2, (1, 2): 0.2, (2, 2): 0.2}, "(2, 2)"),
+                             ({(0, 1): 0.2, (1, 2): 0.2, (0, 7): 0.2}, "(0, 7)"),
+                             ({(0, 1): 0.2, (1, 2): 0.2, (-1, 2): 0.2}, "(-1, 2)")):
+            with pytest.raises(ConfigError, match=r"protocol\.kappa") as info:
+                ProtocolParams(delta=1, mu=2, nu=0.5, kappa=kappa).edge_arrays(g)
+            assert named in str(info.value)
+        # a valid pair that is not an edge of this graph is allowed
+        params = ProtocolParams(delta=1, mu=2, nu=0.5,
+                                c0={(0, 1): 1.0, (1, 2): 2.0, (2, 0): 3.0})
+        assert np.array_equal(params.edge_arrays(g)[2], [1.0, 2.0])
+
     def test_sign_validation(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(ConfigError):
