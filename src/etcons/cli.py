@@ -137,9 +137,12 @@ def _graph(value, where: str) -> Graph:
                          "leader": _leader}, {"n"}, where)
     if ("generator" in spec) == ("edges" in spec):
         raise ConfigError(f"{where}: give exactly one of 'generator' or 'edges'")
-    if "generator" in spec:
-        return generate_graph(spec["generator"], spec["n"], leader=spec.get("leader"))
-    return build_graph(spec["n"], spec["edges"], leader=spec.get("leader"))
+    try:
+        if "generator" in spec:
+            return generate_graph(spec["generator"], spec["n"], leader=spec.get("leader"))
+        return build_graph(spec["n"], spec["edges"], leader=spec.get("leader"))
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, f"{where}.{exc.key}") from None
 
 
 def _edge_map(value, where: str):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -61,11 +62,13 @@ class DisturbanceSpec:
 
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
-            raise ConfigError(
-                f"unknown disturbance kind {self.kind!r}; expected one of {DISTURBANCE_KINDS}"
-            )
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ConfigError(f"disturbance amplitude must be >= 0, got {self.amplitude}")
+            raise ConfigError(f"expected one of {DISTURBANCE_KINDS}, got {self.kind!r}",
+                              "sim.disturbance.kind")
+        if not (0 <= self.amplitude < math.inf):
+            raise ConfigError(f"must be finite and >= 0, got {self.amplitude}",
+                              "sim.disturbance.amplitude")
+        if not math.isfinite(self.frequency):
+            raise ConfigError(f"must be finite, got {self.frequency}", "sim.disturbance.frequency")
 
 
 @dataclass(frozen=True)
@@ -82,28 +85,26 @@ class SimConfig:
     max_events_per_unit_time: int = 10_000
 
     def __post_init__(self):
-        if not (self.t_end > 0 and math.isfinite(self.t_end)):
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        for name in ("t_end", "dt", "dwell_min"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"must be finite and positive, got {getattr(self, name)}",
+                                  f"sim.{name}")
         if not (0 < self.event_tol <= self.dt):
-            raise ConfigError(
-                f"event_tol must lie in (0, dt]; got {self.event_tol} with dt={self.dt}"
-            )
-        if self.dwell_min <= 0:
-            raise ConfigError("dwell_min must be positive")
-        if self.max_events_per_unit_time < 1:
-            raise ConfigError("max_events_per_unit_time must be >= 1")
+            raise ConfigError(f"must lie in (0, dt]; got {self.event_tol} with dt={self.dt}",
+                              "sim.event_tol")
+        cap = self.max_events_per_unit_time
+        if not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ConfigError(f"must be an integer >= 1, got {cap!r}",
+                              "sim.max_events_per_unit_time")
         sched = tuple((float(t), g) for (t, g) in self.topology_schedule)
         object.__setattr__(self, "topology_schedule", sched)
         prev = 0.0
-        for (t, g) in sched:
+        for k, (t, g) in enumerate(sched):
             if not isinstance(g, Graph):
-                raise ConfigError("topology_schedule entries must be (time, Graph)")
+                raise ConfigError("expected a (time, Graph) pair", f"sim.topology_schedule[{k}]")
             if t - prev < self.dwell_min:
-                raise ConfigError(
-                    f"switch at t={t} violates dwell_min={self.dwell_min} after t={prev}"
-                )
+                raise ConfigError(f"switch at t={t} comes within dwell_min={self.dwell_min} "
+                                  f"of t={prev}", f"sim.topology_schedule[{k}].t")
             prev = t
 
 

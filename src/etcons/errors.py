@@ -14,10 +14,15 @@ class EtconsError(Exception):
 
 
 class ConfigError(EtconsError, ValueError):
-    """Invalid user input: malformed config, bad graph spec, bad dimensions."""
+    """Invalid user input: malformed config, bad graph spec, bad dimensions.
+    The message starts with ``key``, the dotted config key at fault, if known."""
 
     exit_code = 2
     label = "config error"
+
+    def __init__(self, reason: str, key: str | None = None):
+        super().__init__(f"{key}: {reason}" if key else reason)
+        self.reason, self.key = reason, key
 
 
 class AssumptionError(EtconsError):

@@ -45,40 +45,40 @@ def build_graph(n: int, edges, leader: int | None = None) -> Graph:
 
     Edges are stored as (min, max) pairs in lexicographic order. Rejects
     out-of-range indices, self-loops and duplicate edges (regardless of
-    orientation).
+    orientation). Errors name the spec key at fault: n, edges or leader.
     """
     if not isinstance(n, int) or n <= 0:
-        raise ConfigError(f"node count must be a positive integer, got {n!r}")
+        raise ConfigError(f"node count must be a positive integer, got {n!r}", "n")
     canon = []
     seen = set()
     for e in edges:
         try:
             i, j = int(e[0]), int(e[1])
         except (TypeError, ValueError, IndexError):
-            raise ConfigError(f"edge {e!r} is not a pair of node indices") from None
+            raise ConfigError(f"edge {e!r} is not a pair of node indices", "edges") from None
         if i == j:
-            raise ConfigError(f"self-loop ({i},{j}) is not allowed")
+            raise ConfigError(f"self-loop ({i},{j}) is not allowed", "edges")
         if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"edge ({i},{j}) out of range for {n} nodes")
+            raise ConfigError(f"edge ({i},{j}) out of range for {n} nodes", "edges")
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise ConfigError(f"duplicate edge ({i},{j})")
+            raise ConfigError(f"duplicate edge ({i},{j})", "edges")
         seen.add(key)
         canon.append(key)
     if leader is not None:
         leader = int(leader)
         if not (0 <= leader < n):
-            raise ConfigError(f"leader index {leader} out of range for {n} nodes")
+            raise ConfigError(f"leader index {leader} out of range for {n} nodes", "leader")
     return Graph(n_nodes=n, edges=tuple(sorted(canon)), leader=leader)
 
 
 def generate_graph(name: str, n: int, leader: int | None = None) -> Graph:
     """Named generators: ring, path, complete, star (hub at node 0)."""
     if n <= 0:
-        raise ConfigError(f"node count must be positive, got {n}")
+        raise ConfigError(f"node count must be positive, got {n}", "n")
     if name == "ring":
         if n < 3:
-            raise ConfigError("ring needs at least 3 nodes")
+            raise ConfigError("ring needs at least 3 nodes", "n")
         edges = [(i, (i + 1) % n) for i in range(n)]
     elif name == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -87,7 +87,7 @@ def generate_graph(name: str, n: int, leader: int | None = None) -> Graph:
     elif name == "star":
         edges = [(0, i) for i in range(1, n)]
     else:
-        raise ConfigError(f"unknown graph generator {name!r}")
+        raise ConfigError(f"unknown graph generator {name!r}", "generator")
     return build_graph(n, edges, leader=leader)
 
 

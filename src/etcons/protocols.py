@@ -57,7 +57,7 @@ class ProtocolParams:
         for name in ("delta", "mu", "nu"):
             v = float(getattr(self, name))
             if not (v > 0 and math.isfinite(v)):
-                raise ConfigError(f"{name} must be a positive constant, got {v}")
+                raise ConfigError(f"must be a positive constant, got {v}", f"protocol.{name}")
             object.__setattr__(self, name, v)
 
     def _per_edge(self, name: str, g: Graph) -> np.ndarray:
@@ -87,9 +87,9 @@ class ProtocolParams:
         """(kappa, varrho, c0) aligned with g.edges; validates keys and signs."""
         kappa, varrho, c0 = (self._per_edge(name, g) for name in ("kappa", "varrho", "c0"))
         if (kappa <= 0).any():
-            raise ConfigError("kappa must be positive on every edge")
+            raise ConfigError("must be positive on every edge", "protocol.kappa")
         if (varrho < 0).any():
-            raise ConfigError("varrho must be nonnegative")
+            raise ConfigError("must be nonnegative on every edge", "protocol.varrho")
         return kappa, varrho, c0
 
 

@@ -227,6 +227,16 @@ class TestExitCodes:
                      id="protocol-kappa-duplicate-edge"),
         pytest.param("protocol", "kappa", {**RING_STAR_KAPPA, "7-9": 0.2},
                      id="protocol-kappa-node-out-of-range"),
+        ("graph", "generator", "foo"),
+        ("graph", "n", 0),
+        ("protocol", "delta", -1),
+        ("protocol", "kappa", 0),
+        ("sim", "t_end", -1),
+        ("sim", "event_tol", 0.01),
+        ("sim", "dwell_min", 0),
+        ("sim.disturbance", "amplitude", -1),
+        ("sim.topology_schedule[0].graph", "generator", "foo"),
+        ("sim.topology_schedule[0].graph", "n", 0),
     ])
     def test_malformed_number_exit_2(self, tmp_path, capsys, section, key, value):
         # ``section`` is a dotted path with optional [index] parts; the base
@@ -244,6 +254,8 @@ class TestExitCodes:
         for part in section.replace("]", "").replace("[", ".").split("."):
             node = node[int(part) if part.isdigit() else part]
         node[key] = value
+        # a graph spec gives one of 'generator' or 'edges'
+        node.pop({"generator": "edges", "edges": "generator"}.get(key), None)
         path = write_config(tmp_path, cfg)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {section}.{key}")

@@ -125,6 +125,19 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigError):
             DisturbanceSpec(kind="sinusoid", amplitude=-1.0)
 
+    @pytest.mark.parametrize("key, build", [
+        # a NaN dwell_min would admit switches 1 ms apart
+        ("sim.dwell_min", lambda g: SimConfig(t_end=10.0, dt=1e-3, dwell_min=float("nan"),
+                                              topology_schedule=((1.0, g), (1.001, g)))),
+        ("sim.max_events_per_unit_time",
+         lambda g: SimConfig(t_end=1.0, dt=1e-3, max_events_per_unit_time=2.5)),
+        ("sim.disturbance.frequency",
+         lambda g: DisturbanceSpec(kind="sinusoid", amplitude=0.1, frequency=float("inf"))),
+    ], ids=["dwell_min-nan", "max_events_per_unit_time-2.5", "frequency-inf"])
+    def test_rejects_nan_dwell_fractional_guard_and_infinite_frequency(self, key, build):
+        with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ": "):
+            build(generate_graph("ring", 4))
+
 
 class TestAssumptionChecks:
     def test_disconnected_graph(self, model, gains, params):
