@@ -41,7 +41,6 @@ from .graph import (
     Graph,
     build_graph,
     generate_graph,
-    has_leader_spanning_tree,
     is_connected,
     lambda2,
     laplacian,

@@ -83,14 +83,8 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _seed(value, where: str) -> int | None:
-    """A nonnegative integer, or null for an unseeded generator."""
-    if value is not None and not (_is_integer(value) and value >= 0):
-        raise ConfigError(f"{where}: expected an integer >= 0, got {value!r}")
-    return value
-
-
-def _leader(value, where: str) -> int | None:
+def _optional_integer(value, where: str) -> int | None:
+    """Null or an integer; the owner of the value checks its range."""
     return None if value is None else _integer(value, where)
 
 
@@ -134,7 +128,7 @@ def _edge(value, where: str) -> list:
 
 def _graph(value, where: str) -> Graph:
     spec = _read(value, {"n": _integer, "edges": _list_of(_edge), "generator": _text,
-                         "leader": _leader}, {"n"}, where)
+                         "leader": _optional_integer}, {"n"}, where)
     if ("generator" in spec) == ("edges" in spec):
         raise ConfigError(f"{where}: give exactly one of 'generator' or 'edges'")
     try:
@@ -166,9 +160,9 @@ def _switch(value, where: str) -> tuple[float, Graph]:
 
 
 def _disturbance(value, where: str) -> DisturbanceSpec:
-    return DisturbanceSpec(**_read(value, {"kind": _choice(DISTURBANCE_KINDS),
-                                           "amplitude": _number, "frequency": _number,
-                                           "seed": _seed}, {"kind", "amplitude"}, where))
+    readers = {"kind": _choice(DISTURBANCE_KINDS), "amplitude": _number,
+               "frequency": _number, "seed": _optional_integer}
+    return DisturbanceSpec(**_read(value, readers, {"kind", "amplitude"}, where))
 
 
 _STATES = _section({"values": _matrix,
@@ -184,7 +178,7 @@ _CONFIG = {
         "t_end": _number, "dt": _number, "event_tol": _number,
         # older configs name the one integrator; any other value is an error
         "solver": _choice(("rk4",)),
-        "seed": _seed,
+        "seed": _optional_integer,
         "disturbance": _disturbance,
         "topology_schedule": _list_of(_switch),
         "dwell_min": _number, "max_events_per_unit_time": _integer,

@@ -37,13 +37,19 @@ from .errors import (
     NoSpanningTreeError,
     ZenoGuardError,
 )
-from .graph import Graph, has_leader_spanning_tree, is_connected
+from .graph import Graph, is_connected
 from .linalg import GainSet, SystemModel, _Expm
 from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
 _SLACK = 1e-12  # relative: checkpoint times closer than this are one instant
 DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
+
+
+def _check_integer(value, low: int, key: str):
+    """``value`` must be an integer >= low; a bool is not an integer."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ConfigError(f"must be an integer >= {low}, got {value!r}", key)
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,8 @@ class DisturbanceSpec:
                               "sim.disturbance.amplitude")
         if not math.isfinite(self.frequency):
             raise ConfigError(f"must be finite, got {self.frequency}", "sim.disturbance.frequency")
+        if self.seed is not None:
+            _check_integer(self.seed, 0, "sim.disturbance.seed")
 
 
 @dataclass(frozen=True)
@@ -92,10 +100,9 @@ class SimConfig:
         if not (0 < self.event_tol <= self.dt):
             raise ConfigError(f"must lie in (0, dt]; got {self.event_tol} with dt={self.dt}",
                               "sim.event_tol")
-        cap = self.max_events_per_unit_time
-        if not (isinstance(cap, numbers.Integral) and cap >= 1):
-            raise ConfigError(f"must be an integer >= 1, got {cap!r}",
-                              "sim.max_events_per_unit_time")
+        if self.seed is not None:
+            _check_integer(self.seed, 0, "sim.seed")
+        _check_integer(self.max_events_per_unit_time, 1, "sim.max_events_per_unit_time")
         sched = tuple((float(t), g) for (t, g) in self.topology_schedule)
         object.__setattr__(self, "topology_schedule", sched)
         prev = 0.0
@@ -232,10 +239,9 @@ class _Simulation:
         self._nx = self.n_agents * model.n
         self._AT = model.A.T
         self._BT = model.B.T
-        parts = [np.asarray(x0, dtype=float).reshape(shape)]
+        parts = [np.asarray(x0, dtype=float)]
         if variant == "observer":
-            parts.append(np.zeros(shape) if chi0 is None
-                         else np.asarray(chi0, dtype=float).reshape(shape))
+            parts.append(np.zeros(shape) if chi0 is None else np.asarray(chi0, dtype=float))
             self._FCT = (gains.F @ model.C).T
         parts.append(self.kernel.c0)
         # the augmented state (x, chi when observing, c), read through _views
@@ -255,33 +261,30 @@ class _Simulation:
         self._segments = [WeightSegment(graph, 0.0, 0, [])]
 
         self._grid = self._checkpoints()
-        self._setup_disturbance(n_cells=self._grid[-1][1] + 1)
+        self._setup_disturbance()
 
     # -- disturbance ---------------------------------------------------
 
-    def _setup_disturbance(self, n_cells: int):
+    def _setup_disturbance(self):
         d = self.cfg.disturbance
         if d is None or d.amplitude == 0.0:
             self._dist_kind = None
             return
         self._dist_kind = d.kind
-        n, N = self.model.n, self.n_agents
-        mask = np.ones((N, 1))
+        self._amp = d.amplitude
+        N = self.n_agents
+        self._mask = np.ones((N, 1))
         if self.leader is not None:
-            mask[self.leader] = 0.0  # the leader flows unperturbed
+            self._mask[self.leader] = 0.0  # the leader flows unperturbed
         if d.kind == "constant":
-            self._w_const = d.amplitude * np.ones((N, n)) * mask
+            self._w_const = d.amplitude * np.ones(self._shape) * self._mask
         elif d.kind == "sinusoid":
             self._phases = 2 * np.pi * np.arange(N) / N
-            self._amp = d.amplitude
             self._omega = 2 * np.pi * d.frequency
-            self._mask = mask
         else:  # uniform-random, piecewise constant per base step
             seed = d.seed if d.seed is not None else (self.cfg.seed or 0) + 1
-            rng = np.random.default_rng(seed)
-            table = rng.uniform(-d.amplitude, d.amplitude,
-                                size=(n_cells, N, n))
-            self._w_table = table * mask[None, :, :]
+            self._rng = np.random.default_rng(seed)
+            self._w_cell = -1
 
     def _disturbance(self, t: float, cell: int) -> np.ndarray:
         if self._dist_kind == "constant":
@@ -289,7 +292,12 @@ class _Simulation:
         if self._dist_kind == "sinusoid":
             s = self._amp * np.sin(self._omega * t + self._phases)
             return s[:, None] * self._mask  # (N, 1), broadcast against xdot
-        return self._w_table[cell]
+        # cells are entered in order, so drawing each one's (N, n) values on
+        # entry reads the generator's stream as one (cells, N, n) draw would
+        while self._w_cell < cell:
+            self._w_cell += 1
+            self._w = self._rng.uniform(-self._amp, self._amp, self._shape) * self._mask
+        return self._w
 
     # -- flow ----------------------------------------------------------
 
@@ -511,21 +519,6 @@ class _Simulation:
         )
 
 
-def _validate_graph_for_variant(graph: Graph, variant: str):
-    if variant == "leader_follower":
-        if graph.leader is None:
-            raise ConfigError("leader_follower variant requires a graph with a leader")
-        if not has_leader_spanning_tree(graph):
-            raise NoSpanningTreeError(
-                "no spanning tree rooted at the leader reaches every follower"
-            )
-    else:
-        if graph.leader is not None:
-            raise ConfigError(f"{variant} variant requires a leaderless graph")
-        if not is_connected(graph):
-            raise DisconnectedGraphError("communication graph is not connected")
-
-
 def simulate(
     model: SystemModel,
     graph: Graph,
@@ -546,19 +539,30 @@ def simulate(
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _validate_graph_for_variant(graph, variant)
-    for (_, g) in sim.topology_schedule:
-        if g.n_nodes != graph.n_nodes:
-            raise ConfigError("topology_schedule graphs must keep the agent count")
-        if g.leader != graph.leader:
-            raise ConfigError("topology_schedule graphs must keep the same leader")
-        _validate_graph_for_variant(g, variant)
+    # every graph of the run, checked before the first step
+    leader_run = variant == "leader_follower"
+    for k, g in enumerate([graph] + [g for (_, g) in sim.topology_schedule]):
+        where = f"sim.topology_schedule[{k - 1}].graph" if k else "graph"
+        if (g.n_nodes, g.leader) != (graph.n_nodes, graph.leader):
+            raise ConfigError("must keep the initial graph's agent count and leader", where)
+        if (g.leader is not None) != leader_run:
+            raise ConfigError(f"the {variant} variant requires a graph "
+                              f"{'with' if leader_run else 'without'} a leader", where)
+        if not is_connected(g):
+            if leader_run:
+                raise NoSpanningTreeError(
+                    "no spanning tree rooted at the leader reaches every follower")
+            raise DisconnectedGraphError("communication graph is not connected")
+        params.edge_arrays(g)
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (graph.n_nodes, model.n):
-        raise ConfigError(
-            f"x0 has shape {x0.shape}, expected ({graph.n_nodes}, {model.n})"
-        )
+    shape = (graph.n_nodes, model.n)
+    for name, v in (("x0", x0), ("chi0", chi0)):
+        if v is not None:
+            v = np.asarray(v, dtype=float)
+            if v.shape != shape:
+                raise ConfigError(f"{name} has shape {v.shape}, expected {shape}")
+            if not np.isfinite(v).all():
+                raise ConfigError(f"{name} has non-finite entries")
     if gains.K.shape != (model.p, model.n):
         raise ConfigError(f"K has shape {gains.K.shape}, expected ({model.p}, {model.n})")
     if gains.Gamma.shape != (model.n, model.n):

@@ -40,6 +40,11 @@ class Graph:
         return self._adjacency[i]
 
 
+def _check_node_count(n):
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
+        raise ConfigError(f"node count must be a positive integer, got {n!r}", "n")
+
+
 def build_graph(n: int, edges, leader: int | None = None) -> Graph:
     """Validate and canonicalize a graph given as an edge list.
 
@@ -47,8 +52,7 @@ def build_graph(n: int, edges, leader: int | None = None) -> Graph:
     out-of-range indices, self-loops and duplicate edges (regardless of
     orientation). Errors name the spec key at fault: n, edges or leader.
     """
-    if not isinstance(n, int) or n <= 0:
-        raise ConfigError(f"node count must be a positive integer, got {n!r}", "n")
+    _check_node_count(n)
     canon = []
     seen = set()
     for e in edges:
@@ -74,8 +78,7 @@ def build_graph(n: int, edges, leader: int | None = None) -> Graph:
 
 def generate_graph(name: str, n: int, leader: int | None = None) -> Graph:
     """Named generators: ring, path, complete, star (hub at node 0)."""
-    if n <= 0:
-        raise ConfigError(f"node count must be positive, got {n}", "n")
+    _check_node_count(n)
     if name == "ring":
         if n < 3:
             raise ConfigError("ring needs at least 3 nodes", "n")
@@ -108,33 +111,19 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap.astype(float)
 
 
-def _reachable(g: Graph, root: int) -> int:
-    """Number of nodes reachable from ``root`` over the undirected edge set."""
-    seen = {root}
-    stack = [root]
+def is_connected(g: Graph) -> bool:
+    """Every node reachable from node 0 over the undirected edge set. With a
+    leader this is the leader-rooted spanning tree condition: follower links
+    are undirected, so the leader reaches every follower exactly when the
+    graph is connected."""
+    seen = {0}
+    stack = [0]
     while stack:
         for v in g.neighbors(stack.pop()):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen)
-
-
-def is_connected(g: Graph) -> bool:
-    """Breadth-first connectivity over the undirected edge set."""
-    return _reachable(g, 0) == g.n_nodes
-
-
-def has_leader_spanning_tree(g: Graph) -> bool:
-    """Every follower reachable from the leader.
-
-    Paths run through the leader's outgoing edges and the undirected
-    follower-follower edges, which is exactly breadth-first search from the
-    leader over the undirected edge set.
-    """
-    if g.leader is None:
-        raise ValueError("graph has no leader")
-    return _reachable(g, g.leader) == g.n_nodes
+    return len(seen) == g.n_nodes
 
 
 def lambda2(g: Graph) -> float:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,7 +134,17 @@ class TestSimConfigValidation:
          lambda g: SimConfig(t_end=1.0, dt=1e-3, max_events_per_unit_time=2.5)),
         ("sim.disturbance.frequency",
          lambda g: DisturbanceSpec(kind="sinusoid", amplitude=0.1, frequency=float("inf"))),
-    ], ids=["dwell_min-nan", "max_events_per_unit_time-2.5", "frequency-inf"])
+        *[("sim.seed", lambda g, seed=seed: SimConfig(t_end=1.0, dt=1e-3, seed=seed))
+          for seed in (-1, 1.5, True, "x")],
+        *[("sim.disturbance.seed",
+           lambda g, seed=seed: DisturbanceSpec(kind="uniform-random", amplitude=0.1, seed=seed))
+          for seed in (-1, 1.5)],
+        ("sim.max_events_per_unit_time",
+         lambda g: SimConfig(t_end=1.0, dt=1e-3, max_events_per_unit_time=True)),
+        ("n", lambda g: generate_graph("path", 2.5)),
+    ], ids=["dwell_min-nan", "max_events_per_unit_time-2.5", "frequency-inf",
+            "seed--1", "seed-1.5", "seed-True", "seed-x", "disturbance-seed--1",
+            "disturbance-seed-1.5", "max_events_per_unit_time-True", "generate_graph-n-2.5"])
     def test_rejects_nan_dwell_fractional_guard_and_infinite_frequency(self, key, build):
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + ": "):
             build(generate_graph("ring", 4))
@@ -174,6 +185,19 @@ class TestAssumptionChecks:
         with pytest.raises(ConfigError):
             simulate(model, ring6, gains, params, short_sim(), random_x0(),
                      chi0=np.zeros((6, 3)))
+
+    @pytest.mark.parametrize("x0, chi0, match", [
+        (random_x0(), np.zeros((3, 6)), "chi0 has shape"),
+        (random_x0(), np.zeros(18), "chi0 has shape"),
+        (random_x0(), np.zeros((5, 3)), "chi0 has shape"),
+        (np.where(np.eye(6, 3) == 1, np.nan, random_x0()), None, "x0 has non-finite"),
+        (random_x0(), np.full((6, 3), np.inf), "chi0 has non-finite"),
+    ], ids=["chi0-transposed", "chi0-flat", "chi0-wrong-size", "x0-nan", "chi0-inf"])
+    def test_initial_states_are_checked(self, model, params, ring6, x0, chi0, match):
+        m = SystemModel(A=A_TRIPLE, B=B_TRIPLE, C=[[1.0, 0, 0]])
+        with pytest.raises(ConfigError, match=match):
+            simulate(m, ring6, design_gains(m, observer=True), params, short_sim(), x0,
+                     variant="observer", chi0=chi0)
 
 
 class TestConsensusManifold:
@@ -432,6 +456,41 @@ class TestFlowQuality:
         assert traj.states.shape == (1001, 1, 1)
         assert np.allclose(traj.states[:, 0, 0], expected, rtol=0.0, atol=1e-13)
 
+    def test_random_disturbance_draws_follow_one_table(self, model, gains, params, ring6,
+                                                        monkeypatch):
+        # each cell's values are drawn on entry, and they are the rows of one
+        # (cells, N, n) draw; the switch at 0.1005 splits a cell in two
+        seen = {}
+        draw = _Simulation._disturbance
+
+        def record(self, t, cell):
+            seen[cell] = draw(self, t, cell).copy()
+            return seen[cell]
+
+        monkeypatch.setattr(_Simulation, "_disturbance", record)
+        dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
+        sim = short_sim(t_end=0.2, dwell_min=0.05, disturbance=dist,
+                        topology_schedule=((0.1005, generate_graph("star", 6)),))
+        simulate(model, ring6, gains, params, sim, random_x0())
+        table = np.random.default_rng(9).uniform(-0.2, 0.2, (200, 6, 3))
+        assert sorted(seen) == list(range(200))
+        assert all(np.array_equal(seen[k], table[k]) for k in seen)
+
+    def test_random_disturbance_holds_no_horizon_table(self, model, gains, params):
+        # ring400 over 30 s at dt = 1e-3 is 30,000 cells: a pre-drawn table
+        # of them takes 288 MB, one cell 9.6 kB
+        ring = generate_graph("ring", 400)
+        dist = DisturbanceSpec(kind="uniform-random", amplitude=0.1, seed=9)
+        sim = SimConfig(t_end=30.0, dt=1e-3, disturbance=dist)
+        x0 = random_x0(n_agents=400)
+        tracemalloc.start()
+        try:
+            _Simulation(model, ring, gains, params, sim, x0, "state")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_flow_detected(self, params):
         # synthetic unstable open loop: gains of zero leave xdot = 10 x
@@ -530,6 +589,29 @@ class TestTopologySwitch:
                         topology_schedule=((1.0, generate_graph("ring", 5)),))
         with pytest.raises(ConfigError):
             simulate(model, ring6, gains, params, sim, random_x0())
+
+    @pytest.mark.parametrize("variant, first, scheduled, kappa, error, match", [
+        ("leader_follower", generate_graph("ring", 6, leader=0),
+         generate_graph("ring", 6, leader=1), 0.2, ConfigError, "leader"),
+        ("state", generate_graph("ring", 6), build_graph(6, [(0, 1), (2, 3), (4, 5)]), 0.2,
+         DisconnectedGraphError, "not connected"),
+        ("leader_follower", generate_graph("ring", 6, leader=0),
+         build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], leader=0), 0.2,
+         NoSpanningTreeError, "spanning tree"),
+        ("state", generate_graph("ring", 6), generate_graph("ring", 6, leader=0), 0.2,
+         ConfigError, "leader"),
+        ("state", generate_graph("ring", 6), generate_graph("star", 6),
+         {(i, (i + 1) % 6): 0.2 for i in range(6)}, ConfigError, "protocol.kappa"),
+    ], ids=["other-leader", "disconnected", "leader-misses-follower",
+            "leader-graph-in-state-run", "kappa-misses-edge"])
+    def test_scheduled_graphs_are_checked_before_the_first_step(
+            self, model, gains, monkeypatch, variant, first, scheduled, kappa, error, match):
+        monkeypatch.setattr(_Simulation, "run",
+                            lambda self: pytest.fail("the run started before the check"))
+        params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, kappa=kappa)
+        sim = short_sim(t_end=2.0, dwell_min=0.5, topology_schedule=((1.0, scheduled),))
+        with pytest.raises(error, match=match):
+            simulate(model, first, gains, params, sim, random_x0(), variant=variant)
 
 
 class TestTrajectoryShape:

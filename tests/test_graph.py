@@ -5,7 +5,6 @@ from etcons.errors import ConfigError, DisconnectedGraphError
 from etcons.graph import (
     build_graph,
     generate_graph,
-    has_leader_spanning_tree,
     is_connected,
     lambda2,
     laplacian,
@@ -141,7 +140,7 @@ class TestConnectivity:
     def test_leader_ring_spanning_tree(self):
         edges = [(i, (i + 1) % 6) for i in range(6)]
         g = build_graph(6, edges, leader=0)
-        assert has_leader_spanning_tree(g)
+        assert is_connected(g)
 
     def test_spanning_tree_matches_bfs_oracle(self):
         rng = np.random.default_rng(3)
@@ -155,13 +154,9 @@ class TestConnectivity:
                     edges.add((min(a, b), max(a, b)))
             g = build_graph(n, sorted(edges), leader=0)
             expected = len(bfs_reachable(n, g.edges, 0)) == n
-            assert has_leader_spanning_tree(g) == expected
+            assert is_connected(g) == expected
             g2 = build_graph(n, sorted(edges))
             assert is_connected(g2) == expected
-
-    def test_spanning_tree_requires_leader(self):
-        with pytest.raises(ValueError):
-            has_leader_spanning_tree(build_graph(2, [(0, 1)]))
 
 
 class TestLambda2:

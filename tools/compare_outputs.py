@@ -2,17 +2,20 @@
 
     python tools/compare_outputs.py REV
 
-Runs the six shipped configs and the ring400/complete70 benchmark configs
-(seed 42) through ``etcons run`` once with this tree's ``src/`` and once
-with REV's, extracted by ``git archive`` into a temporary directory, and
-compares trajectory.csv, events.csv, weights.csv and summary.json byte
-for byte. Prints one line per config and exits 1 on any difference.
+Runs the six shipped configs, two 5 s variants of disturbance.json with a
+constant and a uniform-random disturbance, and the ring400/complete70
+benchmark configs (seed 42) through ``etcons run`` once with this tree's
+``src/`` and once with REV's, extracted by ``git archive`` into a
+temporary directory, and compares trajectory.csv, events.csv, weights.csv
+and summary.json byte for byte. Prints one line per config and exits 1 on
+any difference.
 The two sides of a config run in parallel, one process each.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import filecmp
 import glob
 import io
@@ -33,6 +36,12 @@ def _configs() -> list[tuple[str, dict]]:
     for path in sorted(glob.glob(os.path.join(REPO, "configs", "*.json"))):
         with open(path, encoding="utf-8") as fh:
             out.append((os.path.splitext(os.path.basename(path))[0], json.load(fh)))
+    # the shipped configs use no constant or uniform-random disturbance
+    for kind in ("constant", "uniform-random"):
+        cfg = copy.deepcopy(dict(out)["disturbance"])
+        cfg["sim"]["t_end"] = 5.0
+        cfg["sim"]["disturbance"] = {"kind": kind, "amplitude": 0.1}
+        out.append((f"disturbance_{kind}", cfg))
     sys.path.insert(0, os.path.join(REPO, "perfbench"))
     import workloads
     for workload in ("ring-sparse", "complete-dense"):
@@ -78,7 +87,7 @@ def main(argv=None) -> int:
                     failed.append(f"{side} exit {proc.returncode}: {last}")
             if failed:
                 differ = True
-                print(f"{name:16s} FAILED {'; '.join(failed)}", flush=True)
+                print(f"{name:26s} FAILED {'; '.join(failed)}", flush=True)
                 continue
             a, b = outs.values()
             changed = [f for f in OUTPUTS
@@ -86,7 +95,7 @@ def main(argv=None) -> int:
                                           shallow=False)]
             differ |= bool(changed)
             verdict = "differ: " + ", ".join(changed) if changed else "identical"
-            print(f"{name:16s} {len(OUTPUTS) - len(changed)}/{len(OUTPUTS)} {verdict}",
+            print(f"{name:26s} {len(OUTPUTS) - len(changed)}/{len(OUTPUTS)} {verdict}",
                   flush=True)
     return 1 if differ else 0
 
