@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -352,6 +353,7 @@ def build_summary(traj: Trajectory, gains: GainSet) -> dict:
             "event_tol": traj.sim.event_tol,
             "max_trigger_residual": max(trigger_residuals, default=None),
         },
+        "stats": dataclasses.asdict(traj.stats),
     }
 
 

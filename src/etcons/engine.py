@@ -26,7 +26,7 @@ import bisect
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,10 @@ from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
 _SLACK = 1e-12  # relative: checkpoint times closer than this are one instant
+# a pass holds at most this many (step, edge, state entry) values
+_BLOCK_ELEMENTS = 1024
+# the time of RK4 stage j within a step, in half widths: start, midpoint (twice), end
+_STAGE_NODE = np.array([0, 1, 1, 2])
 DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
 
 
@@ -149,6 +153,19 @@ class WeightSegment:
 
 
 @dataclass
+class RunStats:
+    """Work counters of one run, incremented by the engine: RK4 steps
+    integrated (those past a crossing and the re-integrations to event
+    instants included), the batched passes that took them, event
+    localizations, and trigger evaluations inside those localizations."""
+
+    steps: int = 0
+    passes: int = 0
+    localizations: int = 0
+    localization_evaluations: int = 0
+
+
+@dataclass
 class Trajectory:
     """Dense result of one simulation run."""
 
@@ -164,6 +181,7 @@ class Trajectory:
     params: ProtocolParams
     graph: Graph
     sim: SimConfig
+    stats: RunStats = field(default_factory=RunStats)
 
     def events_for(self, agent: int) -> list[EventRecord]:
         return [e for e in self.events if e.agent == agent]
@@ -217,6 +235,27 @@ def _rk4_extension(y0, h, k, theta):
                      + (c - 0.5 * t2) * k4)
 
 
+def _rk4(f, v, h):
+    """Classical RK4 on v' = f(v, j), j = 0..3 the stage, from v over the
+    widths h: the step's end, the four stage arguments and the stages."""
+    args, k = [v], [f(v, 0)]
+    for j, w in enumerate((0.5 * h, 0.5 * h, h), 1):
+        args.append(v + w * k[-1])
+        k.append(f(args[-1], j))
+    return v + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), args, k
+
+
+def _chain(v0, R, H, mul):
+    """v_1 .. v_K of v_{k+1} = mul(v_k, R_k) + H_k by recursive doubling:
+    log2 K stacked products instead of K sequential ones. Overwrites R, H."""
+    s = 1
+    while s < len(R):
+        H[s:] = mul(H[:-s], R[s:]) + H[s:]
+        R[s:] = mul(R[:-s], R[s:])
+        s *= 2
+    return mul(v0, R) + H
+
+
 class _Simulation:
     """Single-run engine state; see ``simulate`` for the public contract."""
 
@@ -234,25 +273,30 @@ class _Simulation:
         self.kernel = ProtocolKernel(graph, params, gains.K, gains.Gamma)
         self.expm = _Expm(model.A)
 
-        # the (N, n) layout and the transposed model, fixed for the run
+        # v' = v L + F: the flow of the agent stack v, fixed for the run
         self._shape = shape = (self.n_agents, model.n)
-        self._nx = self.n_agents * model.n
-        self._AT = model.A.T
-        self._BT = model.B.T
-        parts = [np.asarray(x0, dtype=float)]
+        v, AT = np.asarray(x0, dtype=float), model.A.T
+        self._L = AT
         if variant == "observer":
-            parts.append(np.zeros(shape) if chi0 is None else np.asarray(chi0, dtype=float))
-            self._FCT = (gains.F @ model.C).T
-        parts.append(self.kernel.c0)
-        # the augmented state (x, chi when observing, c), read through _views
-        self.y = np.concatenate([p.ravel() for p in parts])
+            FCT = (gains.F @ model.C).T
+            chi = np.zeros(shape) if chi0 is None else np.asarray(chi0, dtype=float)
+            v = np.hstack([v, chi])
+            self._L = np.block([[AT, -FCT], [np.zeros_like(AT), AT + FCT]])
+        self._vshape, self._nv = v.shape, v.size
+        self._BT = np.tile(model.B.T, (1, v.shape[1] // model.n))
+        self._eye = np.eye(v.shape[1])
+        # the augmented state (v, c), read through _views
+        self.y = np.concatenate([v.ravel(), self.kernel.c0])
         # the estimate stack and its edge work, always updated together
-        self.Z = self._views(self.y)[3].copy()
+        self.Z = v[:, -model.n:].copy()
         self.dq = self.kernel.edge_terms(self.Z)
 
         self.t = 0.0
         self.events: list[EventRecord] = []
+        self.stats = RunStats()
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
+        # block size: the last event-free run, doubled while none crosses
+        self._size, self._free = 1, 0
 
         self._times: list[float] = []
         self._states: list[np.ndarray] = []
@@ -260,7 +304,14 @@ class _Simulation:
         self._chis: list[np.ndarray] = []
         self._segments = [WeightSegment(graph, 0.0, 0, [])]
 
-        self._grid = self._checkpoints()
+        grid = self._checkpoints()
+        self._grid_t, self._grid_cell, self._grid_switch = (list(col) for col in zip(*grid))
+        # a pass ends at a switch checkpoint, and at every one in dense mode
+        self._stop, stop = [0] * len(grid), len(grid)
+        for k in range(len(grid) - 1, -1, -1):
+            if broadcast_every_step or grid[k][2] is not None:
+                stop = k + 1
+            self._stop[k] = stop
         self._setup_disturbance()
 
     # -- disturbance ---------------------------------------------------
@@ -284,73 +335,116 @@ class _Simulation:
         else:  # uniform-random, piecewise constant per base step
             seed = d.seed if d.seed is not None else (self.cfg.seed or 0) + 1
             self._rng = np.random.default_rng(seed)
-            self._w_cell = -1
+            self._held, self._w_next = {}, 0
 
-    def _disturbance(self, t: float, cell: int) -> np.ndarray:
+    def _disturbance(self, T: np.ndarray, cells) -> np.ndarray:
+        """The disturbance at the stage times T (4, B) of steps lying in
+        grid cells ``cells``, broadcastable to (4, B, N, n)."""
         if self._dist_kind == "constant":
             return self._w_const
         if self._dist_kind == "sinusoid":
-            s = self._amp * np.sin(self._omega * t + self._phases)
-            return s[:, None] * self._mask  # (N, 1), broadcast against xdot
+            s = self._amp * np.sin(self._omega * T[..., None] + self._phases)
+            return s[..., None] * self._mask
         # cells are entered in order, so drawing each one's (N, n) values on
-        # entry reads the generator's stream as one (cells, N, n) draw would
-        while self._w_cell < cell:
-            self._w_cell += 1
-            self._w = self._rng.uniform(-self._amp, self._amp, self._shape) * self._mask
-        return self._w
+        # first use reads the generator's stream as one (cells, N, n) draw
+        # would; a cell is held until a pass starts past it
+        for cell in range(self._w_next, cells[-1] + 1):
+            self._held[cell] = self._rng.uniform(-self._amp, self._amp, self._shape) * self._mask
+        self._w_next = max(self._w_next, cells[-1] + 1)
+        for cell in [c for c in self._held if c < cells[0]]:
+            del self._held[cell]
+        return np.stack([self._held[c] for c in cells])
 
     # -- flow ----------------------------------------------------------
 
     def _views(self, y: np.ndarray):
-        """(x, chi | None, c, live) views of an augmented state; ``live``
-        is what agents broadcast: chi for observer runs, else x."""
-        nx = self._nx
-        x = y[:nx].reshape(self._shape)
-        if self.variant != "observer":
-            return x, None, y[nx:], x
-        chi = y[nx: 2 * nx].reshape(self._shape)
-        return x, chi, y[2 * nx:], chi
+        """(v, c) views of augmented states y (..., nv + M). Row i of v is
+        agent i's x, followed by its chi on observer runs; agents broadcast
+        the last n columns (chi, or x)."""
+        nv = self._nv
+        return y[..., :nv].reshape(y.shape[:-1] + self._vshape), y[..., nv:]
 
-    def _rhs(self, t: float, y: np.ndarray, dq, cell: int) -> np.ndarray:
-        x, chi, c, _ = self._views(y)
-        u, cdot = self.kernel.flow_terms(dq, c)
-        bu = u @ self._BT
-        xdot = x @ self._AT + bu
+    def _steps(self, times, cells):
+        """Classical RK4 over the checkpoints times[0] (now) < ... < times[B]
+        in one batched pass; step k lies in grid cell cells[k].
+
+        Between broadcasts the estimates are e^{As} z, and given them the
+        flow is linear. So the start of every step comes first: c by its
+        per-edge scalar recurrence c_{k+1} = a_k c_k + b_k, then v by
+        v_{k+1} = v_k R_k + H_k, R_k being RK4's polynomial of h_k L and
+        H_k its step on the forcing alone, both chained by recursive
+        doubling. Then every step's four stages are evaluated at once.
+        Returns the end state of every step (B, nv + M), its estimate stack
+        and edge work, its trigger values and the stages of every step.
+        """
+        kern, B, n = self.kernel, len(times) - 1, self.model.n
+        self.stats.steps += B
+        self.stats.passes += 1
+        t = np.asarray(times, dtype=float)
+        h = t[1:] - t[:-1]
+        # the estimate stack at every step's midpoint and end, and the edge
+        # work that stage j of every step reads (at its start: the carried one)
+        o = np.empty(2 * B)
+        o[0::2] = t[:-1] - t[0] + 0.5 * h
+        o[1::2] = t[1:] - t[0]
+        Zs = self.Z @ self.expm.at(o).transpose(0, 2, 1)
+        d, q = kern.edge_terms(Zs)
+        ds, qs = ([np.concatenate([x0[None], x[1:-1:2]]) if B > 1 else x0[None],
+                   x[0::2], x[0::2], x[1::2]] for x0, x in zip(self.dq, (d, q)))
+        w = [None] * 4  # the disturbance at stage j of every step, (B, N, n)
         if self._dist_kind is not None:
-            xdot = xdot + self._disturbance(t, cell)
-        if chi is None:
-            return np.concatenate((xdot.ravel(), cdot))
-        chidot = chi @ self._AT + bu + (chi - x) @ self._FCT
-        return np.concatenate((xdot.ravel(), chidot.ravel(), cdot))
+            T = t[:-1] + np.multiply.outer(0.5 * _STAGE_NODE, h)
+            w = np.broadcast_to(self._disturbance(T, cells), (4, B) + self._shape)
+        L, BT, hc, nv = self._L, self._BT, h[:, None], self._nv
 
-    # A step of width h from (t, y, Z) starts from the stage k1 its caller
-    # formed; it returns (y1, z1, dq1, k): the end state, the propagated stack
-    # with its edge work, and the four stages, which give the continuous extension.
+        def v_rate(v, u, wj):
+            vdot = v @ L + u @ BT
+            if wj is not None:
+                vdot[..., :n] += wj
+            return vdot
 
-    def _step_rk4(self, t, y, Z, k1, h, cell):
-        z_half = Z @ self.expm.at(0.5 * h).T
-        z_full = Z @ self.expm.at(h).T
-        dq_half = self.kernel.edge_terms(z_half)
-        k2 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k1, dq_half, cell)
-        k3 = self._rhs(t + 0.5 * h, y + (0.5 * h) * k2, dq_half, cell)
-        dq_full = self.kernel.edge_terms(z_full)
-        k4 = self._rhs(t + h, y + h * k3, dq_full, cell)
-        y1 = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(y1).all():
-            raise NonFiniteStateError(f"non-finite state after step at t={t:.6f}")
-        return y1, z_full, dq_full, (k1, k2, k3, k4)
+        y_k = self.y[None]
+        if B > 1:
+            # c reads nothing but the edge work, so its starts come first
+            v0, c0 = self._views(self.y)
+            b = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), 0.0, hc[:-1])[0]
+            if kern.varrho.any():
+                a = _rk4(lambda c, j: kern.weight_rates(0.0, c), 1.0, hc[:-1])[0]
+                c_k = np.vstack([c0, _chain(c0, a, b, np.multiply)])
+            else:  # a running sum, so that no weight ever decreases
+                c_k = np.cumsum(np.vstack([c0, b]), axis=0)
+            c_args = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), c_k[:-1], hc[:-1])[1]
+            u = [kern.flow_terms((ds[j][:-1], qs[j][:-1]), c_args[j])[0] for j in range(4)]
+            wc = [None if x is None else x[:-1] for x in w]
+            hv = hc[:-1, :, None]
+            R = _rk4(lambda v, j: v @ L, self._eye, hv)[0]
+            H = _rk4(lambda v, j: v_rate(v, u[j], wc[j]), np.zeros_like(v0), hv)[0]
+            v_k = np.concatenate([v0[None], _chain(v0, R, H, np.matmul)])
+            y_k = np.concatenate([v_k.reshape(B, nv), c_k], axis=1)
+
+        def field(y, j):
+            u, cdot = kern.flow_terms((ds[j], qs[j]), y[:, nv:])
+            vdot = v_rate(y[:, :nv].reshape((len(y),) + self._vshape), u, w[j])
+            return np.concatenate([vdot.reshape(len(y), nv), cdot], axis=1)
+
+        y1, _, k = _rk4(field, y_k, hc)
+        y1[:-1] = y_k[1:]  # each step ends where the next one starts
+        Z_end, dq_end = Zs[1::2], (d[1::2], q[1::2])
+        v_end, c_end = self._views(y1)
+        f = kern.trigger_values(v_end[..., -n:], Z_end, dq_end, c_end, t[1:])
+        return y1, Z_end, dq_end, f, k
 
     # -- triggers --------------------------------------------------------
 
     def _triggers(self, t: float, y: np.ndarray, Z: np.ndarray, dq) -> np.ndarray:
         """Trigger values at t of state y and estimate stack Z with edge work dq."""
-        _, _, c, live = self._views(y)
-        return self.kernel.trigger_values(live, Z, dq, c, t)
+        v, c = self._views(y)
+        return self.kernel.trigger_values(v[:, -self.model.n:], Z, dq, c, t)
 
     def _broadcast(self, agents, t: float, f, kind: str):
         """Reset each agent's estimate to its live value at t, logging f[i],
         then form the edge work of the new stack."""
-        live = self._views(self.y)[3]
+        live = self._views(self.y)[0][:, -self.model.n:]
         for i in agents:
             value = live[i].copy()
             self.Z[i] = value
@@ -371,19 +465,20 @@ class _Simulation:
                     )
         self.dq = self.kernel.edge_terms(self.Z)
 
-    def _sweep(self, t: float) -> bool:
+    def _sweep(self, t: float, f: np.ndarray) -> bool:
         """Trigger every agent whose f >= 0, ascending index, resets
         immediately visible, at most one broadcast per agent; whether any
-        fired. The leader's f is -inf, so it never fires."""
+        fired. ``f`` holds the trigger values at t before any reset. The
+        leader's f is -inf, so it never fires."""
         eligible = np.ones(self.n_agents, dtype=bool)
         while True:
-            f = self._triggers(t, self.y, self.Z, self.dq)
             cands = np.flatnonzero(eligible & (f >= 0))
             if not cands.size:
                 return not eligible.all()
             i = int(cands[0])
             self._broadcast((i,), t, f, "trigger")
             eligible[i] = False
+            f = self._triggers(t, self.y, self.Z, self.dq)
 
     def _force_broadcast(self, t: float, kind: str):
         # f values are a pre-reset snapshot; forced broadcasts are not
@@ -399,15 +494,25 @@ class _Simulation:
 
     # -- storage ---------------------------------------------------------
 
+    def _store(self, times, y, Z):
+        """Record rows at ``times`` from flat states y (r, nv + M) and
+        estimate stacks Z (r, N, n), copied into compact arrays."""
+        n, v, c = self.model.n, *self._views(y)
+        self._times.extend(times)
+        self._states.append(v[..., :n].copy())
+        if self.variant == "observer":
+            self._chis.append(v[..., n:].copy())
+        self._estimates.append(Z.copy())
+        self._segments[-1].values.append(c.copy())
+
     def _store_row(self):
         """Record the current instant, after every reset at it."""
-        x, chi, c, _ = self._views(self.y)
-        self._times.append(self.t)
-        self._states.append(x.copy())
-        self._estimates.append(self.Z.copy())
-        if chi is not None:
-            self._chis.append(chi.copy())
-        self._segments[-1].values.append(c.copy())
+        self._store([self.t], self.y[None], self.Z[None])
+
+    def _commit(self, t: float, y, Z, dq, k: int):
+        """Make end k of a pass the current instant t."""
+        self.t, self.y = t, y[k].copy()
+        self.Z, self.dq = Z[k].copy(), (dq[0][k].copy(), dq[1][k].copy())
 
     # -- event localization ------------------------------------------------
 
@@ -417,9 +522,11 @@ class _Simulation:
         h = t1 - t0
         if h <= self.cfg.event_tol:
             return t1
-        z0 = self.Z
+        z0, stats = self.Z, self.stats
+        stats.localizations += 1
 
         def g(tm: float) -> float:
+            stats.localization_evaluations += 1
             ym = _rk4_extension(y0, h, k, (tm - t0) / h)
             zm = z0 @ self.expm.at(tm - t0).T
             return float(self._triggers(tm, ym, zm, self.kernel.edge_terms(zm)).max())
@@ -449,32 +556,62 @@ class _Simulation:
         merged = sorted(set(pts) | set(switches))
         return [(t, bisect.bisect_left(pts, t), switches.get(t)) for t in merged]
 
-    def _advance_to(self, tc: float, cell: int):
-        """Integrate up to checkpoint tc, processing and storing every
-        trigger instant before it; ``run`` stores the row at tc."""
-        slack = _SLACK * max(1.0, tc)
-        while tc - self.t > slack:
-            t0, y0 = self.t, self.y
-            k1 = self._rhs(t0, y0, self.dq, cell)
-            y1, z1, dq1, k = self._step_rk4(t0, y0, self.Z, k1, tc - t0, cell)
-            g1 = float(self._triggers(tc, y1, z1, dq1).max())
-            # steps return fresh arrays, so y1 and z1 are owned once committed
-            if g1 < 0:
-                self.t, self.y, self.Z, self.dq = tc, y1, z1, dq1
-                continue
-            t_star = self._localize(t0, y0, k, tc, g1)
-            if t_star < tc:
-                y1, z1, dq1, _ = self._step_rk4(t0, y0, self.Z, k1, t_star - t0, cell)
-            self.t, self.y, self.Z, self.dq = t_star, y1, z1, dq1
-            # if the re-integrated state is still below zero at t_star, no
-            # agent fires: the next pass localizes again from t_star, where
-            # the extension returns this very state, so the bracket holds
-            if self._sweep(t_star) and tc - t_star > slack:
+    def _advance(self, i: int) -> int:
+        """One pass from now over the checkpoints from i on: commit every
+        step before the first whose end has max f >= 0, and localize and
+        process that crossing. Returns the next checkpoint to reach."""
+        cap = max(1, _BLOCK_ELEMENTS // max(1, self.kernel.ei.size * self._vshape[1]))
+        size = min(self._size, cap)
+        j = min(i + size, self._stop[i])
+        B, times = j - i, [self.t] + self._grid_t[i:j]
+        y, Z, dq, f, stages = self._steps(times, self._grid_cell[i:j])
+        fmax = f.max(axis=1)
+        finite = np.isfinite(y).all(axis=1)
+        stop = (fmax >= 0) | ~finite
+        hit = int(np.argmax(stop)) if stop.any() else B
+        if hit < B and not finite[hit]:
+            raise NonFiniteStateError(f"non-finite state after step at t={times[hit]:.6f}")
+        m = min(hit, B - 1)  # the ends before the crossing, or before the last
+        if m:
+            self._store(times[1:m + 1], y[:m], Z[:m])
+        if hit:
+            self._commit(times[hit], y, Z, dq, hit - 1)
+        if hit == B:
+            self._size, self._free = 2 * size, self._free + B
+            self._reach(j - 1)
+            return j
+
+        self._size, self._free = max(1, self._free + hit), 0
+        t0, t1 = times[hit], times[hit + 1]
+        t_star = self._localize(t0, self.y, [k[hit] for k in stages], t1, float(fmax[hit]))
+        end = hit
+        if t_star < t1:
+            y, Z, dq, f, _ = self._steps([t0, t_star], [self._grid_cell[i + hit]])
+            end = 0
+        self._commit(t_star, y, Z, dq, end)
+        # if the re-integrated state is still below zero at t_star, no
+        # agent fires: the next pass localizes again from t_star, where
+        # the extension returns this very state, so the bracket holds
+        fired = self._sweep(t_star, f[end])
+        if t1 - t_star > _SLACK * max(1.0, t1):
+            if fired:
                 self._store_row()
+            return i + hit
+        self._reach(i + hit)
+        return i + hit + 1
+
+    def _reach(self, i: int):
+        """Checkpoint i is the current instant: apply its switch, force the
+        dense-mode round and store its row."""
+        if self._grid_switch[i] is not None:
+            self._apply_switch(self._grid_t[i], self._grid_switch[i])
+        if self.broadcast_every_step:
+            self._force_broadcast(self._grid_t[i], kind="forced")
+        self._store_row()
 
     def _apply_switch(self, t: float, new_graph: Graph):
-        c = self._views(self.y)[2]
-        self._segments[-1].values.append(c.copy())  # the old graph's row at t
+        c = self._views(self.y)[1]
+        self._segments[-1].values.append(c[None].copy())  # the old graph's row at t
         old = dict(zip(self.kernel.graph.edges, c))
         kernel = ProtocolKernel(new_graph, self.params, self.gains.K, self.gains.Gamma)
         c_new = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
@@ -491,23 +628,19 @@ class _Simulation:
             f0[self.leader] = np.nan
         self._broadcast(range(self.n_agents), 0.0, f0, "init")
         self._store_row()
-        for tc, cell, switch_graph in self._grid:
-            self._advance_to(tc, cell)
-            if switch_graph is not None:
-                self._apply_switch(tc, switch_graph)
-            if self.broadcast_every_step:
-                self._force_broadcast(tc, kind="forced")
-            self._store_row()
+        i = 0
+        while i < len(self._grid_t):
+            i = self._advance(i)
         return self._finalize()
 
     def _finalize(self) -> Trajectory:
         for seg in self._segments:
-            seg.values = np.array(seg.values)
+            seg.values = np.concatenate(seg.values)
         return Trajectory(
             times=np.array(self._times),
-            states=np.array(self._states),
-            estimates=np.array(self._estimates),
-            observer_states=np.array(self._chis) if self.variant == "observer" else None,
+            states=np.concatenate(self._states),
+            estimates=np.concatenate(self._estimates),
+            observer_states=np.concatenate(self._chis) if self.variant == "observer" else None,
             weight_segments=self._segments,
             events=self.events,
             variant=self.variant,
@@ -516,6 +649,7 @@ class _Simulation:
             params=self.params,
             graph=self._segments[0].graph,
             sim=self.cfg,
+            stats=self.stats,
         )
 
 
@@ -553,7 +687,10 @@ def simulate(
                 raise NoSpanningTreeError(
                     "no spanning tree rooted at the leader reaches every follower")
             raise DisconnectedGraphError("communication graph is not connected")
-        params.edge_arrays(g)
+        try:
+            params.edge_arrays(g)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc.reason} (in {where})", exc.key) from None
 
     shape = (graph.n_nodes, model.n)
     for name, v in (("x0", x0), ("chi0", chi0)):

@@ -216,20 +216,24 @@ class _Expm:
         for P in self._P:
             P.setflags(write=False)
 
-    def at(self, s: float) -> np.ndarray:
+    def at(self, s) -> np.ndarray:
+        """e^{A s}; for an array of widths, the stack of e^{A s_i}, all at
+        the degree and scaling that the widest needs."""
         P = self._P
+        s = np.asarray(s, dtype=float)
         squarings = 0
         if self._exact:
             k = len(P) - 1
         else:
-            theta = self._norm * abs(s)
+            theta = self._norm * float(abs(s) if s.ndim == 0 else np.abs(s).max())
             if theta > _TAYLOR_THETA[-1]:
                 # smallest j with theta 2^-j below the degree-cap radius
                 squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
-                s = math.ldexp(s, -squarings)
+                s = np.ldexp(s, -squarings)
                 theta = math.ldexp(theta, -squarings)
             k = min(bisect.bisect_left(_TAYLOR_THETA, theta), _MAX_DEGREE)
-        out = P[k]
+        s = s[..., None, None]
+        out = P[k] if k else np.broadcast_to(P[0], s.shape[:-2] + P[0].shape)
         for j in range(k - 1, -1, -1):
             out = out * s + P[j]
         for _ in range(squarings):

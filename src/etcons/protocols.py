@@ -69,18 +69,18 @@ class ProtocolParams:
             table: dict[Edge, float] = {}
             for (i, j), v in value.items():
                 if i == j or not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
-                    raise ConfigError(f"{where}: key {(i, j)} is not a pair of distinct "
-                                      f"nodes in 0..{g.n_nodes - 1}")
+                    raise ConfigError(f"key {(i, j)} is not a pair of distinct "
+                                      f"nodes in 0..{g.n_nodes - 1}", where)
                 edge = (min(i, j), max(i, j))
                 if edge in table:
-                    raise ConfigError(f"{where}: key {(i, j)} repeats edge {edge}")
+                    raise ConfigError(f"key {(i, j)} repeats edge {edge}", where)
                 table[edge] = float(v)
             missing = [e for e in g.edges if e not in table]
             if missing:
-                raise ConfigError(f"{where} missing entries for edges {missing}")
+                raise ConfigError(f"missing entries for edges {missing}", where)
             out = np.array([table[e] for e in g.edges], dtype=float)
         if not np.isfinite(out).all():
-            raise ConfigError(f"{where} contains non-finite values")
+            raise ConfigError("contains non-finite values", where)
         return out
 
     def edge_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,7 +103,9 @@ class ProtocolKernel:
     ``graph.edges`` order, the edges where it is the lower endpoint, then
     those where it is the upper one, and adds the two. Inputs are the
     estimate stack Z (N x n) and its edge work ``dq`` (see ``edge_terms``),
-    the live stack X or CHI, and the edge weight vector c (M,).
+    the live stack X or CHI, and the edge weight vector c (M,). Each input
+    may carry the same leading stack axes, for instance one slice per grid
+    point; a stacked call gives the bits of its per-slice calls.
     """
 
     def __init__(self, graph: Graph, params: ProtocolParams,
@@ -130,11 +132,27 @@ class ProtocolKernel:
         cols = np.arange(n)
         self._flat_i = (self.ei[:, None] * n + cols).ravel()
         self._flat_j = (self.ej[:, None] * n + cols).ravel()
+        self._stacked: dict[int, np.ndarray] = {}
+
+    def _segment_sum(self, v: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+        """sum of v[..., e] into bin index[e], (..., size): one bincount over
+        every leading slice, each slice's bins offset by its position."""
+        if v.ndim == 1:
+            return np.bincount(index, v, size)
+        slices = math.prod(v.shape[:-1])
+        if slices > 1:
+            # the offset indices of the most slices asked for; fewer are a prefix
+            stacked = self._stacked.get(id(index))
+            if stacked is None or stacked.size < v.size:
+                stacked = (np.arange(slices)[:, None] * size + index).ravel()
+                self._stacked[id(index)] = stacked
+            index = stacked[:v.size]
+        return np.bincount(index, v.ravel(), slices * size).reshape(v.shape[:-1] + (size,))
 
     def _node_sum(self, v: np.ndarray) -> np.ndarray:
-        """sum of v_e over the edges incident to each node, (N,)."""
+        """sum of v_e over the edges incident to each node, (..., N)."""
         N = self.n_agents
-        return np.bincount(self.ei, v, N) + np.bincount(self.ej, v, N)
+        return self._segment_sum(v, self.ei, N) + self._segment_sum(v, self.ej, N)
 
     def quadratic(self, v: np.ndarray) -> np.ndarray:
         """v' Gamma v per row of v.
@@ -151,22 +169,25 @@ class ProtocolKernel:
         It changes only when Z does, so the engine forms it once per stack
         and hands it to ``flow_terms`` and ``trigger_values``.
         """
-        d = Z.take(self.ei, axis=0) - Z.take(self.ej, axis=0)
+        d = Z.take(self.ei, axis=-2) - Z.take(self.ej, axis=-2)
         return d, self.quadratic(d)
+
+    def weight_rates(self, q, c) -> np.ndarray:
+        """cdot = kappa (-varrho c + q) per edge from q = d' Gamma d."""
+        return self.kappa * (self._neg_varrho * c + q)
 
     def flow_terms(self, dq: tuple[np.ndarray, np.ndarray],
                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Control inputs (N, p) and weight rates (M,) from the edge work."""
         d, q = dq
-        cdot = self.kappa * (self._neg_varrho * c + q)
         # sum_j c_ij (z_i - z_j): + c d_e at endpoint i, - c d_e at endpoint j
-        cd = (c[:, None] * d).ravel()
+        cd = (c[..., None] * d).reshape(c.shape[:-1] + (-1,))
         N, n = self._shape
-        s = (np.bincount(self._flat_i, cd, N * n)
-             - np.bincount(self._flat_j, cd, N * n)).reshape(self._shape)
+        s = (self._segment_sum(cd, self._flat_i, N * n)
+             - self._segment_sum(cd, self._flat_j, N * n)).reshape(cd.shape[:-1] + self._shape)
         if self.leader is not None:
-            s[self.leader] = 0.0
-        return s @ self.K.T, cdot
+            s[..., self.leader, :] = 0.0
+        return s @ self.K.T, self.weight_rates(q, c)
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,
@@ -174,12 +195,18 @@ class ProtocolKernel:
         """Stacked trigger values (N,); the leader's entry is -inf.
 
         ``live`` is the stack the broadcasts sample from: X for state
-        feedback and leader-follower runs, CHI for observer runs.
+        feedback and leader-follower runs, CHI for observer runs. On inputs
+        stacked along one leading axis ``t`` holds one time per slice.
         """
+        p = self.params
         eqf = self.quadratic(Z - live)
-        err_coef = self._node_sum(self.err_w * (1.0 + self.params.delta * c))
+        err_coef = self._node_sum(self.err_w * (1.0 + p.delta * c))
         dis = self._node_sum(self.dis_w * dq[1])
-        f = err_coef * eqf - dis - self.params.mu * math.exp(-self.params.nu * t)
+        if isinstance(t, np.ndarray):  # math.exp per time: np.exp may differ in the last bit
+            decay = np.array([p.mu * math.exp(-p.nu * s) for s in t])[:, None]
+        else:
+            decay = p.mu * math.exp(-p.nu * t)
+        f = err_coef * eqf - dis - decay
         if self.leader is not None:
-            f[self.leader] = -np.inf
+            f[..., self.leader] = -np.inf
         return f

@@ -3,8 +3,10 @@
 They are the straightforward per-agent, per-value and per-check forms of
 code that ``src/etcons`` runs in a faster shape: the protocol formulas are
 written for one agent or one edge (``ProtocolKernel`` stacks them), the
-CSV writers format one value per f-string, and the Zeno report rescans
-the event list and every weight row for each interval it checks.
+RK4 step is taken one stage at a time on the whole augmented state (the
+engine's ``_steps`` takes a run of steps in one batched pass), the CSV
+writers format one value per f-string, and the Zeno report rescans the
+event list and every weight row for each interval it checks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from typing import Mapping
 
 import numpy as np
+import scipy.linalg
 
 from etcons.analysis import ZenoCheck, ZenoReport, _grid_slice
 from etcons.cli import _fmt
@@ -84,6 +87,39 @@ def trigger_value(
         else:
             f += (1.0 + delta * c) * eqf - 0.25 * q
     return f
+
+
+def rk4_step(sim, t: float, y: np.ndarray, Z: np.ndarray, h: float, w=None):
+    """One classical RK4 step of width h of an engine's flow from the flat
+    state y (each agent's x, then its chi on observer runs, then the edge
+    weights) and estimate stack Z at t, one stage at a time.
+
+    ``w(s)`` is the disturbance (N, n) at stage time s, or None. Returns
+    the end state, the end estimate stack and the four stages.
+    """
+    model, kernel = sim.model, sim.kernel
+    n, m = model.n, kernel.ei.size
+    rows = sim.n_agents
+
+    def rhs(s, y, Zs):
+        v, c = y[:y.size - m].reshape(rows, -1), y[y.size - m:]
+        x = v[:, :n]
+        u, cdot = kernel.flow_terms(kernel.edge_terms(Zs), c)
+        bu = u @ model.B.T
+        xdot = x @ model.A.T + bu + (0.0 if w is None else w(s))
+        if v.shape[1] == n:
+            return np.concatenate((xdot.ravel(), cdot))
+        chi = v[:, n:]
+        chidot = chi @ model.A.T + bu + (chi - x) @ (sim.gains.F @ model.C).T
+        return np.concatenate((np.hstack([xdot, chidot]).ravel(), cdot))
+
+    z_half = Z @ scipy.linalg.expm(model.A * (0.5 * h)).T
+    z_full = Z @ scipy.linalg.expm(model.A * h).T
+    k1 = rhs(t, y, Z)
+    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1, z_half)
+    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2, z_half)
+    k4 = rhs(t + h, y + h * k3, z_full)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), z_full, (k1, k2, k3, k4)
 
 
 def graph_at(traj: Trajectory, t: float) -> Graph:

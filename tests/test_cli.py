@@ -114,6 +114,18 @@ class TestRunCommand:
         assert summary["theorem1_bound"]["available"] is True
         assert summary["theorem1_bound"]["bound"] == 0.0
 
+    def test_summary_stats_keys(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG)
+        out = str(tmp_path / "results")
+        assert main(["run", path, "--out", out]) == 0
+        with open(os.path.join(out, "summary.json")) as fh:
+            stats = json.load(fh)["stats"]
+        assert sorted(stats) == ["localization_evaluations", "localizations", "passes", "steps"]
+        assert all(isinstance(v, int) for v in stats.values())
+        # 2,000 grid steps taken in fewer passes; a localization evaluates f
+        assert stats["steps"] >= 2000 > stats["passes"] > 0
+        assert stats["localization_evaluations"] > stats["localizations"] > 0
+
     def test_byte_identical_outputs_same_seed(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)
         out_a = str(tmp_path / "a")
@@ -125,10 +137,15 @@ class TestRunCommand:
                  open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
 
-    def test_byte_identical_outputs_any_blas_thread_count(self, tmp_path):
+    @pytest.mark.parametrize("graph, t_end", [
+        ({"generator": "complete", "n": 30}, 0.2),
+        # ring6 runs dozens of grid steps per pass, so stacked products count
+        ({"generator": "ring", "n": 6}, 2.0),
+    ], ids=["complete30", "ring6"])
+    def test_byte_identical_outputs_any_blas_thread_count(self, tmp_path, graph, t_end):
         cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["graph"] = {"generator": "complete", "n": 30}
-        cfg["sim"]["t_end"] = 0.2
+        cfg["graph"] = graph
+        cfg["sim"]["t_end"] = t_end
         path = write_config(tmp_path, cfg)
         src = os.path.dirname(os.path.dirname(os.path.abspath(etcons.__file__)))
         for threads in ("1", "2"):
@@ -138,7 +155,7 @@ class TestRunCommand:
             subprocess.run([sys.executable, "-m", "etcons.cli", "run", path,
                             "--out", str(tmp_path / threads)],
                            env=env, check=True, capture_output=True, timeout=300)
-        for name in ("trajectory.csv", "events.csv", "weights.csv"):
+        for name in ("trajectory.csv", "events.csv", "weights.csv", "summary.json"):
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "2" / name).read_bytes(), name
 

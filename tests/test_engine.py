@@ -331,8 +331,8 @@ class TestContinuousExtension:
         engine = _Simulation(model, ring6, gains, params, short_sim(), random_x0(),
                              "state")
         h = 1e-3
-        k1 = engine._rhs(0.0, engine.y, engine.dq, 0)
-        y1, _, _, k = engine._step_rk4(0.0, engine.y, engine.Z, k1, h, 0)
+        y1, _, _, _, k = engine._steps([0.0, h], [0])
+        y1, k = y1[0], [stage[0] for stage in k]
         assert np.array_equal(_rk4_extension(engine.y, h, k, 0.0), engine.y)
         ulp = np.spacing(np.maximum(np.abs(engine.y), np.abs(y1)))
         assert (np.abs(_rk4_extension(engine.y, h, k, 1.0) - y1) <= 4 * ulp).all()
@@ -360,7 +360,7 @@ class TestContinuousExtension:
 
 class TestCarriedEdgeWork:
     """The engine carries each estimate stack with its edge work; every
-    step start and every trigger evaluation must see the pair in step."""
+    pass start and every trigger evaluation must see the pair in step."""
 
     def _checked_run(self, monkeypatch, *args, **kwargs):
         checks = []
@@ -370,18 +370,17 @@ class TestCarriedEdgeWork:
             assert np.array_equal(dq[0], d) and np.array_equal(dq[1], q)
             checks.append(1)
 
-        step, triggers = _Simulation._step_rk4, _Simulation._triggers
+        steps, triggers = _Simulation._steps, _Simulation._triggers
 
-        def checked_step(sim, t, y, Z, k1, h, cell):
-            assert Z is sim.Z
-            check(sim, Z, sim.dq)
-            return step(sim, t, y, Z, k1, h, cell)
+        def checked_steps(sim, times, cells):
+            check(sim, sim.Z, sim.dq)
+            return steps(sim, times, cells)
 
         def checked_triggers(sim, t, y, Z, dq):
             check(sim, Z, dq)
             return triggers(sim, t, y, Z, dq)
 
-        monkeypatch.setattr(_Simulation, "_step_rk4", checked_step)
+        monkeypatch.setattr(_Simulation, "_steps", checked_steps)
         monkeypatch.setattr(_Simulation, "_triggers", checked_triggers)
         traj = simulate(*args, **kwargs)
         assert checks
@@ -402,6 +401,46 @@ class TestCarriedEdgeWork:
                                  short_sim(t_end=2.0, seed=42), random_x0(),
                                  variant="observer")
         assert any(e.kind == "trigger" for e in traj.events)
+
+
+def _shipped(name: str, **sim) -> dict:
+    from etcons.cli import load_config
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", name + ".json"))
+    cfg["sim"].update(sim)
+    return cfg
+
+
+class TestPasses:
+    def test_leaderless_run_batches_its_steps(self):
+        from etcons.cli import RunSetup
+
+        stats = RunSetup(_shipped("leaderless_sec5", t_end=5.0)).run()[0].stats
+        assert stats.steps >= 5000
+        assert stats.passes <= stats.steps / 8
+        assert stats.localization_evaluations > stats.localizations > 0
+
+    def test_ring400_passes_stay_within_the_element_cap(self, monkeypatch):
+        from etcons.cli import RunSetup
+
+        sizes = []
+        steps = _Simulation._steps
+
+        def recorded(sim, times, cells):
+            sizes.append((len(times) - 1, sim.kernel.ei.size * sim._vshape[1]))
+            return steps(sim, times, cells)
+
+        monkeypatch.setattr(_Simulation, "_steps", recorded)
+        cfg = _shipped("leaderless_sec5", t_end=0.2)
+        cfg["graph"] = {"generator": "ring", "n": 400}
+        traj = RunSetup(cfg).run()[0]
+        # a pass of more than one step holds at most the element budget
+        assert all(b == 1 or b * per_step <= engine_module._BLOCK_ELEMENTS
+                   for b, per_step in sizes)
+        assert traj.stats.passes == len(sizes)
+        assert traj.stats.steps == sum(b for b, _ in sizes)
+        assert sum(e.kind == "trigger" for e in traj.events) > 50
 
 
 class TestDeterminism:
@@ -458,14 +497,17 @@ class TestFlowQuality:
 
     def test_random_disturbance_draws_follow_one_table(self, model, gains, params, ring6,
                                                         monkeypatch):
-        # each cell's values are drawn on entry, and they are the rows of one
-        # (cells, N, n) draw; the switch at 0.1005 splits a cell in two
+        # each cell's values are drawn on first use and held while passes
+        # need them, and they are the rows of one (cells, N, n) draw; the
+        # switch at 0.1005 splits a cell in two
         seen = {}
         draw = _Simulation._disturbance
 
-        def record(self, t, cell):
-            seen[cell] = draw(self, t, cell).copy()
-            return seen[cell]
+        def record(self, T, cells):
+            w = draw(self, T, cells)
+            for cell, values in zip(cells, w):
+                assert np.array_equal(seen.setdefault(cell, values.copy()), values)
+            return w
 
         monkeypatch.setattr(_Simulation, "_disturbance", record)
         dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
@@ -612,6 +654,19 @@ class TestTopologySwitch:
         sim = short_sim(t_end=2.0, dwell_min=0.5, topology_schedule=((1.0, scheduled),))
         with pytest.raises(error, match=match):
             simulate(model, first, gains, params, sim, random_x0(), variant=variant)
+
+
+    def test_per_edge_errors_name_the_key_and_the_graph(self, model, gains):
+        # a ring-only kappa map misses the star's edges (0, 2), (0, 3), (0, 4)
+        params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5,
+                                kappa={(i, (i + 1) % 6): 0.2 for i in range(6)})
+        sim = short_sim(t_end=2.0, dwell_min=0.5,
+                        topology_schedule=((1.0, generate_graph("star", 6)),))
+        with pytest.raises(ConfigError) as info:
+            simulate(model, generate_graph("ring", 6), gains, params, sim, random_x0())
+        assert info.value.key == "protocol.kappa"
+        assert "(0, 2)" in info.value.reason
+        assert "sim.topology_schedule[0].graph" in info.value.reason
 
 
 class TestTrajectoryShape:

@@ -328,3 +328,33 @@ class TestKernelMemory:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestStackedCalls:
+    @pytest.mark.parametrize("graph", [generate_graph("ring", 6),
+                                       generate_graph("complete", 12),
+                                       build_graph(5, [(0, 1), (0, 2), (2, 3), (3, 4)], leader=0)],
+                             ids=["ring6", "complete12", "leader-path5"])
+    @pytest.mark.parametrize("lead", [(1,), (7,), (4, 3)])
+    def test_stacked_call_equals_its_per_slice_calls(self, graph, lead):
+        rng = np.random.default_rng(5)
+        n = 3
+        k = rng.normal(size=(2, n))
+        params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, kappa=0.3, varrho=0.1)
+        kernel = ProtocolKernel(graph, params, k, k.T @ k)
+        Z = rng.normal(size=lead + (graph.n_nodes, n))
+        live = rng.normal(size=Z.shape)
+        c = rng.uniform(0, 2, lead + (len(graph.edges),))
+        d, q = kernel.edge_terms(Z)
+        u, cdot = kernel.flow_terms((d, q), c)
+        for idx in np.ndindex(*lead):
+            d1, q1 = kernel.edge_terms(Z[idx])
+            assert np.array_equal(d[idx], d1) and np.array_equal(q[idx], q1)
+            u1, cdot1 = kernel.flow_terms((d1, q1), c[idx])
+            assert np.array_equal(u[idx], u1) and np.array_equal(cdot[idx], cdot1)
+        if len(lead) == 1:  # one time per slice
+            t = rng.uniform(0, 30, lead)
+            f = kernel.trigger_values(live, Z, (d, q), c, t)
+            for s in range(lead[0]):
+                f1 = kernel.trigger_values(live[s], Z[s], (d[s], q[s]), c[s], float(t[s]))
+                assert np.array_equal(f[s], f1)
