@@ -1,23 +1,25 @@
 """Hybrid simulation loop: continuous flow, event detection, trigger resets.
 
-The augmented ODE state is one flat vector y = (x, chi, c): all agent
-states row-major (N n), then all observer states when present (N n), then
-the edge weights in ``graph.edges`` order (M). ``_Simulation._views`` is
-the only place that knows these offsets; everything else works on its
-reshaped views. Broadcast estimates are never integrated: they are
-closed-form matrix-exponential propagations of the latest samples, kept
-as the rows of the estimate stack Z, so an agent's own estimate cannot
-drift away from its own state numerically.
+The augmented state is one flat vector y = (v, c): row i of the agent
+stack v (N, d) holds agent i's state x, then its observer state chi on
+observer runs, and c holds the edge weights in ``graph.edges`` order.
+``_Simulation._views`` is the only place that knows this layout.
+Broadcast estimates are never integrated: they are closed-form
+propagations e^{As} z of the latest samples, kept as the rows of the
+estimate stack Z, so an agent's own estimate cannot drift numerically.
 
-The flow between events is integrated by classical RK4, one step from
-the current instant to the next base-grid or switch instant. Triggers are
-monitored at step endpoints. A sign change of any trigger function starts
-a bisection on RK4's continuous extension of the step (its own stages);
-the flow is re-integrated up to the localized instant and every agent
-whose trigger function is nonnegative there broadcasts (ascending index,
-each reset immediately visible, one broadcast per agent per instant). If
-none is, the crossing is localized again from that instant. Each
-instant's row is stored once, after its last reset.
+The flow is classical RK4 on the base grid merged with the switch
+instants, a run of grid steps per batched pass (``_Simulation._steps``).
+A pass starts from the last event-free run length and doubles while no
+trigger crosses; it holds at most ``_BLOCK_ELEMENTS`` values per stack
+and ends at a switch instant (at every grid instant in dense mode). Its
+steps are committed up to the first whose end has a trigger value >= 0.
+That crossing is bisected on RK4's continuous extension of the step (its
+own stages), the flow is re-integrated up to the localized instant, and
+every agent whose trigger function is nonnegative there broadcasts
+(ascending index, each reset immediately visible, one broadcast per agent
+per instant). If none is, the crossing is localized again from that
+instant. Each instant's row is stored once, after its last reset.
 """
 
 from __future__ import annotations
@@ -43,10 +45,7 @@ from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
 _SLACK = 1e-12  # relative: checkpoint times closer than this are one instant
-# a pass holds at most this many (step, edge, state entry) values
-_BLOCK_ELEMENTS = 1024
-# the time of RK4 stage j within a step, in half widths: start, midpoint (twice), end
-_STAGE_NODE = np.array([0, 1, 1, 2])
+_BLOCK_ELEMENTS = 1024  # a pass of several steps holds at most B M d edge values
 DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
 
 
@@ -154,10 +153,9 @@ class WeightSegment:
 
 @dataclass
 class RunStats:
-    """Work counters of one run, incremented by the engine: RK4 steps
-    integrated (those past a crossing and the re-integrations to event
-    instants included), the batched passes that took them, event
-    localizations, and trigger evaluations inside those localizations."""
+    """Work counters of one run: RK4 steps integrated (those past a crossing
+    and re-integrations included), the passes that took them, event
+    localizations and the trigger evaluations inside them."""
 
     steps: int = 0
     passes: int = 0
@@ -237,12 +235,11 @@ def _rk4_extension(y0, h, k, theta):
 
 def _rk4(f, v, h):
     """Classical RK4 on v' = f(v, j), j = 0..3 the stage, from v over the
-    widths h: the step's end, the four stage arguments and the stages."""
-    args, k = [v], [f(v, 0)]
+    widths h: the step's end and its four stages."""
+    k = [f(v, 0)]
     for j, w in enumerate((0.5 * h, 0.5 * h, h), 1):
-        args.append(v + w * k[-1])
-        k.append(f(args[-1], j))
-    return v + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), args, k
+        k.append(f(v + w * k[-1], j))
+    return v + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), k
 
 
 def _chain(v0, R, H, mul):
@@ -306,12 +303,9 @@ class _Simulation:
 
         grid = self._checkpoints()
         self._grid_t, self._grid_cell, self._grid_switch = (list(col) for col in zip(*grid))
-        # a pass ends at a switch checkpoint, and at every one in dense mode
-        self._stop, stop = [0] * len(grid), len(grid)
-        for k in range(len(grid) - 1, -1, -1):
-            if broadcast_every_step or grid[k][2] is not None:
-                stop = k + 1
-            self._stop[k] = stop
+        # a pass ends after a switch checkpoint, and after every one in dense mode
+        self._ends = [k + 1 for k, (_, _, g) in enumerate(grid)
+                      if broadcast_every_step or g is not None] + [len(grid)]
         self._setup_disturbance()
 
     # -- disturbance ---------------------------------------------------
@@ -368,20 +362,20 @@ class _Simulation:
         """Classical RK4 over the checkpoints times[0] (now) < ... < times[B]
         in one batched pass; step k lies in grid cell cells[k].
 
-        Between broadcasts the estimates are e^{As} z, and given them the
-        flow is linear. So the start of every step comes first: c by its
-        per-edge scalar recurrence c_{k+1} = a_k c_k + b_k, then v by
-        v_{k+1} = v_k R_k + H_k, R_k being RK4's polynomial of h_k L and
-        H_k its step on the forcing alone, both chained by recursive
-        doubling. Then every step's four stages are evaluated at once.
-        Returns the end state of every step (B, nv + M), its estimate stack
-        and edge work, its trigger values and the stages of every step.
+        Given the estimates e^{As} z the flow is linear, so the start of
+        every step comes first: c by its per-edge scalar recurrence
+        c_{k+1} = a_k c_k + b_k, then v by v_{k+1} = v_k R_k + H_k (R_k is
+        RK4's polynomial of h_k L, H_k its step on the forcing alone), both
+        chained by recursive doubling. Then all stages are evaluated at
+        once. Returns every step's end state (B, nv + M), estimate stack,
+        edge work and trigger values, and the stages of every step.
         """
-        kern, B, n = self.kernel, len(times) - 1, self.model.n
+        kern, B, n, nv, L = self.kernel, len(times) - 1, self.model.n, self._nv, self._L
         self.stats.steps += B
         self.stats.passes += 1
         t = np.asarray(times, dtype=float)
         h = t[1:] - t[:-1]
+        hc = h[:, None]
         # the estimate stack at every step's midpoint and end, and the edge
         # work that stage j of every step reads (at its start: the carried one)
         o = np.empty(2 * B)
@@ -391,21 +385,21 @@ class _Simulation:
         d, q = kern.edge_terms(Zs)
         ds, qs = ([np.concatenate([x0[None], x[1:-1:2]]) if B > 1 else x0[None],
                    x[0::2], x[0::2], x[1::2]] for x0, x in zip(self.dq, (d, q)))
-        w = [None] * 4  # the disturbance at stage j of every step, (B, N, n)
+        w = None  # the disturbance at stage j of every step, (4, B, N, n)
         if self._dist_kind is not None:
-            T = t[:-1] + np.multiply.outer(0.5 * _STAGE_NODE, h)
+            T = t[:-1] + np.multiply.outer([0.0, 0.5, 0.5, 1.0], h)  # stage times
             w = np.broadcast_to(self._disturbance(T, cells), (4, B) + self._shape)
-        L, BT, hc, nv = self._L, self._BT, h[:, None], self._nv
 
-        def v_rate(v, u, wj):
-            vdot = v @ L + u @ BT
-            if wj is not None:
-                vdot[..., :n] += wj
-            return vdot
+        def field(y, j):  # the flow at stage j of the first len(y) steps
+            m = len(y)
+            u, cdot = kern.flow_terms((ds[j][:m], qs[j][:m]), y[:, nv:])
+            vdot = y[:, :nv].reshape((m,) + self._vshape) @ L + u @ self._BT
+            if w is not None:
+                vdot[..., :n] += w[j][:m]
+            return np.concatenate([vdot.reshape(m, nv), cdot], axis=1)
 
         y_k = self.y[None]
-        if B > 1:
-            # c reads nothing but the edge work, so its starts come first
+        if B > 1:  # c reads nothing but the edge work, so its starts come first
             v0, c0 = self._views(self.y)
             b = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), 0.0, hc[:-1])[0]
             if kern.varrho.any():
@@ -413,21 +407,11 @@ class _Simulation:
                 c_k = np.vstack([c0, _chain(c0, a, b, np.multiply)])
             else:  # a running sum, so that no weight ever decreases
                 c_k = np.cumsum(np.vstack([c0, b]), axis=0)
-            c_args = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), c_k[:-1], hc[:-1])[1]
-            u = [kern.flow_terms((ds[j][:-1], qs[j][:-1]), c_args[j])[0] for j in range(4)]
-            wc = [None if x is None else x[:-1] for x in w]
-            hv = hc[:-1, :, None]
-            R = _rk4(lambda v, j: v @ L, self._eye, hv)[0]
-            H = _rk4(lambda v, j: v_rate(v, u[j], wc[j]), np.zeros_like(v0), hv)[0]
-            v_k = np.concatenate([v0[None], _chain(v0, R, H, np.matmul)])
-            y_k = np.concatenate([v_k.reshape(B, nv), c_k], axis=1)
-
-        def field(y, j):
-            u, cdot = kern.flow_terms((ds[j], qs[j]), y[:, nv:])
-            vdot = v_rate(y[:, :nv].reshape((len(y),) + self._vshape), u, w[j])
-            return np.concatenate([vdot.reshape(len(y), nv), cdot], axis=1)
-
-        y1, _, k = _rk4(field, y_k, hc)
+            R = _rk4(lambda v, j: v @ L, self._eye, hc[:-1, :, None])[0]
+            H = _rk4(field, np.hstack([np.zeros((B - 1, nv)), c_k[:-1]]), hc[:-1])[0]
+            v_k = _chain(v0, R, self._views(H)[0], np.matmul)
+            y_k = np.hstack([np.vstack([v0.ravel(), v_k.reshape(B - 1, nv)]), c_k])
+        y1, k = _rk4(field, y_k, hc)
         y1[:-1] = y_k[1:]  # each step ends where the next one starts
         Z_end, dq_end = Zs[1::2], (d[1::2], q[1::2])
         v_end, c_end = self._views(y1)
@@ -562,13 +546,12 @@ class _Simulation:
         process that crossing. Returns the next checkpoint to reach."""
         cap = max(1, _BLOCK_ELEMENTS // max(1, self.kernel.ei.size * self._vshape[1]))
         size = min(self._size, cap)
-        j = min(i + size, self._stop[i])
+        j = min(i + size, self._ends[bisect.bisect_right(self._ends, i)])
         B, times = j - i, [self.t] + self._grid_t[i:j]
         y, Z, dq, f, stages = self._steps(times, self._grid_cell[i:j])
         fmax = f.max(axis=1)
         finite = np.isfinite(y).all(axis=1)
-        stop = (fmax >= 0) | ~finite
-        hit = int(np.argmax(stop)) if stop.any() else B
+        hit = int(np.argmax(np.append((fmax >= 0) | ~finite, True)))
         if hit < B and not finite[hit]:
             raise NonFiniteStateError(f"non-finite state after step at t={times[hit]:.6f}")
         m = min(hit, B - 1)  # the ends before the crossing, or before the last
@@ -601,8 +584,7 @@ class _Simulation:
         return i + hit + 1
 
     def _reach(self, i: int):
-        """Checkpoint i is the current instant: apply its switch, force the
-        dense-mode round and store its row."""
+        """At checkpoint i: apply its switch, force the dense round, store the row."""
         if self._grid_switch[i] is not None:
             self._apply_switch(self._grid_t[i], self._grid_switch[i])
         if self.broadcast_every_step:
@@ -636,21 +618,11 @@ class _Simulation:
     def _finalize(self) -> Trajectory:
         for seg in self._segments:
             seg.values = np.concatenate(seg.values)
-        return Trajectory(
-            times=np.array(self._times),
-            states=np.concatenate(self._states),
-            estimates=np.concatenate(self._estimates),
-            observer_states=np.concatenate(self._chis) if self.variant == "observer" else None,
-            weight_segments=self._segments,
-            events=self.events,
-            variant=self.variant,
-            model=self.model,
-            gains=self.gains,
-            params=self.params,
-            graph=self._segments[0].graph,
-            sim=self.cfg,
-            stats=self.stats,
-        )
+        observer = np.concatenate(self._chis) if self.variant == "observer" else None
+        return Trajectory(np.array(self._times), np.concatenate(self._states),
+                          np.concatenate(self._estimates), observer, self._segments,
+                          self.events, self.variant, self.model, self.gains, self.params,
+                          self._segments[0].graph, self.cfg, self.stats)
 
 
 def simulate(

@@ -225,7 +225,7 @@ class _Expm:
         if self._exact:
             k = len(P) - 1
         else:
-            theta = self._norm * float(abs(s) if s.ndim == 0 else np.abs(s).max())
+            theta = self._norm * float(np.abs(s).max())
             if theta > _TAYLOR_THETA[-1]:
                 # smallest j with theta 2^-j below the degree-cap radius
                 squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]

@@ -132,27 +132,24 @@ class ProtocolKernel:
         cols = np.arange(n)
         self._flat_i = (self.ei[:, None] * n + cols).ravel()
         self._flat_j = (self.ej[:, None] * n + cols).ravel()
-        self._stacked: dict[int, np.ndarray] = {}
 
-    def _segment_sum(self, v: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-        """sum of v[..., e] into bin index[e], (..., size): one bincount over
-        every leading slice, each slice's bins offset by its position."""
-        if v.ndim == 1:
-            return np.bincount(index, v, size)
+    def _endpoint_sums(self, v: np.ndarray, at_i: np.ndarray, at_j: np.ndarray,
+                       size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Segment sums of v[..., e] into bins at_i[e] and into bins at_j[e],
+        each (..., size): one bincount over every leading slice, each
+        slice's bins offset by its position."""
         slices = math.prod(v.shape[:-1])
         if slices > 1:
-            # the offset indices of the most slices asked for; fewer are a prefix
-            stacked = self._stacked.get(id(index))
-            if stacked is None or stacked.size < v.size:
-                stacked = (np.arange(slices)[:, None] * size + index).ravel()
-                self._stacked[id(index)] = stacked
-            index = stacked[:v.size]
-        return np.bincount(index, v.ravel(), slices * size).reshape(v.shape[:-1] + (size,))
+            offsets = np.arange(slices)[:, None] * size
+            at_i, at_j = (offsets + at_i).ravel(), (offsets + at_j).ravel()
+        v, shape = v.ravel(), v.shape[:-1] + (size,)
+        return (np.bincount(at_i, v, slices * size).reshape(shape),
+                np.bincount(at_j, v, slices * size).reshape(shape))
 
     def _node_sum(self, v: np.ndarray) -> np.ndarray:
         """sum of v_e over the edges incident to each node, (..., N)."""
-        N = self.n_agents
-        return self._segment_sum(v, self.ei, N) + self._segment_sum(v, self.ej, N)
+        at_i, at_j = self._endpoint_sums(v, self.ei, self.ej, self.n_agents)
+        return at_i + at_j
 
     def quadratic(self, v: np.ndarray) -> np.ndarray:
         """v' Gamma v per row of v.
@@ -183,8 +180,8 @@ class ProtocolKernel:
         # sum_j c_ij (z_i - z_j): + c d_e at endpoint i, - c d_e at endpoint j
         cd = (c[..., None] * d).reshape(c.shape[:-1] + (-1,))
         N, n = self._shape
-        s = (self._segment_sum(cd, self._flat_i, N * n)
-             - self._segment_sum(cd, self._flat_j, N * n)).reshape(cd.shape[:-1] + self._shape)
+        at_i, at_j = self._endpoint_sums(cd, self._flat_i, self._flat_j, N * n)
+        s = (at_i - at_j).reshape(cd.shape[:-1] + self._shape)
         if self.leader is not None:
             s[..., self.leader, :] = 0.0
         return s @ self.K.T, self.weight_rates(q, c)
