@@ -45,7 +45,7 @@ from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
 _SLACK = 1e-12  # relative: checkpoint times closer than this are one instant
-_BLOCK_ELEMENTS = 1024  # a pass of several steps holds at most B M d edge values
+_BLOCK_ELEMENTS = 2048  # a pass of several steps holds at most B M d edge values
 DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
 
 
@@ -365,10 +365,11 @@ class _Simulation:
         Given the estimates e^{As} z the flow is linear, so the start of
         every step comes first: c by its per-edge scalar recurrence
         c_{k+1} = a_k c_k + b_k, then v by v_{k+1} = v_k R_k + H_k (R_k is
-        RK4's polynomial of h_k L, H_k its step on the forcing alone), both
-        chained by recursive doubling. Then all stages are evaluated at
-        once. Returns every step's end state (B, nv + M), estimate stack,
-        edge work and trigger values, and the stages of every step.
+        RK4's polynomial of h_k L, H_k the step from v = 0, taken for all
+        steps at once), both chained by recursive doubling. A step's
+        stages are those from v = 0 plus those of v' = v L from v_k.
+        Returns every step's end state (B, nv + M), estimate stack, edge
+        work and trigger values, and the stages of every step.
         """
         kern, B, n, nv, L = self.kernel, len(times) - 1, self.model.n, self._nv, self._L
         self.stats.steps += B
@@ -398,8 +399,10 @@ class _Simulation:
                 vdot[..., :n] += w[j][:m]
             return np.concatenate([vdot.reshape(m, nv), cdot], axis=1)
 
-        y_k = self.y[None]
-        if B > 1:  # c reads nothing but the edge work, so its starts come first
+        if B == 1:
+            y_k = self.y[None]
+            y1, k = _rk4(field, y_k, hc)
+        else:  # c reads nothing but the edge work, so its starts come first
             v0, c0 = self._views(self.y)
             b = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), 0.0, hc[:-1])[0]
             if kern.varrho.any():
@@ -407,11 +410,16 @@ class _Simulation:
                 c_k = np.vstack([c0, _chain(c0, a, b, np.multiply)])
             else:  # a running sum, so that no weight ever decreases
                 c_k = np.cumsum(np.vstack([c0, b]), axis=0)
-            R = _rk4(lambda v, j: v @ L, self._eye, hc[:-1, :, None])[0]
-            H = _rk4(field, np.hstack([np.zeros((B - 1, nv)), c_k[:-1]]), hc[:-1])[0]
-            v_k = _chain(v0, R, self._views(H)[0], np.matmul)
-            y_k = np.hstack([np.vstack([v0.ravel(), v_k.reshape(B - 1, nv)]), c_k])
-        y1, k = _rk4(field, y_k, hc)
+            # every step from v = 0: its end is H_k, its stages the forcing's part
+            H, k = _rk4(field, np.hstack([np.zeros((B, nv)), c_k]), hc)
+            hv = hc[:, :, None]
+            R = _rk4(lambda v, j: v @ L, self._eye, hv[:-1])[0]
+            v_k = np.vstack([v0[None], _chain(v0, R, self._views(H[:-1])[0], np.matmul)])
+            # the stages from v_k add those of v' = v L alone
+            for kj, hom in zip(k, _rk4(lambda v, j: v @ L, v_k, hv)[1]):
+                kj[:, :nv] += hom.reshape(B, nv)
+            y_k = np.hstack([v_k.reshape(B, nv), c_k])
+            y1 = y_k + (hc / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
         y1[:-1] = y_k[1:]  # each step ends where the next one starts
         Z_end, dq_end = Zs[1::2], (d[1::2], q[1::2])
         v_end, c_end = self._views(y1)
@@ -618,11 +626,21 @@ class _Simulation:
     def _finalize(self) -> Trajectory:
         for seg in self._segments:
             seg.values = np.concatenate(seg.values)
-        observer = np.concatenate(self._chis) if self.variant == "observer" else None
-        return Trajectory(np.array(self._times), np.concatenate(self._states),
-                          np.concatenate(self._estimates), observer, self._segments,
-                          self.events, self.variant, self.model, self.gains, self.params,
-                          self._segments[0].graph, self.cfg, self.stats)
+        return Trajectory(
+            times=np.array(self._times),
+            states=np.concatenate(self._states),
+            estimates=np.concatenate(self._estimates),
+            observer_states=np.concatenate(self._chis) if self.variant == "observer" else None,
+            weight_segments=self._segments,
+            events=self.events,
+            variant=self.variant,
+            model=self.model,
+            gains=self.gains,
+            params=self.params,
+            graph=self._segments[0].graph,
+            sim=self.cfg,
+            stats=self.stats,
+        )
 
 
 def simulate(
