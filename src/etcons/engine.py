@@ -391,17 +391,18 @@ class _Simulation:
             T = t[:-1] + np.multiply.outer([0.0, 0.5, 0.5, 1.0], h)  # stage times
             w = np.broadcast_to(self._disturbance(T, cells), (4, B) + self._shape)
 
-        def field(y, j):  # the flow at stage j of the first len(y) steps
-            m = len(y)
-            u, cdot = kern.flow_terms((ds[j][:m], qs[j][:m]), y[:, nv:])
-            vdot = y[:, :nv].reshape((m,) + self._vshape) @ L + u @ self._BT
+        def field(y, j):  # the flow at stage j of the first len(y) steps (of the step, 1-D y)
+            m = y.shape[:-1]
+            sl = slice(len(y)) if m else 0
+            u, cdot = kern.flow_terms((ds[j][sl], qs[j][sl]), y[..., nv:])
+            vdot = y[..., :nv].reshape(m + self._vshape) @ L + u @ self._BT
             if w is not None:
-                vdot[..., :n] += w[j][:m]
-            return np.concatenate([vdot.reshape(m, nv), cdot], axis=1)
+                vdot[..., :n] += w[j][sl]
+            return np.concatenate([vdot.reshape(m + (nv,)), cdot], axis=-1)
 
-        if B == 1:
-            y_k = self.y[None]
-            y1, k = _rk4(field, y_k, hc)
+        if B == 1:  # one step: plain arrays, whose operations cost less
+            y1, k = _rk4(field, self.y, float(h[0]))
+            y1, k = y1[None], [x[None] for x in k]
         else:  # c reads nothing but the edge work, so its starts come first
             v0, c0 = self._views(self.y)
             b = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), 0.0, hc[:-1])[0]
@@ -420,7 +421,7 @@ class _Simulation:
                 kj[:, :nv] += hom.reshape(B, nv)
             y_k = np.hstack([v_k.reshape(B, nv), c_k])
             y1 = y_k + (hc / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-        y1[:-1] = y_k[1:]  # each step ends where the next one starts
+            y1[:-1] = y_k[1:]  # each step ends where the next one starts
         Z_end, dq_end = Zs[1::2], (d[1::2], q[1::2])
         v_end, c_end = self._views(y1)
         f = kern.trigger_values(v_end[..., -n:], Z_end, dq_end, c_end, t[1:])
