@@ -153,9 +153,8 @@ class WeightSegment:
 
 @dataclass
 class RunStats:
-    """Work counters of one run: RK4 steps integrated (those past a crossing
-    and re-integrations included), the passes that took them, event
-    localizations and the trigger evaluations inside them."""
+    """Work counters of one run: RK4 steps taken (discarded ones included),
+    the passes that took them, localizations and their f evaluations."""
 
     steps: int = 0
     passes: int = 0
@@ -233,11 +232,12 @@ def _rk4_extension(y0, h, k, theta):
                      + (c - 0.5 * t2) * k4)
 
 
-def _rk4(f, v, h):
+def _rk4(f, v, h, k1=None):
     """Classical RK4 on v' = f(v, j), j = 0..3 the stage, from v over the
-    widths h: the step's end and its four stages."""
-    k = [f(v, 0)]
-    for j, w in enumerate((0.5 * h, 0.5 * h, h), 1):
+    widths h: the step's end and its four stages. ``k1`` is f(v, 0) when
+    the caller holds it."""
+    k, half = [f(v, 0) if k1 is None else k1], 0.5 * h
+    for j, w in enumerate((half, half, h), 1):
         k.append(f(v + w * k[-1], j))
     return v + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), k
 
@@ -268,7 +268,7 @@ class _Simulation:
         self.leader = graph.leader
 
         self.kernel = ProtocolKernel(graph, params, gains.K, gains.Gamma)
-        self.expm = _Expm(model.A)
+        self.expm_T = _Expm(model.A.T)  # (e^{As})^T, so Z (e^{As})^T is Z @ expm_T.at(s)
 
         # v' = v L + F: the flow of the agent stack v, fixed for the run
         self._shape = shape = (self.n_agents, model.n)
@@ -358,74 +358,68 @@ class _Simulation:
         nv = self._nv
         return y[..., :nv].reshape(y.shape[:-1] + self._vshape), y[..., nv:]
 
-    def _steps(self, times, cells):
+    def _steps(self, times, cells, k1=None):
         """Classical RK4 over the checkpoints times[0] (now) < ... < times[B]
-        in one batched pass; step k lies in grid cell cells[k].
+        in one pass; step k lies in grid cell cells[k]. ``k1`` is the first
+        stage of a single step when the caller holds it. Returns every
+        step's end state (B, nv + M), estimate stack, edge work and trigger
+        values, and its four stages.
 
-        Given the estimates e^{As} z the flow is linear, so the start of
-        every step comes first: c by its per-edge scalar recurrence
-        c_{k+1} = a_k c_k + b_k, then v by v_{k+1} = v_k R_k + H_k (R_k is
-        RK4's polynomial of h_k L, H_k the step from v = 0, taken for all
-        steps at once), both chained by recursive doubling. A step's
-        stages are those from v = 0 plus those of v' = v L from v_k.
-        Returns every step's end state (B, nv + M), estimate stack, edge
-        work and trigger values, and the stages of every step.
+        Given the estimates e^{As} z the flow is linear, so the later steps'
+        starts come first: c_{k+1} = a_k c_k + b_k per edge, then v_{k+1} =
+        v_k R_k + H_k (R_k is RK4's polynomial of h_k L, H_k the step from
+        v = 0), both chained by recursive doubling. One RK4 call then takes
+        every step from its start, on unstacked arrays for a single step.
         """
         kern, B, n, nv, L = self.kernel, len(times) - 1, self.model.n, self._nv, self._L
         self.stats.steps += B
         self.stats.passes += 1
-        t = np.asarray(times, dtype=float)
-        h = t[1:] - t[:-1]
-        hc = h[:, None]
-        # the estimate stack at every step's midpoint and end, and the edge
-        # work that stage j of every step reads (at its start: the carried one)
-        o = np.empty(2 * B)
-        o[0::2] = t[:-1] - t[0] + 0.5 * h
-        o[1::2] = t[1:] - t[0]
-        Zs = self.Z @ self.expm.at(o).transpose(0, 2, 1)
+        h = np.array([[b - a] for a, b in zip(times, times[1:])])
+        o = []  # every step's midpoint and end, from now
+        for a, b in zip(times, times[1:]):
+            o += (a - times[0] + 0.5 * (b - a), b - times[0])
+        Zs = self.Z @ self.expm_T.at(o)
         d, q = kern.edge_terms(Zs)
-        ds, qs = ([np.concatenate([x0[None], x[1:-1:2]]) if B > 1 else x0[None],
-                   x[0::2], x[0::2], x[1::2]] for x0, x in zip(self.dq, (d, q)))
-        w = None  # the disturbance at stage j of every step, (4, B, N, n)
+        # the rows that stage j of every step reads: its start (now: the
+        # carried edge work), midpoint, midpoint and end; a single step
+        # reads them unstacked
+        mid, end = (0, 1) if B == 1 else (slice(0, None, 2), slice(1, None, 2))
+        ds, qs = ([x0 if B == 1 else np.concatenate([x0[None], x[1:-1:2]]), x[mid], x[mid], x[end]]
+                  for x0, x in zip(self.dq, (d, q)))
+        w = None  # the disturbance at stage j of every step
         if self._dist_kind is not None:
-            T = t[:-1] + np.multiply.outer([0.0, 0.5, 0.5, 1.0], h)  # stage times
+            T = np.array(times[:-1]) + np.multiply.outer([0.0, 0.5, 0.5, 1.0], h[:, 0])
             w = np.broadcast_to(self._disturbance(T, cells), (4, B) + self._shape)
+            w = w if B > 1 else w[:, 0]
 
-        def field(y, j):  # the flow at stage j of the first len(y) steps (of the step, 1-D y)
-            m = y.shape[:-1]
-            sl = slice(len(y)) if m else 0
-            u, cdot = kern.flow_terms((ds[j][sl], qs[j][sl]), y[..., nv:])
-            vdot = y[..., :nv].reshape(m + self._vshape) @ L + u @ self._BT
+        def field(y, j):  # the flow at stage j of every step
+            u, cdot = kern.flow_terms((ds[j], qs[j]), y[..., nv:])
+            vdot = y[..., :nv].reshape(u.shape[:-1] + (-1,)) @ L + u @ self._BT
             if w is not None:
-                vdot[..., :n] += w[j][sl]
-            return np.concatenate([vdot.reshape(m + (nv,)), cdot], axis=-1)
+                vdot[..., :n] += w[j]
+            return np.concatenate([vdot.reshape(cdot.shape[:-1] + (nv,)), cdot], axis=-1)
 
-        if B == 1:  # one step: plain arrays, whose operations cost less
-            y1, k = _rk4(field, self.y, float(h[0]))
-            y1, k = y1[None], [x[None] for x in k]
-        else:  # c reads nothing but the edge work, so its starts come first
+        y_k, hs = self.y, h[0, 0]
+        if B > 1:  # c reads nothing but the edge work, so its starts come first
             v0, c0 = self._views(self.y)
-            b = _rk4(lambda c, j: kern.weight_rates(qs[j][:-1], c), 0.0, hc[:-1])[0]
+            b = _rk4(lambda c, j: kern.weight_rates(qs[j], c), 0.0, h)[0][:-1]
             if kern.varrho.any():
-                a = _rk4(lambda c, j: kern.weight_rates(0.0, c), 1.0, hc[:-1])[0]
+                a = _rk4(lambda c, j: kern.weight_rates(0.0, c), 1.0, h)[0][:-1]
                 c_k = np.vstack([c0, _chain(c0, a, b, np.multiply)])
             else:  # a running sum, so that no weight ever decreases
                 c_k = np.cumsum(np.vstack([c0, b]), axis=0)
-            # every step from v = 0: its end is H_k, its stages the forcing's part
-            H, k = _rk4(field, np.hstack([np.zeros((B, nv)), c_k]), hc)
-            hv = hc[:, :, None]
-            R = _rk4(lambda v, j: v @ L, self._eye, hv[:-1])[0]
-            v_k = np.vstack([v0[None], _chain(v0, R, self._views(H[:-1])[0], np.matmul)])
-            # the stages from v_k add those of v' = v L alone
-            for kj, hom in zip(k, _rk4(lambda v, j: v @ L, v_k, hv)[1]):
-                kj[:, :nv] += hom.reshape(B, nv)
-            y_k = np.hstack([v_k.reshape(B, nv), c_k])
-            y1 = y_k + (hc / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+            H = self._views(_rk4(field, np.hstack([np.zeros((B, nv)), c_k]), h)[0][:-1])[0]
+            R = _rk4(lambda v, j: v @ L, self._eye, h[:-1, :, None])[0]
+            v_k = np.vstack([v0[None], _chain(v0, R, H, np.matmul)])
+            y_k, hs = np.hstack([v_k.reshape(B, nv), c_k]), h
+        y1, k = _rk4(field, y_k, hs, k1)
+        if B > 1:
             y1[:-1] = y_k[1:]  # each step ends where the next one starts
-        Z_end, dq_end = Zs[1::2], (d[1::2], q[1::2])
-        v_end, c_end = self._views(y1)
-        f = kern.trigger_values(v_end[..., -n:], Z_end, dq_end, c_end, t[1:])
-        return y1, Z_end, dq_end, f, k
+        v1, c1 = self._views(y1)
+        f = kern.trigger_values(v1[..., -n:], Zs[end], (d[end], q[end]), c1,
+                                times[1] if B == 1 else times[1:])
+        return (y1.reshape(B, -1), Zs[1::2], (d[1::2], q[1::2]), f.reshape(B, -1),
+                [x.reshape(B, -1) for x in k])
 
     # -- triggers --------------------------------------------------------
 
@@ -456,7 +450,7 @@ class _Simulation:
                         f"t={t:.6f}; exceeds max_events_per_unit_time="
                         f"{self.cfg.max_events_per_unit_time}"
                     )
-        self.dq = self.kernel.edge_terms(self.Z)
+        self.dq, self._f_now = self.kernel.edge_terms(self.Z), None
 
     def _sweep(self, t: float, f: np.ndarray) -> bool:
         """Trigger every agent whose f >= 0, ascending index, resets
@@ -467,6 +461,7 @@ class _Simulation:
         while True:
             cands = np.flatnonzero(eligible & (f >= 0))
             if not cands.size:
+                self._f_now = float(f.max())
                 return not eligible.all()
             i = int(cands[0])
             self._broadcast((i,), t, f, "trigger")
@@ -502,28 +497,38 @@ class _Simulation:
         """Record the current instant, after every reset at it."""
         self._store([self.t], self.y[None], self.Z[None])
 
-    def _commit(self, t: float, y, Z, dq, k: int):
-        """Make end k of a pass the current instant t."""
-        self.t, self.y = t, y[k].copy()
-        self.Z, self.dq = Z[k].copy(), (dq[0][k].copy(), dq[1][k].copy())
+    def _commit(self, t: float, y, Z, dq, f, k: int):
+        """Make end k of a pass the current instant t; the pass's arrays
+        live on until the next one, but no stored row points into them.
+        ``_f_now`` keeps the trigger maximum at the current state."""
+        self.t, self.y, self.Z, self.dq = t, y[k], Z[k], (dq[0][k], dq[1][k])
+        self._f_now = float(f[k].max())
 
     # -- event localization ------------------------------------------------
 
-    def _localize(self, t0, y0, k, t1, g1: float) -> float:
+    def _localize(self, t0, y0, k, t1, g1) -> float:
         """Event time in (t0, t1] on the continuous extension of the step
-        with stages ``k``; ``g1`` is the trigger maximum at t1."""
+        with stages ``k``. ``g1`` is the trigger maximum at the step's own
+        RK4 end, or None when the pass took t1's state from the next step's
+        start, which may differ from that end in the last bits."""
         h = t1 - t0
         if h <= self.cfg.event_tol:
             return t1
-        z0, stats = self.Z, self.stats
+        z0, g0, stats = self.Z, self._f_now, self.stats
         stats.localizations += 1
 
         def g(tm: float) -> float:
+            if tm == t0 and g0 is not None:  # the same bits: the extension starts at y0
+                return g0
             stats.localization_evaluations += 1
             ym = _rk4_extension(y0, h, k, (tm - t0) / h)
-            zm = z0 @ self.expm.at(tm - t0).T
+            zm = z0 @ self.expm_T.at(tm - t0)
             return float(self._triggers(tm, ym, zm, self.kernel.edge_terms(zm)).max())
 
+        if g1 is None:
+            g1 = g(t1)
+            if g1 < 0:  # only the next step's start crosses: the event is at t1
+                return t1
         return locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g1)
 
     # -- main loop ---------------------------------------------------------
@@ -558,16 +563,16 @@ class _Simulation:
         j = min(i + size, self._ends[bisect.bisect_right(self._ends, i)])
         B, times = j - i, [self.t] + self._grid_t[i:j]
         y, Z, dq, f, stages = self._steps(times, self._grid_cell[i:j])
-        fmax = f.max(axis=1)
-        finite = np.isfinite(y).all(axis=1)
-        hit = int(np.argmax(np.append((fmax >= 0) | ~finite, True)))
+        fmax = f.max(axis=1).tolist()
+        finite = np.isfinite(y).all(axis=1).tolist()
+        hit = next((k for k in range(B) if fmax[k] >= 0 or not finite[k]), B)
         if hit < B and not finite[hit]:
             raise NonFiniteStateError(f"non-finite state after step at t={times[hit]:.6f}")
         m = min(hit, B - 1)  # the ends before the crossing, or before the last
         if m:
             self._store(times[1:m + 1], y[:m], Z[:m])
         if hit:
-            self._commit(times[hit], y, Z, dq, hit - 1)
+            self._commit(times[hit], y, Z, dq, f, hit - 1)
         if hit == B:
             self._size, self._free = 2 * size, self._free + B
             self._reach(j - 1)
@@ -575,12 +580,13 @@ class _Simulation:
 
         self._size, self._free = max(1, self._free + hit), 0
         t0, t1 = times[hit], times[hit + 1]
-        t_star = self._localize(t0, self.y, [k[hit] for k in stages], t1, float(fmax[hit]))
+        k = [s[hit] for s in stages]
+        t_star = self._localize(t0, self.y, k, t1, fmax[hit] if hit == B - 1 else None)
         end = hit
-        if t_star < t1:
-            y, Z, dq, f, _ = self._steps([t0, t_star], [self._grid_cell[i + hit]])
+        if t_star < t1:  # the first stage does not depend on the step's width
+            y, Z, dq, f, _ = self._steps([t0, t_star], [self._grid_cell[i + hit]], k[0])
             end = 0
-        self._commit(t_star, y, Z, dq, end)
+        self._commit(t_star, y, Z, dq, f, end)
         # if the re-integrated state is still below zero at t_star, no
         # agent fires: the next pass localizes again from t_star, where
         # the extension returns this very state, so the bracket holds

@@ -219,21 +219,21 @@ class _Expm:
     def at(self, s) -> np.ndarray:
         """e^{A s}; for an array of widths, the stack of e^{A s_i}, all at
         the degree and scaling that the widest needs."""
-        P = self._P
-        s = np.asarray(s, dtype=float)
+        P, stack = self._P, not isinstance(s, (int, float))
+        if stack:
+            s = np.asarray(s, dtype=float)[..., None, None]
         squarings = 0
         if self._exact:
             k = len(P) - 1
         else:
-            theta = self._norm * float(np.abs(s).max())
+            theta = self._norm * (float(np.abs(s).max()) if stack else abs(s))
             if theta > _TAYLOR_THETA[-1]:
                 # smallest j with theta 2^-j below the degree-cap radius
                 squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
                 s = np.ldexp(s, -squarings)
                 theta = math.ldexp(theta, -squarings)
             k = min(bisect.bisect_left(_TAYLOR_THETA, theta), _MAX_DEGREE)
-        s = s[..., None, None]
-        out = P[k] if k else np.broadcast_to(P[0], s.shape[:-2] + P[0].shape)
+        out = P[k] if k or not stack else np.broadcast_to(P[0], s.shape[:-2] + P[0].shape)
         for j in range(k - 1, -1, -1):
             out = out * s + P[j]
         for _ in range(squarings):

@@ -117,7 +117,7 @@ class ProtocolKernel:
         self.n_agents = graph.n_nodes
         self.leader = graph.leader
         self.kappa, self.varrho, self.c0 = params.edge_arrays(graph)
-        self._neg_varrho = -self.varrho
+        self._neg_varrho, self._leaky = -self.varrho, bool(self.varrho.any())
         self.ei = np.array([e[0] for e in graph.edges], dtype=int)
         self.ej = np.array([e[1] for e in graph.edges], dtype=int)
         is_leader_edge = np.zeros(len(graph.edges), dtype=bool)
@@ -138,11 +138,14 @@ class ProtocolKernel:
         """Segment sums of v[..., e] into bins at_i[e] and into bins at_j[e],
         each (..., size): one bincount over every leading slice, each
         slice's bins offset by its position."""
-        slices = math.prod(v.shape[:-1])
+        if v.ndim == 1:
+            return np.bincount(at_i, v, size), np.bincount(at_j, v, size)
+        lead = v.shape[:-1]
+        slices = math.prod(lead)
         if slices > 1:
-            offsets = np.arange(slices)[:, None] * size
+            offsets = np.arange(0, slices * size, size)[:, None]
             at_i, at_j = (offsets + at_i).ravel(), (offsets + at_j).ravel()
-        v, shape = v.ravel(), v.shape[:-1] + (size,)
+        v, shape = v.ravel(), lead + (size,)
         return (np.bincount(at_i, v, slices * size).reshape(shape),
                 np.bincount(at_j, v, slices * size).reshape(shape))
 
@@ -171,7 +174,9 @@ class ProtocolKernel:
 
     def weight_rates(self, q, c) -> np.ndarray:
         """cdot = kappa (-varrho c + q) per edge from q = d' Gamma d."""
-        return self.kappa * (self._neg_varrho * c + q)
+        if self._leaky:
+            return self.kappa * (self._neg_varrho * c + q)
+        return self.kappa * q  # the same bits: -0.0 c + q is q
 
     def flow_terms(self, dq: tuple[np.ndarray, np.ndarray],
                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,10 +204,10 @@ class ProtocolKernel:
         eqf = self.quadratic(Z - live)
         err_coef = self._node_sum(self.err_w * (1.0 + p.delta * c))
         dis = self._node_sum(self.dis_w * dq[1])
-        if isinstance(t, np.ndarray):  # math.exp per time: np.exp may differ in the last bit
-            decay = np.array([p.mu * math.exp(-p.nu * s) for s in t])[:, None]
-        else:
+        if isinstance(t, (int, float)):
             decay = p.mu * math.exp(-p.nu * t)
+        else:  # math.exp per time: np.exp may differ in the last bit
+            decay = np.array([[p.mu * math.exp(-p.nu * s)] for s in t])
         f = err_coef * eqf - dis - decay
         if self.leader is not None:
             f[..., self.leader] = -np.inf

@@ -372,9 +372,9 @@ class TestCarriedEdgeWork:
 
         steps, triggers = _Simulation._steps, _Simulation._triggers
 
-        def checked_steps(sim, times, cells):
+        def checked_steps(sim, times, cells, k1=None):
             check(sim, sim.Z, sim.dq)
-            return steps(sim, times, cells)
+            return steps(sim, times, cells, k1)
 
         def checked_triggers(sim, t, y, Z, dq):
             check(sim, Z, dq)
@@ -427,9 +427,9 @@ class TestPasses:
         sizes = []
         steps = _Simulation._steps
 
-        def recorded(sim, times, cells):
+        def recorded(sim, times, cells, k1=None):
             sizes.append((len(times) - 1, sim.kernel.ei.size * sim._vshape[1]))
-            return steps(sim, times, cells)
+            return steps(sim, times, cells, k1)
 
         monkeypatch.setattr(_Simulation, "_steps", recorded)
         cfg = _shipped("leaderless_sec5", t_end=0.2)

@@ -186,13 +186,9 @@ class TestOscillatorEstimates:
         _run(A_OSC, "state", t_end=2.0)
         assert calls
         for f, t_lo, t_hi, tol, f_hi in calls:
-            # the pass's endpoint check: the extension of the crossing step
-            # at theta = 1 agrees with the pass's end state to rounding
-            assert f(t_hi) == pytest.approx(f_hi, rel=1e-9, abs=1e-12)
-            assert f(t_lo) < 0 <= f_hi
-            if f(t_hi) >= 0:
-                assert locate_event(f, t_lo, t_hi, tol) == locate_event(
-                    f, t_lo, t_hi, tol, f_hi=f_hi)
+            assert f(t_hi) == f_hi  # the step's endpoint check, same bits
+            assert locate_event(f, t_lo, t_hi, tol) == locate_event(
+                f, t_lo, t_hi, tol, f_hi=f_hi)
 
     def test_bad_bracket_still_raises(self, monkeypatch):
         calls = _recorded_localizations(monkeypatch)
