@@ -403,6 +403,41 @@ class TestCarriedEdgeWork:
         assert any(e.kind == "trigger" for e in traj.events)
 
 
+class TestReusedValues:
+    """A localization takes the trigger maximum at its low end and the
+    re-integration's first stage from what the engine already computed;
+    both must be the bits a fresh evaluation gives."""
+
+    @pytest.mark.parametrize("variant", ["state", "observer"])
+    def test_low_end_value_and_first_stage(self, model, params, ring6, monkeypatch, variant):
+        localize, steps, checked = _Simulation._localize, _Simulation._steps, []
+
+        def low_end(sim, t0, y0, k, t1, g1):
+            if sim._f_now is not None:  # what the bisection's evaluation at t0 gives
+                zm = sim.Z @ sim.expm_T.at(0.0)
+                ym = _rk4_extension(y0, t1 - t0, k, 0.0)
+                assert sim._f_now == sim._triggers(t0, ym, zm, sim.kernel.edge_terms(zm)).max()
+                checked.append("low end")
+            return localize(sim, t0, y0, k, t1, g1)
+
+        def first_stage(sim, times, cells, k1=None):
+            out = steps(sim, times, cells, k1)
+            if k1 is not None:
+                y, Z, dq, f, k = steps(sim, times, cells)
+                for a, b in zip(out[:2] + out[2] + out[3:4] + tuple(out[4]),
+                                (y, Z) + dq + (f,) + tuple(k)):
+                    assert np.array_equal(a, b)
+                checked.append("first stage")
+            return out
+
+        monkeypatch.setattr(_Simulation, "_localize", low_end)
+        monkeypatch.setattr(_Simulation, "_steps", first_stage)
+        gains = design_gains(model, observer=variant == "observer")
+        simulate(model, ring6, gains, params, short_sim(t_end=2.0, seed=3), random_x0(3),
+                 variant=variant)
+        assert {"low end", "first stage"} <= set(checked)
+
+
 def _shipped(name: str, **sim) -> dict:
     from etcons.cli import load_config
 
