@@ -291,6 +291,7 @@ class _Simulation:
         self.t = 0.0
         self.events: list[EventRecord] = []
         self.stats = RunStats()
+        self._f_now = None  # the trigger maximum at the current state, when known
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
         # block size: the last event-free run, doubled while none crosses
         self._size, self._free = 1, 0
@@ -499,8 +500,7 @@ class _Simulation:
 
     def _commit(self, t: float, y, Z, dq, f, k: int):
         """Make end k of a pass the current instant t; the pass's arrays
-        live on until the next one, but no stored row points into them.
-        ``_f_now`` keeps the trigger maximum at the current state."""
+        live on until the next one, but no stored row points into them."""
         self.t, self.y, self.Z, self.dq = t, y[k], Z[k], (dq[0][k], dq[1][k])
         self._f_now = float(f[k].max())
 
