@@ -180,9 +180,6 @@ class Trajectory:
     sim: SimConfig
     stats: RunStats = field(default_factory=RunStats)
 
-    def events_for(self, agent: int) -> list[EventRecord]:
-        return [e for e in self.events if e.agent == agent]
-
     @property
     def max_weight(self) -> float:
         return max(float(seg.values.max()) for seg in self.weight_segments)
@@ -200,6 +197,12 @@ def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
     width <= event_tol, or of two adjacent floats when event_tol is finer
     than their spacing, so f at the returned time is >= 0. ``f_hi`` is
     f(t_hi) when the caller already holds it.
+
+    The midpoints are bisection's, but a midpoint's sign is read off a
+    second bracket f(a) < 0 <= f(b) when the midpoint lies outside (a, b).
+    Illinois steps (Dowell & Jarratt, BIT 11, 1971) shrink [a, b]; after
+    three of them in a row that fail to halve it, f(mid) itself is taken.
+    With one sign change in [t_lo, t_hi] the answer is bisection's.
     """
     f_lo = f(t_lo)
     if f_hi is None:
@@ -207,11 +210,22 @@ def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
     if not (f_lo < 0 <= f_hi):
         raise ValueError(f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}")
     lo, hi = t_lo, t_hi
+    a, fa, b, fb, side, slow = t_lo, f_lo, t_hi, f_hi, 0, 0
     while hi - lo > event_tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if f(mid) >= 0:
+        while a < mid < b:
+            c = b - fb * (b - a) / (fb - fa)
+            if slow == 3 or not a < c < b:
+                c = mid
+            fc, width = f(c), b - a
+            if fc >= 0:  # Illinois: halve the value of an end kept twice
+                b, fb, fa, side = c, fc, fa * (0.5 if side > 0 else 1.0), 1
+            else:
+                a, fa, fb, side = c, fc, fb * (0.5 if side < 0 else 1.0), -1
+            slow = slow + 1 if c != mid and b - a > 0.5 * width else 0
+        if mid >= b:
             hi = mid
         else:
             lo = mid

@@ -4,9 +4,10 @@ They are the straightforward per-agent, per-value and per-check forms of
 code that ``src/etcons`` runs in a faster shape: the protocol formulas are
 written for one agent or one edge (``ProtocolKernel`` stacks them), the
 RK4 step is taken one stage at a time on the whole augmented state (the
-engine's ``_steps`` takes a run of steps in one batched pass), the CSV
-writers format one value per f-string, and the Zeno report rescans the
-event list and every weight row for each interval it checks.
+engine's ``_steps`` takes a run of steps in one batched pass), event
+localization evaluates every bisection midpoint, the CSV writers format
+one value per f-string, and the Zeno report rescans the event list and
+every weight row for each interval it checks.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from etcons.analysis import ZenoCheck, ZenoReport, _grid_slice
-from etcons.cli import _fmt
-from etcons.engine import Trajectory
+from etcons.engine import EventRecord, Trajectory
 from etcons.graph import Graph
 
 
@@ -89,6 +89,28 @@ def trigger_value(
     return f
 
 
+def bisect_event(f, t_lo: float, t_hi: float, event_tol: float,
+                 f_hi: float | None = None) -> float:
+    """Plain bisection for the first sign change of ``f`` on [t_lo, t_hi],
+    one evaluation per midpoint; ``engine.locate_event`` must return the
+    same upper end."""
+    f_lo = f(t_lo)
+    if f_hi is None:
+        f_hi = f(t_hi)
+    if not (f_lo < 0 <= f_hi):
+        raise ValueError(f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}")
+    lo, hi = t_lo, t_hi
+    while hi - lo > event_tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if f(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def rk4_step(sim, t: float, y: np.ndarray, Z: np.ndarray, h: float, w=None):
     """One classical RK4 step of width h of an engine's flow from the flat
     state y (each agent's x, then its chi on observer runs, then the edge
@@ -122,6 +144,15 @@ def rk4_step(sim, t: float, y: np.ndarray, Z: np.ndarray, h: float, w=None):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), z_full, (k1, k2, k3, k4)
 
 
+def events_for(traj: Trajectory, agent: int) -> list[EventRecord]:
+    """The events of one agent, in time order."""
+    return [e for e in traj.events if e.agent == agent]
+
+
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
 def graph_at(traj: Trajectory, t: float) -> Graph:
     """The topology active at time t."""
     active = traj.weight_segments[0].graph
@@ -149,6 +180,13 @@ def write_trajectory_csv(traj: Trajectory, path: str):
                 fh.write(",".join(parts) + "\n")
 
 
+def write_events_csv(traj: Trajectory, path: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("agent,t,f_before\n")
+        for rec in traj.events:
+            fh.write(f"{rec.agent},{_fmt(rec.time)},{_fmt(rec.trigger_value_before)}\n")
+
+
 def write_weights_csv(traj: Trajectory, path: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,i,j,c\n")
@@ -160,7 +198,7 @@ def write_weights_csv(traj: Trajectory, path: str):
 
 
 def zeno_bound(traj: Trajectory, agent: int, k: int) -> float:
-    recs = traj.events_for(agent)
+    recs = events_for(traj, agent)
     if not (0 <= k + 1 < len(recs)):
         raise ValueError(f"agent {agent} has no event pair ({k}, {k + 1})")
     t_k, t_k1 = recs[k].time, recs[k + 1].time
@@ -215,7 +253,7 @@ def zeno_bound(traj: Trajectory, agent: int, k: int) -> float:
 def zeno_report(traj: Trajectory) -> ZenoReport:
     checks = []
     for agent in range(traj.graph.n_nodes):
-        recs = traj.events_for(agent)
+        recs = events_for(traj, agent)
         for k in range(len(recs) - 1):
             if recs[k + 1].kind != "trigger":
                 continue

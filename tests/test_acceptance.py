@@ -17,6 +17,7 @@ import etcons
 from etcons import analysis
 from etcons.cli import RunSetup, load_config, write_outputs
 from etcons.engine import simulate
+from oracles import events_for
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -180,7 +181,7 @@ def test_criterion_08_leader_follower(runs):
     leader = traj.graph.leader
     z0 = analysis.stacked_norm(analysis.leader_error(traj.states[0], leader))
     z_t = analysis.stacked_norm(analysis.leader_error(traj.states[-1], leader))
-    leader_events = traj.events_for(leader)
+    leader_events = events_for(traj, leader)
     ok = (z_t < 0.01 * z0 and len(leader_events) == 1
           and leader_events[0].time == 0.0)
     _report(8, ok, f"||z(30)||/||z(0)||={z_t / z0:.2e} < 0.01 and the leader "

@@ -22,6 +22,7 @@ from etcons.engine import SimConfig, simulate
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import SystemModel, design_gains
 from etcons.protocols import ProtocolParams
+from oracles import events_for
 
 A_TRIPLE = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
 B_TRIPLE = np.array([[0.0], [0.0], [1.0]])
@@ -128,7 +129,7 @@ class TestZenoBound:
 
     def test_bound_positive_for_finite_times(self, base_traj):
         for agent in range(6):
-            recs = base_traj.events_for(agent)
+            recs = events_for(base_traj, agent)
             for k in range(len(recs) - 1):
                 tau = zeno_bound(base_traj, agent, k)
                 assert tau > 0

@@ -22,6 +22,7 @@ from etcons.engine import SimConfig, locate_event, simulate
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import SystemModel, _Expm, design_gains
 from etcons.protocols import ProtocolKernel, ProtocolParams
+from oracles import events_for
 
 EPS = np.finfo(float).eps
 
@@ -173,7 +174,7 @@ class TestOscillatorEstimates:
         assert sum(e.kind == "trigger" for e in traj.events) > 0
         a = np.array(A_OSC)
         for i in range(traj.estimates.shape[1]):
-            events = traj.events_for(i)
+            events = events_for(traj, i)
             last = np.searchsorted([e.time for e in events], traj.times, side="right") - 1
             for k, t in enumerate(traj.times):
                 ev = events[last[k]]

@@ -1,21 +1,32 @@
-"""The row-templated CSV writers against the per-value reference writers."""
+"""The block CSV writers against the per-value reference writers."""
 
+import io
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from etcons import cli
 from etcons.cli import (
     RunSetup,
-    _fmt,
-    _row_lines,
+    _labels,
+    _write_rows,
     load_config,
+    write_events_csv,
     write_trajectory_csv,
     write_weights_csv,
 )
+from etcons.textio import _digits
+from oracles import _fmt
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+WRITERS = [(write_trajectory_csv, oracles.write_trajectory_csv),
+           (write_weights_csv, oracles.write_weights_csv),
+           (write_events_csv, oracles.write_events_csv)]
+WRITER_IDS = ["trajectory", "weights", "events"]
 
 # config name -> short horizon; switching keeps three switches (t = 2, 4, 6)
 SHAPES = {
@@ -26,11 +37,15 @@ SHAPES = {
 }
 
 
+def _run(name: str, t_end: float, **sim):
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    cfg["sim"].update(sim, t_end=t_end)
+    return RunSetup(cfg).run()[0]
+
+
 @pytest.fixture(scope="module", params=sorted(SHAPES))
 def traj(request):
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{request.param}.json"))
-    cfg["sim"]["t_end"] = SHAPES[request.param]
-    return RunSetup(cfg).run()[0]
+    return _run(request.param, SHAPES[request.param])
 
 
 def _same_bytes(tmp_path, traj, new, ref):
@@ -48,15 +63,88 @@ def test_weights_csv_matches_reference(tmp_path, traj):
     _same_bytes(tmp_path, traj, write_weights_csv, oracles.write_weights_csv)
 
 
+def test_events_csv_matches_reference(tmp_path, traj):
+    _same_bytes(tmp_path, traj, write_events_csv, oracles.write_events_csv)
+
+
 def test_shapes_cover_the_variants_and_a_shared_switch_row(traj):
     segs = traj.weight_segments
     if traj.variant == "observer":
         assert traj.observer_states is not None
+    if traj.variant == "leader_follower":
+        assert any(math.isnan(e.trigger_value_before) for e in traj.events)
     if len(segs) > 1:
         assert len(segs) == 4
         for prev, seg in zip(segs, segs[1:]):
             # the switch instant closes one segment and opens the next
             assert prev.first_index + len(prev.values) - 1 == seg.first_index
+
+
+# short runs for the block boundaries: switches one step after the start
+# and at the end, which leave segments of two rows and of one row
+EDGES = {
+    "switching": dict(dwell_min=1e-3, topology_schedule=[
+        {"t": 1e-3, "graph": {"generator": "star", "n": 6}},
+        {"t": 0.05, "graph": {"generator": "ring", "n": 6}}]),
+    "observer": {},
+    "leader_follower": {},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EDGES))
+def short_traj(request):
+    return _run(request.param, 0.05, **EDGES[request.param])
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1000])
+@pytest.mark.parametrize("new, ref", WRITERS, ids=WRITER_IDS)
+def test_block_boundaries_match_reference(tmp_path, monkeypatch, short_traj, block, new, ref):
+    monkeypatch.setattr(cli, "BLOCK_VALUES", block)
+    _same_bytes(tmp_path, short_traj, new, ref)
+
+
+def test_short_runs_cover_the_block_edges(short_traj):
+    n_rows = len(short_traj.times)
+    per_row = short_traj.states[0].size * (1 if short_traj.observer_states is None else 2)
+    assert n_rows % max(1, 1000 // per_row) != 0  # a last block that is not full
+    if short_traj.variant == "state":
+        assert [len(s.values) for s in short_traj.weight_segments] == [2, n_rows - 1, 1]
+
+
+def test_fallback_is_rare_on_written_values():
+    """Values that take Python's ``%`` instead of the vector path: fewer than
+    one in 10^4 on every shipped config and on a complete graph of 70."""
+    cfg = load_config(os.path.join(CONFIG_DIR, "leaderless_sec5.json"))
+    cfg["graph"] = {"generator": "complete", "n": 70}
+    cfg["sim"]["t_end"] = 0.1
+    runs = [RunSetup(cfg).run()[0]]
+    runs += [_run(os.path.basename(p)[:-5], 3.0) for p in sorted(os.listdir(CONFIG_DIR))
+             if p.endswith(".json")]
+    assert len(runs) == 7
+    for run in runs:
+        values = [run.times, run.states.ravel(),
+                  [e.time for e in run.events], [e.trigger_value_before for e in run.events]]
+        values += [s.values.ravel() for s in run.weight_segments]
+        if run.observer_states is not None:
+            values.append(run.observer_states.ravel())
+        values = np.concatenate(values)
+        assert _digits(values)[2].sum() < 1e-4 * values.size, run.variant
+
+
+def test_writing_a_ring400_run_stays_within_a_few_mb(tmp_path):
+    cfg = load_config(os.path.join(CONFIG_DIR, "leaderless_sec5.json"))
+    cfg["graph"] = {"generator": "ring", "n": 400}
+    cfg["sim"]["t_end"] = 0.05
+    run = RunSetup(cfg).run()[0]
+    tracemalloc.start()
+    try:
+        for new, _ in WRITERS:
+            new(run, str(tmp_path / "out.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block's buffers, about 1.8 MB at 8192 values, whatever the run's length
+    assert len(run.times) > 50 and peak < 4e6
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -68,18 +156,24 @@ def _random_doubles(n: int) -> np.ndarray:
     return bits.view(np.float64)
 
 
+def _lines(times, labels, *values) -> str:
+    fh = io.BytesIO()
+    _write_rows(fh, np.asarray(times), _labels(labels), *values)
+    return fh.getvalue().decode()
+
+
 @pytest.mark.parametrize("values", [np.array(SPECIAL), _random_doubles(100_000)],
                          ids=["special", "random-bits"])
 def test_row_template_formats_like_fmt(values):
     t = np.float64(0.30000000000000004)
-    labels = [str(k) for k in range(len(values))]
+    labels = [f",{k}" for k in range(len(values))]
     want = "".join(f"{_fmt(t)},{k},{_fmt(v)}\n" for k, v in enumerate(values))
-    assert _row_lines(labels, 1)(t, [values]) == want
+    assert _lines([t], labels, values[None, :, None]) == want
 
 
 @pytest.mark.parametrize("x", SPECIAL)
 def test_row_template_formats_numpy_scalars_like_fmt(x):
     t, v = np.float64(x), np.float64(x)
-    line = _row_lines(["3,4"], 2)(t, [np.array([v]), np.array([-v])])
+    line = _lines([t], [",3,4"], np.array([[[v, -v]]]))
     assert line == f"{_fmt(x)},3,4,{_fmt(v)},{_fmt(-v)}\n"
     assert "%.17g" % v == _fmt(v)
