@@ -53,7 +53,7 @@ def _layouts():
     rows = []
     for k in range(-5, 18):
         for nd in range(1, 18):
-            fixed = -4 <= k < 17
+            fixed = -4 <= k < 17  # the body: p digits, '.', the rest; length bytes
             p = (17 if k < 0 else k + 1) if fixed else 1
             length = nd if fixed and k < 0 else max(p, nd + 1 if nd > p else 0)
             lead = b"0." + b"0" * (-k - 1) if fixed and k < 0 else b""
