@@ -1,25 +1,24 @@
-"""Hybrid simulation loop: continuous flow, event detection, trigger resets.
+"""Hybrid simulation loop: closed-form flow, event detection, trigger resets.
 
-The augmented state is one flat vector y = (v, c): row i of the agent
-stack v (N, d) holds agent i's state x, then its observer state chi on
-observer runs, and c holds the edge weights in ``graph.edges`` order.
-``_Simulation._views`` is the only place that knows this layout.
-Broadcast estimates are never integrated: they are closed-form
-propagations e^{As} z of the latest samples, kept as the rows of the
-estimate stack Z, so an agent's own estimate cannot drift numerically.
+Row i of the agent stack v holds agent i's state x, then its observer
+state chi on observer runs; c holds the edge weights in ``graph.edges``
+order. Broadcast estimates are never integrated: they are closed-form
+propagations e^{As} z of the latest samples, the rows of the estimate
+stack Z, so an agent's own estimate cannot drift numerically.
 
-The flow is classical RK4 on the base grid merged with the switch
-instants, a run of grid steps per batched pass (``_Simulation._steps``).
-A pass starts from the last event-free run length and doubles while no
-trigger crosses; it holds at most ``_BLOCK_ELEMENTS`` values per stack
-and ends at a switch instant (at every grid instant in dense mode). Its
-steps are committed up to the first whose end has a trigger value >= 0.
-That crossing is bisected on RK4's continuous extension of the step (its
-own stages), the flow is re-integrated up to the localized instant, and
-every agent whose trigger function is nonnegative there broadcasts
-(ascending index, each reset immediately visible, one broadcast per agent
-per instant). If none is, the crossing is localized again from that
-instant. Each instant's row is stored once, after its last reset.
+Between broadcasts the cascade Z -> c -> v is the linear flow of a lift
+(``linalg.cascade_lift``), which ``_tables`` reads off one matrix
+exponential per leakage rate; its rows at the offsets k dt are built once
+per run. A pass evaluates the flow at a run of grid instants by those rows,
+or at one instant by its own exponential when now is off the grid. It
+spans at most ``_BLOCK_ELEMENTS`` values per stack and ends at a switch
+instant (at every grid instant in dense mode). Its instants are committed
+up to the first with a trigger value >= 0. That crossing is bisected on
+the closed form, the state there is committed as evaluated, and every
+agent whose trigger function is nonnegative there broadcasts (ascending
+index, each reset immediately visible, one broadcast per agent per
+instant). If none is, the crossing is localized again from that instant.
+Each instant's row is stored once, after its last reset.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .errors import (
     ZenoGuardError,
 )
 from .graph import Graph, is_connected
-from .linalg import GainSet, SystemModel, _Expm
+from .linalg import GainSet, SystemModel, _Expm, cascade_lift, symmetric_powers
 from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
@@ -153,13 +152,14 @@ class WeightSegment:
 
 @dataclass
 class RunStats:
-    """Work counters of one run: RK4 steps taken (discarded ones included),
-    the passes that took them, localizations and their f evaluations."""
+    """Work counters of one run; README's Outputs section defines them."""
 
     steps: int = 0
     passes: int = 0
     localizations: int = 0
     localization_evaluations: int = 0
+    relocalizations: int = 0
+    cascade_broadcasts: int = 0
 
 
 @dataclass
@@ -232,133 +232,108 @@ def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
     return hi
 
 
-def _rk4_extension(y0, h, k, theta):
-    """RK4's continuous extension: the state at fraction ``theta`` of the
-    step of width h from y0 with stages ``k`` = (k1, k2, k3, k4).
-
-    Third order in theta h (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6); y0 itself at theta = 0 and the RK4 step at theta = 1.
-    """
-    k1, k2, k3, k4 = k
-    t2 = theta * theta
-    c = 2 * t2 * theta / 3
-    return y0 + h * ((theta - 1.5 * t2 + c) * k1 + (t2 - c) * (k2 + k3)
-                     + (c - 0.5 * t2) * k4)
-
-
-def _rk4(f, v, h, k1=None):
-    """Classical RK4 on v' = f(v, j), j = 0..3 the stage, from v over the
-    widths h: the step's end and its four stages. ``k1`` is f(v, 0) when
-    the caller holds it."""
-    k, half = [f(v, 0) if k1 is None else k1], 0.5 * h
-    for j, w in enumerate((half, half, h), 1):
-        k.append(f(v + w * k[-1], j))
-    return v + (h / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), k
-
-
-def _chain(v0, R, H, mul):
-    """v_1 .. v_K of v_{k+1} = mul(v_k, R_k) + H_k by recursive doubling:
-    log2 K stacked products instead of K sequential ones. Overwrites R, H."""
-    s = 1
-    while s < len(R):
-        H[s:] = mul(H[:-s], R[s:]) + H[s:]
-        R[s:] = mul(R[:-s], R[s:])
-        s *= 2
-    return mul(v0, R) + H
-
-
 class _Simulation:
     """Single-run engine state; see ``simulate`` for the public contract."""
 
     def __init__(self, model, graph, gains, params, sim, x0, variant,
                  chi0=None, broadcast_every_step=False):
-        self.model = model
-        self.gains = gains
-        self.params = params
-        self.cfg = sim
-        self.variant = variant
-        self.broadcast_every_step = broadcast_every_step
-        self.n_agents = graph.n_nodes
-        self.leader = graph.leader
-
+        self.model, self.gains, self.params, self.cfg = model, gains, params, sim
+        self.variant, self.broadcast_every_step = variant, broadcast_every_step
+        self.n_agents, self.leader = graph.n_nodes, graph.leader
         self.kernel = ProtocolKernel(graph, params, gains.K, gains.Gamma)
-        self.expm_T = _Expm(model.A.T)  # (e^{As})^T, so Z (e^{As})^T is Z @ expm_T.at(s)
 
-        # v' = v L + F: the flow of the agent stack v, fixed for the run
-        self._shape = shape = (self.n_agents, model.n)
-        v, AT = np.asarray(x0, dtype=float), model.A.T
-        self._L = AT
+        # the agent stack v: x, and chi beside it on observer runs
+        n, A = model.n, model.A
+        v, L, Bv = np.asarray(x0, dtype=float), A, model.B
         if variant == "observer":
-            FCT = (gains.F @ model.C).T
-            chi = np.zeros(shape) if chi0 is None else np.asarray(chi0, dtype=float)
-            v = np.hstack([v, chi])
-            self._L = np.block([[AT, -FCT], [np.zeros_like(AT), AT + FCT]])
-        self._vshape, self._nv = v.shape, v.size
-        self._BT = np.tile(model.B.T, (1, v.shape[1] // model.n))
-        self._eye = np.eye(v.shape[1])
-        # the augmented state (v, c), read through _views
-        self.y = np.concatenate([v.ravel(), self.kernel.c0])
+            FC = gains.F @ model.C
+            chi = np.zeros(v.shape) if chi0 is None else np.asarray(chi0, dtype=float)
+            v, L = np.hstack([v, chi]), np.block([[A, np.zeros_like(A)], [-FC, A + FC]])
+            Bv = np.vstack([Bv, Bv])
+        self.v, self.c = v, self.kernel.c0
         # the estimate stack and its edge work, always updated together
-        self.Z = v[:, -model.n:].copy()
+        self.Z = v[:, -n:].copy()
         self.dq = self.kernel.edge_terms(self.Z)
 
         self.t = 0.0
         self.events: list[EventRecord] = []
         self.stats = RunStats()
         self._f_now = None  # the trigger maximum at the current state, when known
+        self._lift_now = self.P = None  # the lift of the current state and its p, when formed
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
-        # block size: the last event-free run, doubled while none crosses
-        self._size, self._free = 1, 0
 
-        self._times: list[float] = []
-        self._states: list[np.ndarray] = []
-        self._estimates: list[np.ndarray] = []
-        self._chis: list[np.ndarray] = []
+        # the stored rows: times, then blocks of x, Z and chi
+        self._times, self._states, self._estimates, self._chis = [], [], [], []
         self._segments = [WeightSegment(graph, 0.0, 0, [])]
 
-        grid = self._checkpoints()
-        self._grid_t, self._grid_cell, self._grid_switch = (list(col) for col in zip(*grid))
-        # a pass ends after a switch checkpoint, and after every one in dense mode
-        self._ends = [k + 1 for k, (_, _, g) in enumerate(grid)
-                      if broadcast_every_step or g is not None] + [len(grid)]
-        self._setup_disturbance()
+        self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
+        # a pass ends after a switch checkpoint (after every one in dense
+        # mode) and before a checkpoint that is not one dt after the last
+        t = np.array(self._grid_t)
+        off = np.abs(np.diff(t) - sim.dt) > 4 * np.spacing(t[1:])
+        self._ends = sorted({k + 1 for k, g in enumerate(self._grid_switch)
+                             if broadcast_every_step or g is not None}
+                            | set((np.flatnonzero(off) + 1).tolist()) | {t.size})
+        Ed, W = self._setup_disturbance(v.shape[1])
+
+        # one lift per distinct leakage rate lambda = kappa varrho of any graph
+        graphs = [graph] + [g for (_, g) in sim.topology_schedule]
+        lams = {float(lam) for g in graphs for lam in np.multiply(*params.edge_arrays(g)[:2])}
+        self._lams = np.array(sorted(lams) or [0.0])
+        self._lifts = [_Expm(cascade_lift(L, Bv @ gains.K, A, gains.Gamma, lam, Ed, W).T)
+                       for lam in self._lams]
+        self._mono2, self._mono3 = (symmetric_powers(A, k)[0] for k in (2, 3))
+        self._agent_size = v.shape[1] + n + len(self._mono3) + W.shape[0]
+        self._group()
+        # the readout at every offset k dt that a pass of any graph can reach
+        widths = sim.dt * np.arange(max(self._cap(len(g.edges)) for g in graphs) + 1)
+        self._table = [x.copy() for x in self._tables(widths)]  # slices would pin every F
+
+    def _cap(self, m: int) -> int:
+        """Most steps in a pass over m edges."""
+        return max(1, _BLOCK_ELEMENTS // max(1, m * self.v.shape[1]))
+
+    def _on_grid(self, t0: float, t1: float) -> bool:
+        """Whether t1 lies one base step after t0, up to the rounding of
+        the grid times."""
+        return abs(t1 - t0 - self.cfg.dt) <= 4 * math.ulp(t1)
 
     # -- disturbance ---------------------------------------------------
 
-    def _setup_disturbance(self):
-        d = self.cfg.disturbance
-        if d is None or d.amplitude == 0.0:
-            self._dist_kind = None
-            return
-        self._dist_kind = d.kind
-        self._amp = d.amplitude
-        N = self.n_agents
-        self._mask = np.ones((N, 1))
+    def _setup_disturbance(self, nv: int):
+        """The disturbance states r: their input matrix into v, their
+        generator, and ``_dist(t, cell)``, their values (N, r) on a step
+        from t in grid cell ``cell``."""
+        d, n, N = self.cfg.disturbance, self.model.n, self.n_agents
+        self._dist_kind = None if d is None or d.amplitude == 0.0 else d.kind
+        mask = self._mask = np.ones((N, 1))
         if self.leader is not None:
-            self._mask[self.leader] = 0.0  # the leader flows unperturbed
+            mask[self.leader] = 0.0  # the leader flows unperturbed
+        if self._dist_kind is None:
+            self._dist = lambda t, cell: np.zeros((N, 0))
+            return np.zeros((nv, 0)), np.zeros((0, 0))
+        if d.kind == "sinusoid":  # r = amplitude (sin, cos)(omega t + phase)
+            phases, w = 2 * np.pi * np.arange(N) / N, 2 * np.pi * d.frequency
+            self._dist = lambda t, cell: d.amplitude * np.stack(
+                [np.sin(w * t + phases), np.cos(w * t + phases)], axis=1) * mask
+            return np.outer(np.arange(nv) < n, [1.0, 0.0]), np.array([[0.0, w], [-w, 0.0]])
         if d.kind == "constant":
-            self._w_const = d.amplitude * np.ones(self._shape) * self._mask
-        elif d.kind == "sinusoid":
-            self._phases = 2 * np.pi * np.arange(N) / N
-            self._omega = 2 * np.pi * d.frequency
+            const = d.amplitude * np.ones((N, n)) * mask
+            self._dist = lambda t, cell: const
         else:  # uniform-random, piecewise constant per base step
             seed = d.seed if d.seed is not None else (self.cfg.seed or 0) + 1
-            self._rng = np.random.default_rng(seed)
-            self._held, self._w_next = {}, 0
+            self._rng, self._held, self._w_next = np.random.default_rng(seed), {}, 0
+            self._dist = lambda t, cell: self._draws([cell])[0]
+        return np.eye(nv, n), np.zeros((n, n))
 
-    def _disturbance(self, T: np.ndarray, cells) -> np.ndarray:
-        """The disturbance at the stage times T (4, B) of steps lying in
-        grid cells ``cells``, broadcastable to (4, B, N, n)."""
-        if self._dist_kind == "constant":
-            return self._w_const
-        if self._dist_kind == "sinusoid":
-            s = self._amp * np.sin(self._omega * T[..., None] + self._phases)
-            return s[..., None] * self._mask
+    def _draws(self, cells) -> np.ndarray:
+        """The uniform-random values (len(cells), N, n) of grid cells ``cells``."""
         # cells are entered in order, so drawing each one's (N, n) values on
         # first use reads the generator's stream as one (cells, N, n) draw
         # would; a cell is held until a pass starts past it
+        shape, amp = (self.n_agents, self.model.n), self.cfg.disturbance.amplitude
         for cell in range(self._w_next, cells[-1] + 1):
-            self._held[cell] = self._rng.uniform(-self._amp, self._amp, self._shape) * self._mask
+            self._held[cell] = self._rng.uniform(-amp, amp, shape) * self._mask
         self._w_next = max(self._w_next, cells[-1] + 1)
         for cell in [c for c in self._held if c < cells[0]]:
             del self._held[cell]
@@ -366,87 +341,82 @@ class _Simulation:
 
     # -- flow ----------------------------------------------------------
 
-    def _views(self, y: np.ndarray):
-        """(v, c) views of augmented states y (..., nv + M). Row i of v is
-        agent i's x, followed by its chi on observer runs; agents broadcast
-        the last n columns (chi, or x)."""
-        nv = self._nv
-        return y[..., :nv].reshape(y.shape[:-1] + self._vshape), y[..., nv:]
+    def _group(self):
+        """Each edge's leakage group under the current graph, and where its
+        cubic features land in the agents' lifts."""
+        k, G, n3 = self.kernel, len(self._lams), len(self._mono3)
+        self._g = np.searchsorted(self._lams, k.kappa * k.varrho)
+        self._in_group = (self._g == np.arange(G)[:, None]).astype(float)
+        self._cube_i, self._cube_j = (((end * G + self._g)[:, None] * n3 + np.arange(n3)).ravel()
+                                      for end in (k.ei, k.ej))
 
-    def _steps(self, times, cells, k1=None):
-        """Classical RK4 over the checkpoints times[0] (now) < ... < times[B]
-        in one pass; step k lies in grid cell cells[k]. ``k1`` is the first
-        stage of a single step when the caller holds it. Returns every
-        step's end state (B, nv + M), estimate stack, edge work and trigger
-        values, and its four stages.
+    def _cubes(self):
+        """p = sum ±kappa_e m3(d_e) of every agent, from the edge work."""
+        k, N, G, n3 = self.kernel, self.n_agents, len(self._lams), len(self._mono3)
+        cube = (k.kappa[:, None] * self.dq[0][:, self._mono3].prod(axis=-1)).ravel()
+        self.P = (np.bincount(self._cube_i, cube, N * G * n3)
+                  - np.bincount(self._cube_j, cube, N * G * n3)).reshape(N, G, n3)
+        if self.leader is not None:
+            self.P[self.leader] = 0.0
 
-        Given the estimates e^{As} z the flow is linear, so the later steps'
-        starts come first: c_{k+1} = a_k c_k + b_k per edge, then v_{k+1} =
-        v_k R_k + H_k (R_k is RK4's polynomial of h_k L, H_k the step from
-        v = 0), both chained by recursive doubling. One RK4 call then takes
-        every step from its start, on unstacked arrays for a single step.
-        """
-        kern, B, n, nv, L = self.kernel, len(times) - 1, self.model.n, self._nv, self._L
-        self.stats.steps += B
-        self.stats.passes += 1
-        h = np.array([[b - a] for a, b in zip(times, times[1:])])
-        o = []  # every step's midpoint and end, from now
-        for a, b in zip(times, times[1:]):
-            o += (a - times[0] + 0.5 * (b - a), b - times[0])
-        Zs = self.Z @ self.expm_T.at(o)
-        d, q = kern.edge_terms(Zs)
-        # the rows that stage j of every step reads: its start (now: the
-        # carried edge work), midpoint, midpoint and end; a single step
-        # reads them unstacked
-        mid, end = (0, 1) if B == 1 else (slice(0, None, 2), slice(1, None, 2))
-        ds, qs = ([x0 if B == 1 else np.concatenate([x0[None], x[1:-1:2]]), x[mid], x[mid], x[end]]
-                  for x0, x in zip(self.dq, (d, q)))
-        w = None  # the disturbance at stage j of every step
-        if self._dist_kind is not None:
-            T = np.array(times[:-1]) + np.multiply.outer([0.0, 0.5, 0.5, 1.0], h[:, 0])
-            w = np.broadcast_to(self._disturbance(T, cells), (4, B) + self._shape)
-            w = w if B > 1 else w[:, 0]
+    def _tables(self, widths):
+        """The closed-form readout at each width s: the rows that map an
+        agent's lift to v(s) (s, D, nv), e^{-lambda s} and the weight
+        integrals of m2(d) per group, (s, G) and (s, G, r2), (e^{As})^T,
+        and the flow of the cubic moments p (s, r3, r3)."""
+        nv, n, a = self.v.shape[1], self.model.n, self._agent_size
+        m = nv + n + len(self._mono3)
+        F = [np.stack([e.at(s) for s in widths]) for e in self._lifts]
+        RV = np.concatenate([F[0][:, :nv, :nv]] + [f[:, nv:m, :nv] for f in F]
+                            + [F[0][:, m:a, :nv]], axis=1)
+        C = np.stack([f[:, a:-n, a] for f in F], axis=1)
+        return RV, C[..., 0], C[..., 1:], F[0][:, -n:, -n:], F[0][:, nv + n:m, nv + n:m]
 
-        def field(y, j):  # the flow at stage j of every step
-            u, cdot = kern.flow_terms((ds[j], qs[j]), y[..., nv:])
-            vdot = y[..., :nv].reshape(u.shape[:-1] + (-1,)) @ L + u @ self._BT
-            if w is not None:
-                vdot[..., :n] += w[j]
-            return np.concatenate([vdot.reshape(cdot.shape[:-1] + (nv,)), cdot], axis=-1)
+    def _lifted(self, cell: int):
+        """The lift of now, rows [v, (w, p) per group, r] (N, D) with r the
+        disturbance states of a step in grid cell ``cell``, and m2(d) per
+        edge; formed on first use after each change of the state."""
+        if self._lift_now is None:
+            if self.P is None:  # a broadcast changed the edge work
+                self._cubes()
+            N, d = self.n_agents, self.dq[0]
+            w = self.kernel.coupling(d, self._in_group * self.c).transpose(1, 0, 2)
+            X = np.hstack([self.v, np.concatenate([w, self.P], axis=2).reshape(N, -1),
+                           self._dist(self.t, cell)])
+            self._lift_now = X, d[:, self._mono2].prod(axis=-1)
+        return self._lift_now
 
-        y_k, hs = self.y, h[0, 0]
-        if B > 1:  # c reads nothing but the edge work, so its starts come first
-            v0, c0 = self._views(self.y)
-            b = _rk4(lambda c, j: kern.weight_rates(qs[j], c), 0.0, h)[0][:-1]
-            if kern.varrho.any():
-                a = _rk4(lambda c, j: kern.weight_rates(0.0, c), 1.0, h)[0][:-1]
-                c_k = np.vstack([c0, _chain(c0, a, b, np.multiply)])
-            else:  # a running sum, so that no weight ever decreases
-                c_k = np.cumsum(np.vstack([c0, b]), axis=0)
-            H = self._views(_rk4(field, np.hstack([np.zeros((B, nv)), c_k]), h)[0][:-1])[0]
-            R = _rk4(lambda v, j: v @ L, self._eye, h[:-1, :, None])[0]
-            v_k = np.vstack([v0[None], _chain(v0, R, H, np.matmul)])
-            y_k, hs = np.hstack([v_k.reshape(B, nv), c_k]), h
-        y1, k = _rk4(field, y_k, hs, k1)
-        if B > 1:
-            y1[:-1] = y_k[1:]  # each step ends where the next one starts
-        v1, c1 = self._views(y1)
-        f = kern.trigger_values(v1[..., -n:], Zs[end], (d[end], q[end]), c1,
-                                times[1] if B == 1 else times[1:])
-        return (y1.reshape(B, -1), Zs[1::2], (d[1::2], q[1::2]), f.reshape(B, -1),
-                [x.reshape(B, -1) for x in k])
+    def _flow(self, tab, times, cells):
+        """The closed-form flow from now to the instants ``times``, with the
+        readout ``tab`` at their offsets (see ``_tables``); step k lies in
+        grid cell cells[k]. Returns the stacks of v, Z, the edge work, c and
+        the trigger values, and p now with its flow to each instant."""
+        kern, n = self.kernel, self.model.n
+        RV, decay, R, ET, PP = tab
+        X, dd = self._lifted(cells[0])
+        V = X @ RV
+        if self._dist_kind == "uniform-random" and len(cells) > 1:
+            # a new cell's draw is a step in the disturbance state
+            steps = np.diff(self._draws(cells), axis=0)
+            lag = np.maximum(np.arange(1, len(cells) + 1)[:, None] - np.arange(1, len(cells)), 0)
+            V += np.einsum("jna,kjab->knb", steps, self._table[0][:, -n:][lag])
+        Zs = self.Z @ ET
+        dq = kern.edge_terms(Zs)
+        g = self._g  # each edge reads its group's weight integral
+        c = decay[:, g] * self.c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]
+        f = kern.trigger_values(V[..., -n:], Zs, dq, c, times)
+        return V, Zs, dq, c, f, (self.P, PP)
 
     # -- triggers --------------------------------------------------------
 
-    def _triggers(self, t: float, y: np.ndarray, Z: np.ndarray, dq) -> np.ndarray:
-        """Trigger values at t of state y and estimate stack Z with edge work dq."""
-        v, c = self._views(y)
-        return self.kernel.trigger_values(v[:, -self.model.n:], Z, dq, c, t)
+    def _triggers(self, t: float) -> np.ndarray:
+        """Trigger values at t of the current state."""
+        return self.kernel.trigger_values(self.v[:, -self.model.n:], self.Z, self.dq, self.c, t)
 
     def _broadcast(self, agents, t: float, f, kind: str):
         """Reset each agent's estimate to its live value at t, logging f[i],
         then form the edge work of the new stack."""
-        live = self._views(self.y)[0][:, -self.model.n:]
+        live = self.v[:, -self.model.n:]
         for i in agents:
             value = live[i].copy()
             self.Z[i] = value
@@ -465,7 +435,8 @@ class _Simulation:
                         f"t={t:.6f}; exceeds max_events_per_unit_time="
                         f"{self.cfg.max_events_per_unit_time}"
                     )
-        self.dq, self._f_now = self.kernel.edge_terms(self.Z), None
+        self.dq, self._f_now, self._lift_now = self.kernel.edge_terms(self.Z), None, None
+        self.P = None  # p, formed anew when the flow next needs it
 
     def _sweep(self, t: float, f: np.ndarray) -> bool:
         """Trigger every agent whose f >= 0, ascending index, resets
@@ -478,15 +449,17 @@ class _Simulation:
             if not cands.size:
                 self._f_now = float(f.max())
                 return not eligible.all()
+            if not eligible.all():
+                self.stats.cascade_broadcasts += 1
             i = int(cands[0])
             self._broadcast((i,), t, f, "trigger")
             eligible[i] = False
-            f = self._triggers(t, self.y, self.Z, self.dq)
+            f = self._triggers(t)
 
     def _force_broadcast(self, t: float, kind: str):
         # f values are a pre-reset snapshot; forced broadcasts are not
         # crossings, the value is informational only
-        f = self._triggers(t, self.y, self.Z, self.dq)
+        f = self._triggers(t)
         # one broadcast per agent per instant: skip agents already sent at t
         done = {self.leader}
         for e in reversed(self.events):
@@ -497,10 +470,11 @@ class _Simulation:
 
     # -- storage ---------------------------------------------------------
 
-    def _store(self, times, y, Z):
-        """Record rows at ``times`` from flat states y (r, nv + M) and
-        estimate stacks Z (r, N, n), copied into compact arrays."""
-        n, v, c = self.model.n, *self._views(y)
+    def _store(self, times, v, Z, c):
+        """Record rows at ``times`` from agent stacks v (r, N, nv),
+        estimate stacks Z (r, N, n) and weights c (r, M), copied into
+        compact arrays."""
+        n = self.model.n
         self._times.extend(times)
         self._states.append(v[..., :n].copy())
         if self.variant == "observer":
@@ -510,47 +484,49 @@ class _Simulation:
 
     def _store_row(self):
         """Record the current instant, after every reset at it."""
-        self._store([self.t], self.y[None], self.Z[None])
+        self._store([self.t], self.v[None], self.Z[None], self.c[None])
 
-    def _commit(self, t: float, y, Z, dq, f, k: int):
-        """Make end k of a pass the current instant t; the pass's arrays
-        live on until the next one, but no stored row points into them."""
-        self.t, self.y, self.Z, self.dq = t, y[k], Z[k], (dq[0][k], dq[1][k])
-        self._f_now = float(f[k].max())
+    def _commit(self, t: float, flow, k: int):
+        """Make instant k of a ``_flow`` result the current instant t; the
+        result's arrays live on until the next one, but no stored row
+        points into them."""
+        V, Zs, dq, c, f, (P, PP) = flow
+        self.t, self.v, self.Z, self.dq, self.c = t, V[k], Zs[k], (dq[0][k], dq[1][k]), c[k]
+        self.P = (P.reshape(-1, PP.shape[-1]) @ PP[k]).reshape(P.shape)
+        self._f_now, self._lift_now = float(f[k].max()), None
 
     # -- event localization ------------------------------------------------
 
-    def _localize(self, t0, y0, k, t1, g1) -> float:
-        """Event time in (t0, t1] on the continuous extension of the step
-        with stages ``k``. ``g1`` is the trigger maximum at the step's own
-        RK4 end, or None when the pass took t1's state from the next step's
-        start, which may differ from that end in the last bits."""
-        h = t1 - t0
-        if h <= self.cfg.event_tol:
-            return t1
-        z0, g0, stats = self.Z, self._f_now, self.stats
+    def _localize(self, t1: float, cell: int, end):
+        """Event time in (now, t1] on the closed-form flow from now through
+        grid cell ``cell``, and the flow there as (result, index). ``end``
+        is the pass's flow at t1, whose trigger maximum is >= 0."""
+        t0, stats = self.t, self.stats
+        if t1 - t0 <= self.cfg.event_tol:
+            return t1, end
         stats.localizations += 1
+        seen = {t1: end}
 
         def g(tm: float) -> float:
-            if tm == t0 and g0 is not None:  # the same bits: the extension starts at y0
-                return g0
-            stats.localization_evaluations += 1
-            ym = _rk4_extension(y0, h, k, (tm - t0) / h)
-            zm = z0 @ self.expm_T.at(tm - t0)
-            return float(self._triggers(tm, ym, zm, self.kernel.edge_terms(zm)).max())
+            if tm not in seen:
+                if tm == t0 and self._f_now is not None:
+                    return self._f_now
+                stats.localization_evaluations += 1
+                seen[tm] = self._flow(self._tables([tm - t0]), [tm], [cell]), 0
+            flow, k = seen[tm]
+            return float(flow[4][k].max())
 
-        if g1 is None:
-            g1 = g(t1)
-            if g1 < 0:  # only the next step's start crosses: the event is at t1
-                return t1
-        return locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g1)
+        t_star = locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g(t1))
+        g(t_star)
+        return t_star, seen[t_star]
 
     # -- main loop ---------------------------------------------------------
 
     def _checkpoints(self):
-        """(t, cell, switch graph or None) of every checkpoint: the base
-        grid k dt, ending exactly at t_end, merged with the switch instants.
-        ``cell`` is the base-grid cell that the steps ending at t lie in."""
+        """The times, cells and switch graphs (or None) of the checkpoints:
+        the base grid k dt, ending exactly at t_end, merged with the switch
+        instants. A cell is the base-grid cell that the steps ending at the
+        checkpoint lie in."""
         cfg = self.cfg
         n_full = int(math.floor(cfg.t_end / cfg.dt + 1e-9))
         pts = [k * cfg.dt for k in range(1, n_full + 1)]
@@ -566,45 +542,50 @@ class _Simulation:
                 if 0 <= i < len(pts) and abs(pts[i] - s) <= _SLACK * max(1.0, s):
                     pts[i] = s
         merged = sorted(set(pts) | set(switches))
-        return [(t, bisect.bisect_left(pts, t), switches.get(t)) for t in merged]
+        return merged, np.searchsorted(pts, merged).tolist(), [switches.get(t) for t in merged]
+
+    def _pass(self, i: int, j: int):
+        """The ``_flow`` from now to checkpoints i..j-1 by rows of the run's
+        table when now lies one base step before checkpoint i, else to
+        checkpoint i alone by one exponential."""
+        times, cells = self._grid_t[i:j], self._grid_cell[i:j]
+        if self._on_grid(self.t, times[0]):
+            return self._flow([x[1:j - i + 1] for x in self._table], times, cells)
+        return self._flow(self._tables([times[0] - self.t]), times[:1], cells[:1])
 
     def _advance(self, i: int) -> int:
         """One pass from now over the checkpoints from i on: commit every
-        step before the first whose end has max f >= 0, and localize and
-        process that crossing. Returns the next checkpoint to reach."""
-        cap = max(1, _BLOCK_ELEMENTS // max(1, self.kernel.ei.size * self._vshape[1]))
-        size = min(self._size, cap)
-        j = min(i + size, self._ends[bisect.bisect_right(self._ends, i)])
-        B, times = j - i, [self.t] + self._grid_t[i:j]
-        y, Z, dq, f, stages = self._steps(times, self._grid_cell[i:j])
+        instant before the first with max f >= 0, and localize and process
+        that crossing. Returns the next checkpoint to reach."""
+        j = min(i + self._cap(self.kernel.ei.size), self._ends[bisect.bisect_right(self._ends, i)])
+        flow = V, Zs, _, c, f, _ = self._pass(i, j)
+        B = len(V)
+        j, times, cells = i + B, self._grid_t[i:i + B], self._grid_cell[i:i + B]
+        self.stats.steps += B
+        self.stats.passes += 1
         fmax = f.max(axis=1).tolist()
-        finite = np.isfinite(y).all(axis=1).tolist()
+        finite = (np.isfinite(V).all(axis=(1, 2)) & np.isfinite(c).all(axis=1)).tolist()
         hit = next((k for k in range(B) if fmax[k] >= 0 or not finite[k]), B)
         if hit < B and not finite[hit]:
-            raise NonFiniteStateError(f"non-finite state after step at t={times[hit]:.6f}")
-        m = min(hit, B - 1)  # the ends before the crossing, or before the last
+            start = ([self.t] + times)[hit]
+            raise NonFiniteStateError(f"non-finite state after step at t={start:.6f}")
+        m = min(hit, B - 1)  # the instants before the crossing, or before the last
         if m:
-            self._store(times[1:m + 1], y[:m], Z[:m])
+            self._store(times[:m], V[:m], Zs[:m], c[:m])
         if hit:
-            self._commit(times[hit], y, Z, dq, f, hit - 1)
+            self._commit(times[hit - 1], flow, hit - 1)
         if hit == B:
-            self._size, self._free = 2 * size, self._free + B
             self._reach(j - 1)
             return j
 
-        self._size, self._free = max(1, self._free + hit), 0
-        t0, t1 = times[hit], times[hit + 1]
-        k = [s[hit] for s in stages]
-        t_star = self._localize(t0, self.y, k, t1, fmax[hit] if hit == B - 1 else None)
-        end = hit
-        if t_star < t1:  # the first stage does not depend on the step's width
-            y, Z, dq, f, _ = self._steps([t0, t_star], [self._grid_cell[i + hit]], k[0])
-            end = 0
-        self._commit(t_star, y, Z, dq, f, end)
-        # if the re-integrated state is still below zero at t_star, no
-        # agent fires: the next pass localizes again from t_star, where
-        # the extension returns this very state, so the bracket holds
-        fired = self._sweep(t_star, f[end])
+        t1 = times[hit]
+        t_star, (flow, k) = self._localize(t1, cells[hit], (flow, hit))
+        self._commit(t_star, flow, k)
+        # if the state is still below zero at t_star, no agent fires: the
+        # next pass localizes again from t_star, where the closed form
+        # returns this very state, so the bracket holds
+        fired = self._sweep(t_star, flow[4][k])
+        self.stats.relocalizations += not fired
         if t1 - t_star > _SLACK * max(1.0, t1):
             if fired:
                 self._store_row()
@@ -621,20 +602,20 @@ class _Simulation:
         self._store_row()
 
     def _apply_switch(self, t: float, new_graph: Graph):
-        c = self._views(self.y)[1]
+        c = self.c
         self._segments[-1].values.append(c[None].copy())  # the old graph's row at t
         old = dict(zip(self.kernel.graph.edges, c))
         kernel = ProtocolKernel(new_graph, self.params, self.gains.K, self.gains.Gamma)
-        c_new = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
+        self.c = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
         self.kernel = kernel
         self.dq = kernel.edge_terms(self.Z)  # re-indexed by the new edge list
-        self.y = np.concatenate([self.y[: self.y.size - c.size], c_new])
+        self._group()  # the broadcast round forms p anew
         # the new segment opens with the next row stored, the one at t
         self._segments.append(WeightSegment(new_graph, t, len(self._times), []))
         self._force_broadcast(t, kind="switch")
 
     def run(self) -> Trajectory:
-        f0 = self._triggers(0.0, self.y, self.Z, self.dq)
+        f0 = self._triggers(0.0)
         if self.leader is not None:
             f0[self.leader] = np.nan
         self._broadcast(range(self.n_agents), 0.0, f0, "init")

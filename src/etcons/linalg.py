@@ -1,4 +1,5 @@
-"""Numerical kernels: Riccati solver, gain construction, matrix exponential.
+"""Numerical kernels: Riccati solver, gain construction, matrix exponential
+and the lifted generator of the flow between broadcasts.
 
 The Riccati equation is solved by scipy's CARE solver, and its solution
 is admitted only after residual, definiteness and stability checks.
@@ -9,6 +10,7 @@ that the engine, the analysis layer and ``matrix_exponential`` share.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -192,18 +194,24 @@ _TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
 class _Expm:
     """e^{A s} from a truncated Taylor series, numpy only.
 
-    P_k = A^k / k! is computed once. For theta = ||A||_1 |s| the degree K
-    is the smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
-    remainder of the series is then at most unit roundoff u relative to
-    ||e^{As}|| >= e^{-theta}. When A^k is exactly zero the series is exact
-    at degree k - 1 for every s (the triple integrator stops at K = 2).
+    P_k = A^k / k! is computed once. For theta = ||A'||_1 |s|, A' = T^-1 A T
+    balanced by powers of two T (Parlett & Reinsch), the degree K is the
+    smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
+    remainder of the series for A' is then at most unit roundoff u relative
+    to ||e^{A's}|| >= e^{-theta}. The products for A are those for A' scaled
+    by powers of two, so A is used as given; only theta is A''s, which
+    keeps Gamma's thousands in the engine's lifts from forcing needless
+    squarings. When A^k is exactly zero the series is exact
+    at degree k - 1, which caps K for every s (the triple integrator stops
+    at K = 2).
     Widths beyond the reach of degree _MAX_DEGREE are scaled by 2^-j and
     the result squared j times.
     """
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
-        self._norm = float(np.abs(A).sum(axis=0).max())
+        balanced = sla.matrix_balance(A, permute=False)[0]
+        self._norm = float(np.abs(balanced).sum(axis=0).max())
         term = np.eye(A.shape[0])
         self._P = [term]
         self._exact = False
@@ -216,29 +224,63 @@ class _Expm:
         for P in self._P:
             P.setflags(write=False)
 
-    def at(self, s) -> np.ndarray:
-        """e^{A s}; for an array of widths, the stack of e^{A s_i}, all at
-        the degree and scaling that the widest needs."""
-        P, stack = self._P, not isinstance(s, (int, float))
-        if stack:
-            s = np.asarray(s, dtype=float)[..., None, None]
-        squarings = 0
-        if self._exact:
-            k = len(P) - 1
-        else:
-            theta = self._norm * (float(np.abs(s).max()) if stack else abs(s))
-            if theta > _TAYLOR_THETA[-1]:
-                # smallest j with theta 2^-j below the degree-cap radius
-                squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
-                s = np.ldexp(s, -squarings)
-                theta = math.ldexp(theta, -squarings)
-            k = min(bisect.bisect_left(_TAYLOR_THETA, theta), _MAX_DEGREE)
-        out = P[k] if k or not stack else np.broadcast_to(P[0], s.shape[:-2] + P[0].shape)
+    def at(self, s: float) -> np.ndarray:
+        """e^{A s}."""
+        P, squarings, theta = self._P, 0, self._norm * abs(s)
+        if theta > _TAYLOR_THETA[-1] and not self._exact:
+            # smallest j with theta 2^-j below the degree-cap radius
+            squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
+            s, theta = math.ldexp(s, -squarings), math.ldexp(theta, -squarings)
+        k = min(bisect.bisect_left(_TAYLOR_THETA, theta), len(P) - 1)
+        out = P[k]
         for j in range(k - 1, -1, -1):
             out = out * s + P[j]
         for _ in range(squarings):
             out = out @ out
         return out
+
+
+def symmetric_powers(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flow of the degree-k monomials of d when d' = A d: their index
+    tuples a <= b <= ... (r, k); the generator (r, r) of m(d) =
+    (d_a d_b ...) over those tuples, A ⊕ ... ⊕ A restricted to symmetric
+    tensors (C(n + k - 1, k) of them instead of n^k); and U (n^k, r), with
+    d⊗...⊗d = U m(d)."""
+    n = A.shape[0]
+    mono = np.array(list(itertools.combinations_with_replacement(range(n), k))).reshape(-1, k)
+    full = np.array(list(itertools.product(range(n), repeat=k))).reshape(-1, k)
+    # U spreads the monomials over the tensor, S reads them off it
+    U = (np.sort(full, axis=1)[:, None] == mono[None]).all(axis=2).astype(float)
+    S = U.T * (np.sort(full, axis=1) == full).all(axis=1)
+    ksum = sum(np.kron(np.kron(np.eye(n ** j), A), np.eye(n ** (k - 1 - j))) for j in range(k))
+    return mono, S @ ksum @ U, U
+
+
+def cascade_lift(L, BK, A, Gamma, lam: float, Ed, W) -> np.ndarray:
+    """The generator (column form) of the adaptive cascade between
+    broadcasts at leakage rate lam = kappa varrho, after Van Loan (IEEE TAC
+    23(3), 1978): the block diagonal of three lifts, so that one matrix
+    exponential gives every closed-form readout. m2 and m3 are the
+    quadratic and cubic monomials of d (``symmetric_powers``).
+
+    * Agent [v, w, p, r]: v' = L v + BK w + Ed r, w' = (A - lam I) w + G p
+      and r' = W r, where w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
+      over the agent's edges, G p = sum ±kappa_e (d_e' Gamma d_e) d_e, and
+      r holds the disturbance states.
+    * Edge [c/kappa, m2(d)]: (c/kappa)' = -lam c/kappa + d' Gamma d.
+    * Estimate: z' = A z.
+    """
+    nv, n, nd = L.shape[0], A.shape[0], W.shape[0]
+    (_, A2, U2), (_, A3, U3) = symmetric_powers(A, 2), symmetric_powers(A, 3)
+    m = nv + n + len(A3)
+    M = np.zeros((m + nd, m + nd))
+    M[:nv, :nv], M[:nv, nv:nv + n], M[:nv, m:] = L, BK, Ed
+    M[nv:nv + n, nv:nv + n] = A - lam * np.eye(n)
+    M[nv:nv + n, nv + n:m] = np.kron(Gamma.reshape(1, -1), np.eye(n)) @ U3
+    M[nv + n:m, nv + n:m], M[m:, m:] = A3, W
+    E = np.zeros((1 + len(A2), 1 + len(A2)))
+    E[0, 0], E[0, 1:], E[1:, 1:] = -lam, Gamma.ravel() @ U2, A2
+    return sla.block_diag(M, E, A)
 
 
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:

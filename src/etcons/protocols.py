@@ -178,18 +178,24 @@ class ProtocolKernel:
             return self.kappa * (self._neg_varrho * c + q)
         return self.kappa * q  # the same bits: -0.0 c + q is q
 
-    def flow_terms(self, dq: tuple[np.ndarray, np.ndarray],
-                   c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Control inputs (N, p) and weight rates (M,) from the edge work."""
-        d, q = dq
-        # sum_j c_ij (z_i - z_j): + c d_e at endpoint i, - c d_e at endpoint j
+    def coupling(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """sum_j c_ij (z_i - z_j) per agent (..., N, n), zero at the leader,
+        from the disagreements d (M, n) and the weights c (..., M), or both
+        with the same leading stack axes."""
+        # + c d_e at endpoint i, - c d_e at endpoint j
         cd = (c[..., None] * d).reshape(c.shape[:-1] + (-1,))
         N, n = self._shape
         at_i, at_j = self._endpoint_sums(cd, self._flat_i, self._flat_j, N * n)
         s = (at_i - at_j).reshape(cd.shape[:-1] + self._shape)
         if self.leader is not None:
             s[..., self.leader, :] = 0.0
-        return s @ self.K.T, self.weight_rates(q, c)
+        return s
+
+    def flow_terms(self, dq: tuple[np.ndarray, np.ndarray],
+                   c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Control inputs (N, p) and weight rates (M,) from the edge work."""
+        d, q = dq
+        return self.coupling(d, c) @ self.K.T, self.weight_rates(q, c)
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,

@@ -3,8 +3,8 @@
 They are the straightforward per-agent, per-value and per-check forms of
 code that ``src/etcons`` runs in a faster shape: the protocol formulas are
 written for one agent or one edge (``ProtocolKernel`` stacks them), the
-RK4 step is taken one stage at a time on the whole augmented state (the
-engine's ``_steps`` takes a run of steps in one batched pass), event
+flow between broadcasts is integrated by classical RK4, one stage at a time
+on the whole augmented state (the engine evaluates its closed form), event
 localization evaluates every bisection midpoint, the CSV writers format
 one value per f-string, and the Zeno report rescans the event list and
 every weight row for each interval it checks.
@@ -142,6 +142,31 @@ def rk4_step(sim, t: float, y: np.ndarray, Z: np.ndarray, h: float, w=None):
     k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2, z_half)
     k4 = rhs(t + h, y + h * k3, z_full)
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), z_full, (k1, k2, k3, k4)
+
+
+def rk4_extension(y0, h, k, theta):
+    """RK4's continuous extension: the state at fraction ``theta`` of the
+    step of width h from y0 with stages ``k`` = (k1, k2, k3, k4).
+
+    Third order in theta h (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6); y0 itself at theta = 0 and the RK4 step at theta = 1.
+    """
+    k1, k2, k3, k4 = k
+    t2 = theta * theta
+    c = 2 * t2 * theta / 3
+    return y0 + h * ((theta - 1.5 * t2 + c) * k1 + (t2 - c) * (k2 + k3)
+                     + (c - 0.5 * t2) * k4)
+
+
+def rk4_flow(sim, t1: float, w=None, substeps: int = 100):
+    """An engine's flow from its current state to t1 by ``substeps`` steps
+    of ``rk4_step``; ``w(s)`` is the disturbance. Returns the agent stack v
+    (x, then chi on observer runs), the weights c and the estimates Z."""
+    m = sim.kernel.ei.size
+    y, Z, h = np.concatenate([sim.v.ravel(), sim.c]), sim.Z, (t1 - sim.t) / substeps
+    for k in range(substeps):
+        y, Z, _ = rk4_step(sim, sim.t + k * h, y, Z, h, w)
+    return y[:y.size - m].reshape(sim.v.shape), y[y.size - m:], Z
 
 
 def events_for(traj: Trajectory, agent: int) -> list[EventRecord]:

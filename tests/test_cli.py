@@ -120,11 +120,14 @@ class TestRunCommand:
         assert main(["run", path, "--out", out]) == 0
         with open(os.path.join(out, "summary.json")) as fh:
             stats = json.load(fh)["stats"]
-        assert sorted(stats) == ["localization_evaluations", "localizations", "passes", "steps"]
+        assert sorted(stats) == ["cascade_broadcasts", "localization_evaluations",
+                                 "localizations", "passes", "relocalizations", "steps"]
         assert all(isinstance(v, int) for v in stats.values())
-        # 2,000 grid steps taken in fewer passes; a localization evaluates f
+        # 2,000 grid instants evaluated in fewer passes; a localization evaluates f
         assert stats["steps"] >= 2000 > stats["passes"] > 0
         assert stats["localization_evaluations"] > stats["localizations"] > 0
+        assert 0 <= stats["relocalizations"] < stats["localizations"]
+        assert 0 <= stats["cascade_broadcasts"] < stats["localizations"]
 
     def test_byte_identical_outputs_same_seed(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -6,14 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from etcons import engine as engine_module
 from etcons.analysis import consensus_error, invariance_deviation, stacked_norm
 from etcons.engine import (
     DisturbanceSpec,
     SimConfig,
-    _rk4_extension,
     _Simulation,
     locate_event,
     simulate,
@@ -28,7 +27,7 @@ from etcons.errors import (
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import GainSet, SystemModel, design_gains
 from etcons.protocols import ProtocolParams
-from oracles import events_for
+from oracles import events_for, rk4_flow
 
 A_TRIPLE = [[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]
 B_TRIPLE = [[0.0], [0.0], [1.0]]
@@ -312,12 +311,13 @@ class TestRelocalization:
         localize = _Simulation._localize
         forced = []
 
-        def early(self, t0, *args):
-            t_star = localize(self, t0, *args)
+        def early(self, t1, cell, end):
+            t_star, state = localize(self, t1, cell, end)
             if forced:
-                return t_star
-            forced.append(t0 + (t_star - t0) / 2)
-            return forced[0]
+                return t_star, state
+            forced.append(self.t + (t_star - self.t) / 2)
+            tab = self._tables([forced[0] - self.t])
+            return forced[0], (self._flow(tab, forced, [cell]), 0)
 
         monkeypatch.setattr(_Simulation, "_localize", early)
         traj = simulate(model, ring6, gains, params, sim, x0)
@@ -325,63 +325,102 @@ class TestRelocalization:
         assert all(e.trigger_value_before >= 0 for e in triggers)
         assert not np.any(traj.times == forced[0])
         assert abs(triggers[0].time - first) <= sim.event_tol
+        assert traj.stats.relocalizations == 1 + plain.stats.relocalizations
 
 
-class TestContinuousExtension:
-    def test_matches_the_step_at_theta_one(self, model, gains, params, ring6):
-        engine = _Simulation(model, ring6, gains, params, short_sim(), random_x0(),
-                             "state")
-        h = 1e-3
-        y1, _, _, _, k = engine._steps([0.0, h], [0])
-        y1, k = y1[0], [stage[0] for stage in k]
-        assert np.array_equal(_rk4_extension(engine.y, h, k, 0.0), engine.y)
-        ulp = np.spacing(np.maximum(np.abs(engine.y), np.abs(y1)))
-        assert (np.abs(_rk4_extension(engine.y, h, k, 1.0) - y1) <= 4 * ulp).all()
+def close(a, b, tol=1e-12):
+    """Agreement to tol relative to the largest entry of b."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b).max(initial=0.0) <= tol * max(np.abs(b).max(initial=0.0), 1e-300)
 
-    def test_error_on_a_rotation_shrinks_like_h4(self):
-        # ydot = A y; max error over the step against the exact flow
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        y0 = np.array([1.0, 0.5])
-        thetas = np.linspace(0.0, 1.0, 21)
 
-        def dense_error(h):
-            k1 = A @ y0
-            k2 = A @ (y0 + 0.5 * h * k1)
-            k3 = A @ (y0 + 0.5 * h * k2)
-            k4 = A @ (y0 + h * k3)
-            k = (k1, k2, k3, k4)
-            return max(np.abs(_rk4_extension(y0, h, k, th)
-                              - scipy.linalg.expm(A * th * h) @ y0).max()
-                       for th in thetas)
+def mid_run(model, gains, params, graph, sim, variant="state", seed=4):
+    """An engine at its fifth grid instant with estimates apart from the
+    states and grown weights, as between two broadcasts."""
+    rng = np.random.default_rng(seed)
+    engine = _Simulation(model, graph, gains, params, sim, random_x0(seed, graph.n_nodes),
+                         variant)
+    engine.t = engine._grid_t[4]
+    engine.Z = engine.Z + rng.uniform(-0.2, 0.2, engine.Z.shape)
+    engine.dq = engine.kernel.edge_terms(engine.Z)
+    engine.c = engine.c + rng.uniform(0.0, 1.0, engine.c.size)
+    engine.P = None
+    return engine
 
-        errors = [dense_error(h) for h in (0.2, 0.1, 0.05, 0.025)]
-        ratios = np.array(errors[:-1]) / np.array(errors[1:])
-        assert (ratios > 14).all() and (ratios < 18).all(), ratios
+
+class TestClosedForm:
+    def test_localization_states_match_the_oracle(self, model, gains, params, ring6):
+        # inside a step, where localization evaluates the flow: width 0
+        # gives the current state's bits, and every width the oracle's
+        engine = mid_run(model, gains, params, ring6, short_sim())
+        t0, h = engine.t, short_sim().dt
+        V, Z, _, c, f, _ = engine._flow(engine._tables([0.0]), [t0], [5])
+        assert np.array_equal(V[0], engine.v) and np.array_equal(Z[0], engine.Z)
+        assert np.array_equal(c[0], engine.c)
+        assert np.array_equal(f[0], engine._triggers(t0))
+        for theta in (0.25, 0.5, 1.0):
+            t = t0 + theta * h
+            V, Z, _, c, _, _ = engine._flow(engine._tables([t - t0]), [t], [5])
+            v, cw, z = rk4_flow(engine, t)
+            assert close(V[0], v) and close(c[0], cw) and close(Z[0], z), theta
+
+    @pytest.mark.parametrize("event_tol", [1e-8, 1e-2])
+    def test_committed_cubic_moments_match_the_edge_work(self, model, gains, params, ring6,
+                                                          monkeypatch, event_tol):
+        # p flows with the estimates between broadcasts, so at every commit
+        # it is p formed afresh from the edge work; at event_tol = dt every
+        # crossing is committed at its step's end, past a commit in the pass
+        commit, checked = _Simulation._commit, []
+
+        def checked_commit(sim, t, flow, k):
+            commit(sim, t, flow, k)
+            P = sim.P
+            sim._cubes()
+            assert close(P, sim.P, 1e-10), t
+            checked.append(t)
+
+        monkeypatch.setattr(_Simulation, "_commit", checked_commit)
+        sim = short_sim(t_end=2.0, dt=1e-2, event_tol=event_tol, seed=3)
+        traj = simulate(model, ring6, gains, params, sim, random_x0(3))
+        assert len(checked) > 20 and any(e.kind == "trigger" for e in traj.events)
+
+    @pytest.mark.parametrize("dt", [0.2, 0.1, 0.05])
+    def test_exact_on_a_rotation(self, params, dt):
+        # a lone agent flows by e^{At} x0 whatever the grid, to a few
+        # roundings per pass (4 to 9 eps here); RK4's continuous extension
+        # on this rotation erred like dt^4
+        m = SystemModel(A=[[0.0, 1.0], [-1.0, 0.0]], B=[[0.0], [1.0]])
+        sim = SimConfig(t_end=2.0, dt=dt)
+        traj = simulate(m, build_graph(1, []), design_gains(m), params, sim, [[1.0, 0.5]])
+        t = traj.times
+        exact = np.stack([np.cos(t) + 0.5 * np.sin(t), -np.sin(t) + 0.5 * np.cos(t)], axis=1)
+        assert np.abs(traj.states[:, 0] - exact).max() <= 16 * np.finfo(float).eps
 
 
 class TestCarriedEdgeWork:
     """The engine carries each estimate stack with its edge work; every
-    pass start and every trigger evaluation must see the pair in step."""
+    closed-form evaluation and every trigger evaluation must see the pair
+    in step."""
 
     def _checked_run(self, monkeypatch, *args, **kwargs):
         checks = []
 
-        def check(sim, Z, dq):
-            d, q = sim.kernel.edge_terms(Z)
-            assert np.array_equal(dq[0], d) and np.array_equal(dq[1], q)
+        def check(sim):
+            d, q = sim.kernel.edge_terms(sim.Z)
+            assert np.array_equal(sim.dq[0], d) and np.array_equal(sim.dq[1], q)
             checks.append(1)
 
-        steps, triggers = _Simulation._steps, _Simulation._triggers
+        flow, triggers = _Simulation._flow, _Simulation._triggers
 
-        def checked_steps(sim, times, cells, k1=None):
-            check(sim, sim.Z, sim.dq)
-            return steps(sim, times, cells, k1)
+        def checked_flow(sim, tab, times, cells):
+            check(sim)
+            return flow(sim, tab, times, cells)
 
-        def checked_triggers(sim, t, y, Z, dq):
-            check(sim, Z, dq)
-            return triggers(sim, t, y, Z, dq)
+        def checked_triggers(sim, t):
+            check(sim)
+            return triggers(sim, t)
 
-        monkeypatch.setattr(_Simulation, "_steps", checked_steps)
+        monkeypatch.setattr(_Simulation, "_flow", checked_flow)
         monkeypatch.setattr(_Simulation, "_triggers", checked_triggers)
         traj = simulate(*args, **kwargs)
         assert checks
@@ -405,38 +444,35 @@ class TestCarriedEdgeWork:
 
 
 class TestReusedValues:
-    """A localization takes the trigger maximum at its low end and the
-    re-integration's first stage from what the engine already computed;
-    both must be the bits a fresh evaluation gives."""
+    """A localization takes the trigger maximum at its low end from what
+    the engine already computed, and commits at t* the closed-form state
+    it evaluated there; both must be the bits a fresh evaluation gives."""
 
     @pytest.mark.parametrize("variant", ["state", "observer"])
-    def test_low_end_value_and_first_stage(self, model, params, ring6, monkeypatch, variant):
-        localize, steps, checked = _Simulation._localize, _Simulation._steps, []
+    def test_low_end_value_and_committed_state(self, model, params, ring6, monkeypatch,
+                                               variant):
+        localize, checked = _Simulation._localize, []
 
-        def low_end(sim, t0, y0, k, t1, g1):
+        def fresh(sim, t, cell):
+            return sim._flow(sim._tables([t - sim.t]), [t], [cell])
+
+        def checked_localize(sim, t1, cell, end):
             if sim._f_now is not None:  # what the bisection's evaluation at t0 gives
-                zm = sim.Z @ sim.expm_T.at(0.0)
-                ym = _rk4_extension(y0, t1 - t0, k, 0.0)
-                assert sim._f_now == sim._triggers(t0, ym, zm, sim.kernel.edge_terms(zm)).max()
+                assert sim._f_now == fresh(sim, sim.t, cell)[4].max()
                 checked.append("low end")
-            return localize(sim, t0, y0, k, t1, g1)
+            t_star, (flow, k) = localize(sim, t1, cell, end)
+            if t_star < t1:
+                again = fresh(sim, t_star, cell)
+                for a, b in zip(flow[:2] + flow[2] + flow[3:5], again[:2] + again[2] + again[3:5]):
+                    assert np.array_equal(a[k], b[0])
+                checked.append("committed state")
+            return t_star, (flow, k)
 
-        def first_stage(sim, times, cells, k1=None):
-            out = steps(sim, times, cells, k1)
-            if k1 is not None:
-                y, Z, dq, f, k = steps(sim, times, cells)
-                for a, b in zip(out[:2] + out[2] + out[3:4] + tuple(out[4]),
-                                (y, Z) + dq + (f,) + tuple(k)):
-                    assert np.array_equal(a, b)
-                checked.append("first stage")
-            return out
-
-        monkeypatch.setattr(_Simulation, "_localize", low_end)
-        monkeypatch.setattr(_Simulation, "_steps", first_stage)
+        monkeypatch.setattr(_Simulation, "_localize", checked_localize)
         gains = design_gains(model, observer=variant == "observer")
         simulate(model, ring6, gains, params, short_sim(t_end=2.0, seed=3), random_x0(3),
                  variant=variant)
-        assert {"low end", "first stage"} <= set(checked)
+        assert {"low end", "committed state"} <= set(checked)
 
 
 def _shipped(name: str, **sim) -> dict:
@@ -448,34 +484,52 @@ def _shipped(name: str, **sim) -> dict:
     return cfg
 
 
+def _checked_passes(monkeypatch, wanted):
+    """Record every pass as (steps, edge values per step); check the first
+    ``wanted`` passes of more than one step, or of one when none is longer,
+    against the RK4 oracle at each of their instants."""
+    passes, compared, compare = [], [], _Simulation._pass
+
+    def checked(sim, i, j):
+        flow = compare(sim, i, j)
+        V, Z, _, c, _, _ = flow
+        passes.append((len(V), sim.kernel.ei.size * sim.v.shape[1]))
+        if len(compared) < wanted and (len(V) > 1 or len(passes) == 1):
+            compared.append(i)
+            probe = copy.copy(sim)  # the oracle steps on from its own states
+            for k in range(len(V)):
+                probe.v, probe.c, probe.Z = rk4_flow(probe, sim._grid_t[i + k])
+                probe.t = sim._grid_t[i + k]
+                assert close(V[k], probe.v) and close(c[k], probe.c) and close(Z[k], probe.Z)
+        return flow
+
+    monkeypatch.setattr(_Simulation, "_pass", checked)
+    return passes
+
+
 class TestPasses:
-    def test_leaderless_run_batches_its_steps(self):
+    def test_leaderless_passes_span_many_steps_and_match_the_oracle(self, monkeypatch):
         from etcons.cli import RunSetup
 
+        passes = _checked_passes(monkeypatch, 3)
         stats = RunSetup(_shipped("leaderless_sec5", t_end=5.0)).run()[0].stats
         assert stats.steps >= 5000
         assert stats.passes <= stats.steps / 8
+        assert (stats.passes, stats.steps) == (len(passes), sum(b for b, _ in passes))
         assert stats.localization_evaluations > stats.localizations > 0
 
     def test_ring400_passes_stay_within_the_element_cap(self, monkeypatch):
         from etcons.cli import RunSetup
 
-        sizes = []
-        steps = _Simulation._steps
-
-        def recorded(sim, times, cells, k1=None):
-            sizes.append((len(times) - 1, sim.kernel.ei.size * sim._vshape[1]))
-            return steps(sim, times, cells, k1)
-
-        monkeypatch.setattr(_Simulation, "_steps", recorded)
+        passes = _checked_passes(monkeypatch, 1)
         cfg = _shipped("leaderless_sec5", t_end=0.2)
         cfg["graph"] = {"generator": "ring", "n": 400}
         traj = RunSetup(cfg).run()[0]
         # a pass of more than one step holds at most the element budget
         assert all(b == 1 or b * per_step <= engine_module._BLOCK_ELEMENTS
-                   for b, per_step in sizes)
-        assert traj.stats.passes == len(sizes)
-        assert traj.stats.steps == sum(b for b, _ in sizes)
+                   for b, per_step in passes)
+        assert traj.stats.passes == len(passes)
+        assert traj.stats.steps == sum(b for b, _ in passes)
         assert sum(e.kind == "trigger" for e in traj.events) > 50
 
 
@@ -508,20 +562,25 @@ class TestFlowQuality:
         dev = invariance_deviation(traj)
         assert dev < 1e-6 * (1.0 + np.linalg.norm(x0.ravel()))
 
-    def test_grid_refinement_converges(self, model, gains, params, ring6):
-        # RK4 on a 10x coarser grid stays within 1e-6 relative of dt = 1e-3
-        # (max difference 4.7e-8); a 4x finer grid agrees to 4e-13
+    def test_grid_refinement_only_moves_the_checks(self, model, gains, params, ring6):
+        # the flow between checks is exact, so a 4x finer grid, which
+        # misses no crossing here, gives the same events and states to
+        # rounding (1.6e-15 apart); a 10x coarser one moves the localized
+        # times by up to 9e-8 and the final states by 5.6e-8 (RK4: 4.7e-8)
         x0 = random_x0(23)
-        final = {dt: simulate(model, ring6, gains, params,
-                              short_sim(t_end=2.0, dt=dt), x0).final_states
-                 for dt in (1e-2, 1e-3, 2.5e-4)}
-        assert np.allclose(final[1e-2], final[1e-3], rtol=1e-6, atol=1e-8)
-        assert np.allclose(final[2.5e-4], final[1e-3], rtol=0.0, atol=1e-11)
+        runs = {dt: simulate(model, ring6, gains, params, short_sim(t_end=2.0, dt=dt), x0)
+                for dt in (1e-2, 1e-3, 2.5e-4)}
+        fine, base = runs[2.5e-4], runs[1e-3]
+        assert [e.agent for e in fine.events] == [e.agent for e in base.events]
+        assert np.allclose([e.time for e in fine.events], [e.time for e in base.events],
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(fine.final_states, base.final_states, rtol=0.0, atol=1e-12)
+        assert np.allclose(runs[1e-2].final_states, base.final_states, rtol=1e-6, atol=1e-8)
 
     def test_random_disturbance_cells_are_exact(self, params):
-        # xdot = w_k on a lone scalar integrator: every stage of a step must
-        # see its own cell's draw, so each step adds dt * w_k and the state
-        # is the running sum of the drawn table
+        # xdot = w_k on a lone scalar integrator: every step must see its
+        # own cell's draw, so each step adds dt * w_k and the state is the
+        # running sum of the drawn table
         m = SystemModel(A=[[0.0]], B=[[1.0]])
         dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
         sim = short_sim(t_end=1.0, disturbance=dist)
@@ -537,15 +596,15 @@ class TestFlowQuality:
         # need them, and they are the rows of one (cells, N, n) draw; the
         # switch at 0.1005 splits a cell in two
         seen = {}
-        draw = _Simulation._disturbance
+        draw = _Simulation._draws
 
-        def record(self, T, cells):
-            w = draw(self, T, cells)
+        def record(self, cells):
+            w = draw(self, cells)
             for cell, values in zip(cells, w):
                 assert np.array_equal(seen.setdefault(cell, values.copy()), values)
             return w
 
-        monkeypatch.setattr(_Simulation, "_disturbance", record)
+        monkeypatch.setattr(_Simulation, "_draws", record)
         dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
         sim = short_sim(t_end=0.2, dwell_min=0.05, disturbance=dist,
                         topology_schedule=((0.1005, generate_graph("star", 6)),))

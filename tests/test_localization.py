@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etcons.cli import RunSetup, load_config
-from etcons.engine import _rk4_extension, locate_event
-from oracles import bisect_event
+from etcons.engine import locate_event
+from oracles import bisect_event, rk4_extension
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -60,11 +60,11 @@ def extensions(draw):
     k = draw(st.floats(1e-2, 1e2))
     stages = [k * (1 + draw(st.floats(-0.3, 0.3))) for _ in range(4)]
     y0 = -k * h * draw(st.floats(0.05, 0.95))
-    if _rk4_extension(y0, h, stages, 1.0) < 0:
-        y0 = -0.5 * _rk4_extension(0.0, h, stages, 1.0)
+    if rk4_extension(y0, h, stages, 1.0) < 0:
+        y0 = -0.5 * rk4_extension(0.0, h, stages, 1.0)
 
     def g(t):
-        return _rk4_extension(y0, h, stages, (t - t_lo) / h)
+        return rk4_extension(y0, h, stages, (t - t_lo) / h)
 
     return g, t_lo, t_hi, tol
 

@@ -1,25 +1,27 @@
-"""The engine's batched RK4 pass against the per-step oracle.
+"""The engine's closed-form pass against an RK4 oracle.
 
-``_Simulation._steps`` integrates a run of grid steps at once: it chains
-the starts of the steps by recursive doubling and evaluates every step's
-stages together. ``oracles.rk4_step`` takes the same steps one at a time,
-stage by stage, on the whole augmented state. Drawn: connected graphs on
-2..10 nodes (a leader for the leader-follower variant), controllable
-(A, B) with n <= 4, every variant, leakage varrho >= 0, every disturbance
-kind, 1..64 steps, and a first step that may start inside a grid cell.
+``_Simulation._pass`` evaluates the flow between broadcasts in closed form
+at a run of grid instants: rows of a table at the offsets k dt, or one
+exponential when the pass starts off the grid. ``oracles.rk4_flow``
+integrates the same flow with classical RK4, 100 steps per grid cell,
+one stage at a time on the whole augmented state. Drawn: connected graphs
+on 2..10 nodes (a leader for the leader-follower variant), controllable
+(A, B) with n <= 4, every variant, scalar and per-edge leakage varrho >= 0
+(so that several leakage rates lambda = kappa varrho share a run), every
+disturbance kind, 1..12 grid instants, a start that may lie inside a grid
+cell, and a topology switch at the start.
 """
 
-import math
-
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etcons.engine import DisturbanceSpec, SimConfig, _rk4_extension, _Simulation
-from etcons.graph import build_graph
+from etcons.engine import DisturbanceSpec, SimConfig, _Simulation
+from etcons.graph import build_graph, generate_graph
 from etcons.linalg import SystemModel, design_gains
 from etcons.protocols import ProtocolParams
-from oracles import rk4_step
+from oracles import rk4_flow
 from test_engine_properties import connected_graphs
 
 TOL = 1e-12
@@ -45,38 +47,51 @@ def close(a, b):
     return np.abs(a - b).max(initial=0.0) <= TOL * max(np.abs(b).max(initial=0.0), 1e-300)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), variant=st.sampled_from(["state", "observer", "leader_follower"]),
-       varrho=st.sampled_from([0.0, 0.05, 2.0]),
-       kind=st.sampled_from([None, "constant", "sinusoid", "uniform-random"]),
-       steps=st.integers(1, 64), dt=st.sampled_from([1e-3, 1e-2]),
-       offset=st.sampled_from([0.0, 0.3, 0.75]))
-def test_steps_match_the_per_step_oracle(data, variant, varrho, kind, steps, dt, offset):
+def set_state(engine, rng):
+    """A mid-run state: estimates apart from the states, grown weights."""
+    engine.Z = rng.uniform(-1, 1, engine.Z.shape)
+    engine.dq = engine.kernel.edge_terms(engine.Z)
+    engine.c = engine.c + rng.uniform(0, 1, engine.c.size)
+    engine.P = None
+    engine._f_now = engine._lift_now = None
+
+
+@pytest.mark.parametrize("kind", [None, "constant", "sinusoid", "uniform-random"])
+@pytest.mark.parametrize("variant", ["state", "observer", "leader_follower"])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), leak=st.sampled_from([0.0, 0.05, 2.0, "per-edge"]),
+       steps=st.integers(1, 12), dt=st.sampled_from([1e-3, 1e-2]),
+       offset=st.sampled_from([0.0, 0.0, 0.3, 0.75]), switch=st.booleans())
+def test_pass_matches_the_rk4_oracle(variant, kind, data, leak, steps, dt, offset, switch):
     g = data.draw(connected_graphs())
-    if variant == "leader_follower":
-        g = build_graph(g.n_nodes, g.edges, leader=0)
+    leader = 0 if variant == "leader_follower" else None
+    g = build_graph(g.n_nodes, g.edges, leader=leader)
+    star = generate_graph("star", g.n_nodes, leader=leader)
     model = data.draw(models(variant == "observer"))
     gains = design_gains(model, observer=variant == "observer")
-    params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, kappa=0.2, varrho=varrho, c0=0.1)
-    dist = None if kind is None else DisturbanceSpec(kind=kind, amplitude=0.1, seed=5)
-    sim = SimConfig(t_end=1.0, dt=dt, disturbance=dist)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if leak == "per-edge":  # distinct rates on the edges of both graphs
+        leak = {e: float(r) for e, r in zip(sorted(set(g.edges) | set(star.edges)),
+                                            rng.choice([0.0, 0.05, 0.7, 2.0], 64))}
+    params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, kappa=0.2, varrho=leak, c0=0.1)
+    dist = None if kind is None else DisturbanceSpec(kind=kind, amplitude=0.1, seed=5)
+    sim = SimConfig(t_end=1.0, dt=dt, disturbance=dist, topology_schedule=((0.9, star),))
     shape = (g.n_nodes, model.n)
     engine = _Simulation(model, g, gains, params, sim, rng.uniform(-1, 1, shape), variant,
                          chi0=rng.uniform(-1, 1, shape) if variant == "observer" else None)
-    # a mid-run state: estimates apart from the states, grown weights
-    engine.Z = rng.uniform(-1, 1, shape)
-    engine.dq = engine.kernel.edge_terms(engine.Z)
-    engine.y[engine._nv:] += rng.uniform(0, 1, engine.y.size - engine._nv)
-    first = 3  # the first step starts at `offset` of cell 3 and ends at its end
-    engine.t = (first + offset) * dt
-    times = [engine.t] + engine._grid_t[first:first + steps]
-    cells = engine._grid_cell[first:first + steps]
+    first = 3  # the pass starts at `offset` of cell `first`, or at its start
+    engine.t = engine._grid_t[first - 1] + offset * dt
+    if switch:
+        engine._apply_switch(engine.t, star)
+    set_state(engine, rng)
+    B = 1 if offset else min(steps, engine._cap(engine.kernel.ei.size))
+    V, Z, dq, c, f, _ = engine._pass(first, first + B)
+    assert V.shape[0] == Z.shape[0] == c.shape[0] == f.shape[0] == B
 
     mask = np.ones((g.n_nodes, 1))
-    if g.leader is not None:
-        mask[g.leader] = 0.0
-    table = np.random.default_rng(5).uniform(-0.1, 0.1, (first + steps + 1,) + shape) * mask
+    if leader is not None:
+        mask[leader] = 0.0
+    table = np.random.default_rng(5).uniform(-0.1, 0.1, (first + B + 1,) + shape) * mask
 
     def disturbance(cell):
         if kind == "constant":
@@ -86,27 +101,18 @@ def test_steps_match_the_per_step_oracle(data, variant, varrho, kind, steps, dt,
             return lambda s: (0.1 * np.sin(2 * np.pi * s + phases))[:, None] * mask
         return None if kind is None else (lambda s: table[cell])
 
-    y0, z0 = engine.y.copy(), engine.Z.copy()
-    ends, Z_end, dq_end, f, stages = engine._steps(times, cells)
-    assert ends.shape[0] == Z_end.shape[0] == f.shape[0] == len(cells)
-
-    y, z = y0, z0
-    n, nv = model.n, engine._nv
-    for k, (t0, t1, cell) in enumerate(zip(times, times[1:], cells)):
-        y, z, _ = rk4_step(engine, t0, y, z, t1 - t0, disturbance(cell))
-        v, c = y[:nv].reshape(engine._vshape), y[nv:]
-        assert close(ends[k, :nv], v.ravel()), k
-        assert close(ends[k, nv:], c), k
-        assert close(Z_end[k], z), k
-        d, q = engine.kernel.edge_terms(Z_end[k])
-        assert np.array_equal(dq_end[0][k], d) and np.array_equal(dq_end[1][k], q)
-        oracle_f = engine.kernel.trigger_values(v[:, -n:], z, engine.kernel.edge_terms(z), c, t1)
+    n, kern = model.n, engine.kernel
+    for k in range(B):
+        t1, cell = engine._grid_t[first + k], engine._grid_cell[first + k]
+        v, cw, z = rk4_flow(engine, t1, disturbance(cell))
+        assert close(V[k], v), k
+        assert close(c[k], cw), k
+        assert close(Z[k], z), k
+        d, q = kern.edge_terms(Z[k])
+        assert np.array_equal(dq[0][k], d) and np.array_equal(dq[1][k], q)
+        oracle_f = kern.trigger_values(v[:, -n:], z, kern.edge_terms(z), cw, t1)
         finite = np.isfinite(oracle_f)
         assert np.array_equal(finite, np.isfinite(f[k]))
         assert close(f[k][finite], oracle_f[finite]), k
-        # the stages give the step's own end at theta = 1
-        start = y0 if k == 0 else ends[k - 1]
-        ext = _rk4_extension(start, t1 - t0, [s[k] for s in stages], 1.0)
-        assert close(ext, ends[k]), k
-        assert np.array_equal(_rk4_extension(start, t1 - t0, [s[k] for s in stages], 0.0), start)
-    assert math.isclose(times[-1], engine._grid_t[first + steps - 1])
+        # the oracle goes on from its own state at t1
+        engine.t, engine.v, engine.c, engine.Z = t1, v, cw, z

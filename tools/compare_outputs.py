@@ -7,8 +7,9 @@ constant and a uniform-random disturbance, and the ring400/complete70
 benchmark configs (seed 42) through ``etcons run`` once with this tree's
 ``src/`` and once with REV's, extracted by ``git archive`` into a
 temporary directory, and compares trajectory.csv, events.csv, weights.csv
-and summary.json byte for byte. Prints one line per config and exits 1 on
-any difference.
+and summary.json byte for byte, summary.json without its ``"stats"`` work
+counters. Prints one line per config, with the counters that moved, and
+exits 1 on any other difference.
 The two sides of a config run in parallel, one process each.
 """
 
@@ -21,6 +22,7 @@ import glob
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -57,6 +59,30 @@ def _extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
+def _summary(path: str) -> tuple[bytes, dict]:
+    """The bytes of summary.json without its top-level "stats" block (as
+    ``etcons run`` writes it, two-space indented), and that block."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    rest = re.sub(rb'^  "stats": \{\n.*?^  \},?\n', b"", text, count=1, flags=re.M | re.S)
+    return rest, json.loads(text).get("stats", {})
+
+
+def compare_dirs(a: str, b: str) -> tuple[list[str], list[str]]:
+    """The output files that differ between run directories a and b, and
+    the work counters that moved from a to b ("name a -> b"), which are no
+    difference."""
+    changed = [f for f in OUTPUTS[:-1]
+               if not filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False)]
+    (text_a, stats_a), (text_b, stats_b) = (_summary(os.path.join(d, OUTPUTS[-1]))
+                                            for d in (a, b))
+    if text_a != text_b:
+        changed.append(OUTPUTS[-1])
+    moved = [f"{k} {stats_a.get(k)} -> {stats_b.get(k)}" for k in sorted(stats_a | stats_b)
+             if stats_a.get(k) != stats_b.get(k)]
+    return changed, moved
+
+
 def _start(src: str, config: str, out: str) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, "-m", "etcons.cli", "run", config, "--out", out],
                             env=dict(os.environ, PYTHONPATH=src),
@@ -89,12 +115,11 @@ def main(argv=None) -> int:
                 differ = True
                 print(f"{name:26s} FAILED {'; '.join(failed)}", flush=True)
                 continue
-            a, b = outs.values()
-            changed = [f for f in OUTPUTS
-                       if not filecmp.cmp(os.path.join(a, f), os.path.join(b, f),
-                                          shallow=False)]
+            changed, moved = compare_dirs(outs[args.rev], outs["this"])
             differ |= bool(changed)
             verdict = "differ: " + ", ".join(changed) if changed else "identical"
+            if moved:
+                verdict += f" (stats moved: {'; '.join(moved)})"
             print(f"{name:26s} {len(OUTPUTS) - len(changed)}/{len(OUTPUTS)} {verdict}",
                   flush=True)
     return 1 if differ else 0
