@@ -3,8 +3,10 @@
     python tools/compare_outputs.py REV
 
 Runs the six shipped configs, two 5 s variants of disturbance.json with a
-constant and a uniform-random disturbance, and the ring400/complete70
-benchmark configs (seed 42) through ``etcons run`` once with this tree's
+constant and a uniform-random disturbance, a 5 s variant of
+leader_follower.json with two leakage rates (varrho 0.1 on edges 0-1 and
+2-3, 0.05 on the rest), and the ring400/complete70 benchmark configs
+(seed 42) through ``etcons run`` once with this tree's
 ``src/`` and once with REV's, extracted by ``git archive`` into a
 temporary directory, and compares trajectory.csv, events.csv, weights.csv
 and summary.json byte for byte, summary.json without its ``"stats"`` work
@@ -44,6 +46,12 @@ def _configs() -> list[tuple[str, dict]]:
         cfg["sim"]["t_end"] = 5.0
         cfg["sim"]["disturbance"] = {"kind": kind, "amplitude": 0.1}
         out.append((f"disturbance_{kind}", cfg))
+    # each shipped config has one leakage rate; this one has two, and a leader
+    cfg = copy.deepcopy(dict(out)["leader_follower"])
+    cfg["sim"]["t_end"] = 5.0
+    cfg["protocol"]["varrho"] = {f"{i}-{j}": 0.1 if (i, j) in ((0, 1), (2, 3)) else 0.05
+                                 for i, j in cfg["graph"]["edges"]}
+    out.append(("leader_follower_two_rates", cfg))
     sys.path.insert(0, os.path.join(REPO, "perfbench"))
     import workloads
     for workload in ("ring-sparse", "complete-dense"):
