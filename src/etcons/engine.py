@@ -342,22 +342,17 @@ class _Simulation:
     # -- flow ----------------------------------------------------------
 
     def _group(self):
-        """Each edge's leakage group under the current graph, and where its
-        cubic features land in the agents' lifts."""
-        k, G, n3 = self.kernel, len(self._lams), len(self._mono3)
+        """Each edge's leakage group under the current graph, and its
+        membership mask per group (G, M)."""
+        k = self.kernel
         self._g = np.searchsorted(self._lams, k.kappa * k.varrho)
-        self._in_group = (self._g == np.arange(G)[:, None]).astype(float)
-        self._cube_i, self._cube_j = (((end * G + self._g)[:, None] * n3 + np.arange(n3)).ravel()
-                                      for end in (k.ei, k.ej))
+        self._in_group = (self._g == np.arange(len(self._lams))[:, None]).astype(float)
 
     def _cubes(self):
-        """p = sum ±kappa_e m3(d_e) of every agent, from the edge work."""
-        k, N, G, n3 = self.kernel, self.n_agents, len(self._lams), len(self._mono3)
-        cube = (k.kappa[:, None] * self.dq[0][:, self._mono3].prod(axis=-1)).ravel()
-        self.P = (np.bincount(self._cube_i, cube, N * G * n3)
-                  - np.bincount(self._cube_j, cube, N * G * n3)).reshape(N, G, n3)
-        if self.leader is not None:
-            self.P[self.leader] = 0.0
+        """p = sum ±kappa_e m3(d_e) of every agent per group (N, G, r3),
+        from the edge work."""
+        k, m3 = self.kernel, self.dq[0][:, self._mono3].prod(axis=-1)
+        self.P = k.coupling(m3, self._in_group * k.kappa).transpose(1, 0, 2)
 
     def _tables(self, widths):
         """The closed-form readout at each width s: the rows that map an

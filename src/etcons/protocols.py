@@ -117,7 +117,6 @@ class ProtocolKernel:
         self.n_agents = graph.n_nodes
         self.leader = graph.leader
         self.kappa, self.varrho, self.c0 = params.edge_arrays(graph)
-        self._neg_varrho, self._leaky = -self.varrho, bool(self.varrho.any())
         self.ei = np.array([e[0] for e in graph.edges], dtype=int)
         self.ej = np.array([e[1] for e in graph.edges], dtype=int)
         is_leader_edge = np.zeros(len(graph.edges), dtype=bool)
@@ -125,21 +124,14 @@ class ProtocolKernel:
             is_leader_edge = (self.ei == self.leader) | (self.ej == self.leader)
         self.err_w = np.where(is_leader_edge, 0.5, 1.0)
         self.dis_w = np.where(is_leader_edge, 0.5, 0.25)
-        n = self.Gamma.shape[0]
-        self._shape = (self.n_agents, n)
-        self._ones = np.ones(n)
-        # endpoint indices into a raveled (N, n) stack, one per edge entry
-        cols = np.arange(n)
-        self._flat_i = (self.ei[:, None] * n + cols).ravel()
-        self._flat_j = (self.ej[:, None] * n + cols).ravel()
+        self._ones = np.ones(self.Gamma.shape[0])
+        self._flat = {}  # per width k: endpoint indices into a raveled (N, k) stack
 
     def _endpoint_sums(self, v: np.ndarray, at_i: np.ndarray, at_j: np.ndarray,
                        size: int) -> tuple[np.ndarray, np.ndarray]:
         """Segment sums of v[..., e] into bins at_i[e] and into bins at_j[e],
         each (..., size): one bincount over every leading slice, each
         slice's bins offset by its position."""
-        if v.ndim == 1:
-            return np.bincount(at_i, v, size), np.bincount(at_j, v, size)
         lead = v.shape[:-1]
         slices = math.prod(lead)
         if slices > 1:
@@ -172,30 +164,28 @@ class ProtocolKernel:
         d = Z.take(self.ei, axis=-2) - Z.take(self.ej, axis=-2)
         return d, self.quadratic(d)
 
-    def weight_rates(self, q, c) -> np.ndarray:
-        """cdot = kappa (-varrho c + q) per edge from q = d' Gamma d."""
-        if self._leaky:
-            return self.kappa * (self._neg_varrho * c + q)
-        return self.kappa * q  # the same bits: -0.0 c + q is q
-
     def coupling(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """sum_j c_ij (z_i - z_j) per agent (..., N, n), zero at the leader,
-        from the disagreements d (M, n) and the weights c (..., M), or both
-        with the same leading stack axes."""
+        """sum_j c_ij d_ij per agent (..., N, k), zero at the leader, from
+        per-edge values d (M, k), such as the disagreements z_i - z_j, and
+        the weights c (..., M), or both with the same leading stack axes."""
         # + c d_e at endpoint i, - c d_e at endpoint j
+        k = d.shape[-1]
+        if k not in self._flat:
+            cols = np.arange(k)
+            self._flat[k] = [(end[:, None] * k + cols).ravel() for end in (self.ei, self.ej)]
         cd = (c[..., None] * d).reshape(c.shape[:-1] + (-1,))
-        N, n = self._shape
-        at_i, at_j = self._endpoint_sums(cd, self._flat_i, self._flat_j, N * n)
-        s = (at_i - at_j).reshape(cd.shape[:-1] + self._shape)
+        at_i, at_j = self._endpoint_sums(cd, *self._flat[k], self.n_agents * k)
+        s = (at_i - at_j).reshape(cd.shape[:-1] + (self.n_agents, k))
         if self.leader is not None:
             s[..., self.leader, :] = 0.0
         return s
 
     def flow_terms(self, dq: tuple[np.ndarray, np.ndarray],
                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Control inputs (N, p) and weight rates (M,) from the edge work."""
+        """Control inputs (N, p) and weight rates cdot = kappa (-varrho c + q)
+        (M,) from the edge work."""
         d, q = dq
-        return self.coupling(d, c) @ self.K.T, self.weight_rates(q, c)
+        return self.coupling(d, c) @ self.K.T, self.kappa * (-self.varrho * c + q)
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import subprocess
 import sys
@@ -383,6 +384,55 @@ class TestClosedForm:
         sim = short_sim(t_end=2.0, dt=1e-2, event_tol=event_tol, seed=3)
         traj = simulate(model, ring6, gains, params, sim, random_x0(3))
         assert len(checked) > 20 and any(e.kind == "trigger" for e in traj.events)
+
+    def test_scatter_per_group_matches_the_per_agent_sums(self, model, gains, monkeypatch):
+        # a leader graph with two leakage rates: after every broadcast and
+        # every commit, each group's p and w of agent i are the sums over
+        # i's neighbours j along that group's edges of kappa_ij m3(z_i - z_j)
+        # and c_ij (z_i - z_j), and the leader's rows are zero
+        edges = [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+        graph = build_graph(6, edges, leader=0)
+        varrho = {e: 0.1 if e in ((0, 1), (2, 3)) else 0.05 for e in edges}
+        params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, varrho=varrho, c0=0.3)
+        mono = list(itertools.combinations_with_replacement(range(3), 3))
+        broadcast, commit, checked = _Simulation._broadcast, _Simulation._commit, []
+
+        def check(sim, cell):
+            k, G = sim.kernel, len(sim._lams)
+            assert G == 2
+            P_oracle, W_oracle = np.zeros((6, G, len(mono))), np.zeros((6, G, 3))
+            for i in range(6):
+                for j in graph.neighbors(i) if i != graph.leader else ():
+                    e = graph.edges.index((min(i, j), max(i, j)))
+                    g = list(sim._lams).index(k.kappa[e] * k.varrho[e])
+                    d = sim.Z[i] - sim.Z[j]
+                    P_oracle[i, g] += k.kappa[e] * np.array([d[a] * d[b] * d[c]
+                                                             for a, b, c in mono])
+                    W_oracle[i, g] += sim.c[e] * d
+            P = sim.P
+            sim._cubes()
+            P_fresh, sim.P = sim.P, P
+            X, _ = sim._lifted(cell)
+            sim._lift_now = None
+            W = X[:, 3:3 + G * (3 + len(mono))].reshape(6, G, -1)[..., :3]
+            assert close(P_fresh, P_oracle) and close(W, W_oracle)
+            assert not P_fresh[graph.leader].any() and not W[graph.leader].any()
+            checked.append(sim.t)
+
+        def checked_broadcast(sim, agents, t, f, kind):
+            broadcast(sim, agents, t, f, kind)
+            check(sim, 0)
+
+        def checked_commit(sim, t, flow, k):
+            commit(sim, t, flow, k)
+            check(sim, 0)
+
+        monkeypatch.setattr(_Simulation, "_broadcast", checked_broadcast)
+        monkeypatch.setattr(_Simulation, "_commit", checked_commit)
+        traj = simulate(model, graph, gains, params, short_sim(t_end=1.0, dt=1e-2, seed=3),
+                        random_x0(3), "leader_follower")
+        assert checked[0] == 0.0 and len(checked) > 20
+        assert any(e.kind == "trigger" for e in traj.events)
 
     @pytest.mark.parametrize("dt", [0.2, 0.1, 0.05])
     def test_exact_on_a_rotation(self, params, dt):
