@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,7 +37,7 @@ from .errors import (
     NoSpanningTreeError,
     ZenoGuardError,
 )
-from .graph import Graph, is_connected
+from .graph import Graph, _check_integer, is_connected
 from .linalg import GainSet, SystemModel, _Expm, cascade_lift, symmetric_powers
 from .protocols import ProtocolKernel, ProtocolParams
 
@@ -46,12 +45,6 @@ VARIANTS = ("state", "observer", "leader_follower")
 _SLACK = 1e-12  # relative: checkpoint times closer than this are one instant
 _BLOCK_ELEMENTS = 2048  # a pass of several steps holds at most B M d edge values
 DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
-
-
-def _check_integer(value, low: int, key: str):
-    """``value`` must be an integer >= low; a bool is not an integer."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-        raise ConfigError(f"must be an integer >= {low}, got {value!r}", key)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ layer only; the protocols never see it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,29 +41,34 @@ class Graph:
         return self._adjacency[i]
 
 
-def _check_node_count(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ConfigError(f"node count must be a positive integer, got {n!r}", "n")
+def _check_integer(value, low: int, key: str):
+    """``value`` must be an integer >= low; a bool is not an integer."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ConfigError(f"must be an integer >= {low}, got {value!r}", key)
 
 
 def build_graph(n: int, edges, leader: int | None = None) -> Graph:
     """Validate and canonicalize a graph given as an edge list.
 
-    Edges are stored as (min, max) pairs in lexicographic order. Rejects
+    Edges are stored as (min, max) pairs in lexicographic order. The node
+    count, the leader and every edge index must be integers. Rejects
     out-of-range indices, self-loops and duplicate edges (regardless of
     orientation). Errors name the spec key at fault: n, edges or leader.
     """
-    _check_node_count(n)
+    _check_integer(n, 1, "n")
     canon = []
     seen = set()
     for e in edges:
         try:
-            i, j = int(e[0]), int(e[1])
-        except (TypeError, ValueError, IndexError):
+            i, j = e
+        except (TypeError, ValueError):
             raise ConfigError(f"edge {e!r} is not a pair of node indices", "edges") from None
+        _check_integer(i, 0, "edges")
+        _check_integer(j, 0, "edges")
+        i, j = int(i), int(j)
         if i == j:
             raise ConfigError(f"self-loop ({i},{j}) is not allowed", "edges")
-        if not (0 <= i < n and 0 <= j < n):
+        if not (i < n and j < n):
             raise ConfigError(f"edge ({i},{j}) out of range for {n} nodes", "edges")
         key = (min(i, j), max(i, j))
         if key in seen:
@@ -70,15 +76,16 @@ def build_graph(n: int, edges, leader: int | None = None) -> Graph:
         seen.add(key)
         canon.append(key)
     if leader is not None:
+        _check_integer(leader, 0, "leader")
         leader = int(leader)
-        if not (0 <= leader < n):
+        if leader >= n:
             raise ConfigError(f"leader index {leader} out of range for {n} nodes", "leader")
-    return Graph(n_nodes=n, edges=tuple(sorted(canon)), leader=leader)
+    return Graph(n_nodes=int(n), edges=tuple(sorted(canon)), leader=leader)
 
 
 def generate_graph(name: str, n: int, leader: int | None = None) -> Graph:
     """Named generators: ring, path, complete, star (hub at node 0)."""
-    _check_node_count(n)
+    _check_integer(n, 1, "n")
     if name == "ring":
         if n < 3:
             raise ConfigError("ring needs at least 3 nodes", "n")

@@ -85,6 +85,31 @@ class TestBuildGraph:
         with pytest.raises(ConfigError):
             build_graph(3, [(0, 1)], leader=5)
 
+    @pytest.mark.parametrize("key, build", [
+        ("leader", lambda: build_graph(3, [(0, 1), (1, 2)], leader=True)),
+        ("leader", lambda: build_graph(3, [(0, 1), (1, 2)], leader=1.7)),
+        ("leader", lambda: build_graph(3, [(0, 1), (1, 2)], leader=-1)),
+        ("edges", lambda: build_graph(3, [(0, 1.9), (1, 2)])),
+        ("edges", lambda: build_graph(3, [(0, True)])),
+        ("edges", lambda: build_graph(3, [(-1, 2)])),
+        ("edges", lambda: build_graph(3, [(0, 1, 2)])),
+        ("n", lambda: build_graph(0, [])),
+        ("n", lambda: build_graph(3.0, [(0, 1)])),
+        ("n", lambda: generate_graph("ring", True)),
+    ], ids=["leader-True", "leader-1.7", "leader--1", "edge-1.9", "edge-True", "edge--1",
+            "edge-triple", "n-0", "n-3.0", "generator-n-True"])
+    def test_one_integer_rule(self, key, build):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert exc.value.key == key
+
+    def test_numpy_integers_are_integers(self):
+        g = generate_graph("ring", np.int64(6), leader=np.int64(0))
+        assert g == build_graph(6, [(i, (i + 1) % 6) for i in range(6)], leader=0)
+        assert type(g.n_nodes) is int and type(g.leader) is int
+        assert all(type(i) is int for e in g.edges for i in e)
+        assert build_graph(3, np.array([[0, 1], [1, 2]])).edges == ((0, 1), (1, 2))
+
     def test_generators(self):
         assert len(generate_graph("ring", 6).edges) == 6
         assert len(generate_graph("path", 6).edges) == 5
