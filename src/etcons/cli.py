@@ -129,6 +129,8 @@ def _graph(value, where: str) -> Graph:
                          "leader": _optional_integer}, {"n"}, where)
     if ("generator" in spec) == ("edges" in spec):
         raise ConfigError(f"{where}: give exactly one of 'generator' or 'edges'")
+    if spec["n"] < 2:  # a lone agent has no edge: no weights to write and no lambda2
+        raise ConfigError(f"a run needs at least 2 agents, got {spec['n']}", f"{where}.n")
     try:
         if "generator" in spec:
             return generate_graph(spec["generator"], spec["n"], leader=spec.get("leader"))

@@ -185,6 +185,18 @@ class TestExitCodes:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
         assert "connected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph", [{"generator": "path", "n": 1},
+                                       {"n": 1, "edges": []}])
+    def test_lone_agent_exit_2(self, tmp_path, capsys, graph):
+        # one agent has no edge: no weights to report and no lambda2
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["graph"] = graph
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: graph.n: a run needs at least 2 agents, got 1")
+        assert not os.path.exists(tmp_path / "o")
+
     def test_non_stabilizable_exit_3(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["model"] = {"A": [[1, 0], [0, 1]], "B": [[1], [0]]}
