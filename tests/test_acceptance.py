@@ -17,6 +17,7 @@ import etcons
 from etcons import analysis
 from etcons.cli import RunSetup, load_config, write_outputs
 from etcons.engine import simulate
+from ensemble import NUDGE
 from oracles import events_for
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -251,21 +252,26 @@ def test_criterion_13_determinism_and_convergence(base, tmp_path):
             identical &= fa.read() == fb.read()
 
     # convergence: halving dt and event_tol leaves the final error unchanged
-    # at the problem scale. The residual itself is reproducible only to the
-    # event-cascade sensitivity (micro-shifts of trigger times amplify), so
-    # the change is measured relative to the initial error norm; the ratio
-    # between the two tiny residuals is reported alongside.
+    # at the problem scale, relative to the initial error norm. One residual
+    # is reproducible only to the event-cascade sensitivity (micro-shifts of
+    # trigger times amplify): eight runs nudged by 1e-12 k on x0[0, 0] spread
+    # ||xi(30)|| over more than 6e-5 of ||xi(0)||. So the medians of such
+    # ensembles at dt and at dt/2 are compared; the spread at dt is reported
+    # alongside.
     half = copy.deepcopy(cfg)
     half["sim"]["dt"] /= 2.0
     half["sim"]["event_tol"] /= 2.0
-    setup_h = RunSetup(half)
-    traj_h, _ = setup_h.run()
-    e_base = _xi_norm(base["traj"], -1)
-    e_half = _xi_norm(traj_h, -1)
-    xi0 = _xi_norm(base["traj"], 0)
-    scale_rel = abs(e_base - e_half) / xi0
-    literal_rel = abs(e_base - e_half) / max(e_base, e_half)
+
+    def final_error(c, member):
+        setup = RunSetup(copy.deepcopy(c))
+        setup.x0[0, 0] *= 1.0 + NUDGE * member
+        return _xi_norm(setup.run()[0], -1)
+
+    finals = np.array([[final_error(c, k) for k in range(8)] for c in (cfg, half)])
+    finals /= _xi_norm(base["traj"], 0)
+    scale_rel = abs(np.median(finals[0]) - np.median(finals[1]))
     ok = identical and scale_rel < 1e-4
-    _report(13, ok, f"byte-identical outputs; refining dt moves ||xi(30)|| by "
-                    f"{scale_rel:.2e} of the initial error scale "
-                    f"(residual-to-residual ratio {literal_rel:.2e})")
+    _report(13, ok, f"byte-identical outputs; refining dt moves the median ||xi(30)|| "
+                    f"of 8 nudged runs by {scale_rel:.2e} of the initial error scale "
+                    f"(unnudged pair {abs(finals[0, 0] - finals[1, 0]):.2e}, "
+                    f"spread at dt {np.ptp(finals[0]):.2e})")
