@@ -101,11 +101,13 @@ class ProtocolKernel:
     endpoint (``np.bincount`` over the edge list): one evaluation costs
     O(M n) and the kernel holds no N x M array. A node sums, in
     ``graph.edges`` order, the edges where it is the lower endpoint, then
-    those where it is the upper one, and adds the two. Inputs are the
-    estimate stack Z (N x n) and its edge work ``dq`` (see ``edge_terms``),
-    the live stack X or CHI, and the edge weight vector c (M,). Each input
-    may carry the same leading stack axes, for instance one slice per grid
-    point; a stacked call gives the bits of its per-slice calls.
+    those where it is the upper one, and adds the two; ``coupling`` is
+    the one such scatter of per-edge vectors, which the engine also uses
+    for its cubic moments. Inputs are the estimate stack Z (N x n) and its
+    edge work ``dq`` (see ``edge_terms``), the live stack X or CHI, and
+    the edge weight vector c (M,). Each input may carry the same leading
+    stack axes, for instance one slice per grid point; a stacked call
+    gives the bits of its per-slice calls.
     """
 
     def __init__(self, graph: Graph, params: ProtocolParams,
