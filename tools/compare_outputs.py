@@ -6,11 +6,10 @@ Runs the six shipped configs, two 5 s variants of disturbance.json with a
 constant and a uniform-random disturbance, a 5 s variant of
 leader_follower.json with two leakage rates (varrho 0.1 on edges 0-1 and
 2-3, 0.05 on the rest), and the ring400/complete70 benchmark configs
-(seed 42) through ``etcons run`` once with this tree's
-``src/`` and once with REV's, extracted by ``git archive`` into a
-temporary directory, and compares trajectory.csv, events.csv, weights.csv
-and summary.json byte for byte, summary.json without its ``"stats"`` work
-counters. Prints one line per config, with the counters that moved, and
+(seed 42) through ``etcons run`` once with this tree's ``src/`` and once
+with REV's, extracted by ``git archive`` into a temporary directory, and
+compares trajectory.csv, events.csv, weights.csv and summary.json byte
+for byte, summary.json without its ``"stats"`` work counters. Prints one line per config, with the counters that moved, and
 exits 1 on any other difference.
 The two sides of a config run in parallel, one process each.
 """
