@@ -1,10 +1,10 @@
 """Experiment runner: config-driven simulations, sweeps, CSV/JSON outputs.
 
-Configs are single JSON documents with row-major numeric matrices. Every
-section is validated strictly (unknown keys are rejected) before anything
-runs. Exit codes: 0 success, 2 config error, 3 assumption violation
-(disconnected graph, non-stabilizable model, ...), 4 runtime failure
-(Zeno guard, non-finite states).
+Configs are single JSON documents with row-major numeric matrices. These
+readers check their structure (unknown keys are rejected), and the objects
+they build check each value before anything runs. Exit codes: 0 success,
+2 config error, 3 assumption violation (disconnected graph, non-stabilizable
+model, ...), 4 runtime failure (Zeno guard, non-finite states).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import sys
 import numpy as np
 
 from . import analysis
-from .engine import (DISTURBANCE_KINDS, VARIANTS, DisturbanceSpec, SimConfig,
-                     Trajectory, simulate)
-from .errors import ConfigError, EtconsError
+from .engine import VARIANTS, DisturbanceSpec, SimConfig, Trajectory, simulate
+from .errors import ConfigError, EtconsError, _check_number
 from .graph import Graph, build_graph, generate_graph
-from .linalg import GainSet, SystemModel, design_gains
+from .linalg import GainSet, SystemModel, _as_matrix, design_gains
 from .protocols import ProtocolParams
 from .textio import cells
 
@@ -56,34 +55,9 @@ def _section(readers: dict, required=()):
     return lambda value, where: _read(value, readers, required, where)
 
 
-def _is_integer(value) -> bool:
-    """A JSON integer: not a float, string, bool or null."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number that is a finite float: not a string, bool, null,
-    NaN, infinity (Python's ``json`` reads ``NaN`` and ``Infinity``) or an
-    integer beyond the float range."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def _number(value, where: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str) -> int:
-    if not _is_integer(value):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+def _as_given(value, where: str):
+    """A value that the library object it is handed to checks."""
     return value
-
-
-def _optional_integer(value, where: str) -> int | None:
-    """Null or an integer; the owner of the value checks its range."""
-    return None if value is None else _integer(value, where)
 
 
 def _text(value, where: str) -> str:
@@ -109,79 +83,64 @@ def _list_of(read_item):
     return read
 
 
-def _matrix(value, where: str) -> np.ndarray:
-    """A rectangular array of finite JSON numbers, as floats. A ragged
-    row stays a list in the object array and fails the check."""
-    arr = np.asarray(value, dtype=object)
-    if not all(map(_is_number, arr.flat)):
-        raise ConfigError(f"{where}: expected a matrix of finite numbers, got {value!r}")
-    return arr.astype(float)
-
-
-def _edge(value, where: str) -> list:
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_integer, value))):
-        raise ConfigError(f"{where}: expected an [i, j] pair of node indices, got {value!r}")
-    return value
-
-
 def _graph(value, where: str) -> Graph:
-    spec = _read(value, {"n": _integer, "edges": _list_of(_edge), "generator": _text,
-                         "leader": _optional_integer}, {"n"}, where)
+    spec = _read(value, {"n": _as_given, "edges": _list_of(_as_given), "generator": _text,
+                         "leader": _as_given}, {"n"}, where)
     if ("generator" in spec) == ("edges" in spec):
         raise ConfigError(f"{where}: give exactly one of 'generator' or 'edges'")
-    if spec["n"] < 2:  # a lone agent has no edge: no weights to write and no lambda2
-        raise ConfigError(f"a run needs at least 2 agents, got {spec['n']}", f"{where}.n")
     try:
         if "generator" in spec:
-            return generate_graph(spec["generator"], spec["n"], leader=spec.get("leader"))
-        return build_graph(spec["n"], spec["edges"], leader=spec.get("leader"))
+            g = generate_graph(spec["generator"], spec["n"], leader=spec.get("leader"))
+        else:
+            g = build_graph(spec["n"], spec["edges"], leader=spec.get("leader"))
     except ConfigError as exc:
         raise ConfigError(exc.reason, f"{where}.{exc.key}") from None
+    if g.n_nodes < 2:  # a lone agent has no edge: no weights to write and no lambda2
+        raise ConfigError(f"a run needs at least 2 agents, got {g.n_nodes}", f"{where}.n")
+    return g
 
 
 def _edge_map(value, where: str):
     """A number for every edge, or an {'i-j': number} mapping keyed by
-    node pairs; ``ProtocolParams`` checks the pairs against the graph."""
+    node pairs; ``ProtocolParams`` checks the values and the pairs."""
     if not isinstance(value, dict):
-        return _number(value, where)
+        return value
     out = {}
     for pair, v in value.items():
         try:
             i, j = (int(part) for part in pair.split("-"))
         except ValueError:
             raise ConfigError(f"{where}: bad edge key {pair!r}, expected 'i-j'") from None
-        out[(i, j)] = _number(v, f"{where}.{pair}")
+        out[(i, j)] = v
     return out
 
 
 def _switch(value, where: str) -> tuple[float, Graph]:
-    spec = _read(value, {"t": _number, "graph": _graph}, {"t", "graph"}, where)
+    spec = _read(value, {"t": _as_given, "graph": _graph}, {"t", "graph"}, where)
     return spec["t"], spec["graph"]
 
 
 def _disturbance(value, where: str) -> DisturbanceSpec:
-    readers = {"kind": _choice(DISTURBANCE_KINDS), "amplitude": _number,
-               "frequency": _number, "seed": _optional_integer}
+    readers = dict.fromkeys(("kind", "amplitude", "frequency", "seed"), _as_given)
     return DisturbanceSpec(**_read(value, readers, {"kind", "amplitude"}, where))
 
 
-_STATES = _section({"values": _matrix,
-                    "random": _section({"low": _number, "high": _number}, {"low", "high"})})
+_STATES = _section({"values": _as_matrix, "random": _section(
+    {"low": _check_number, "high": _check_number}, {"low", "high"})})
 
 _CONFIG = {
-    "model": _section({"A": _matrix, "B": _matrix, "C": _matrix}, {"A", "B"}),
+    "model": _section(dict.fromkeys("ABC", _as_given), {"A", "B"}),
     "graph": _graph,
-    "protocol": _section({"variant": _choice(VARIANTS), "delta": _number, "mu": _number,
-                          "nu": _number, "kappa": _edge_map, "varrho": _edge_map,
+    "protocol": _section({"variant": _choice(VARIANTS), "delta": _as_given, "mu": _as_given,
+                          "nu": _as_given, "kappa": _edge_map, "varrho": _edge_map,
                           "c0": _edge_map}, {"delta", "mu", "nu"}),
     "sim": _section({
-        "t_end": _number, "dt": _number, "event_tol": _number,
+        **dict.fromkeys(("t_end", "dt", "event_tol", "seed", "dwell_min",
+                         "max_events_per_unit_time"), _as_given),
         # older configs name the one integrator; any other value is an error
         "solver": _choice(("rk4",)),
-        "seed": _optional_integer,
         "disturbance": _disturbance,
         "topology_schedule": _list_of(_switch),
-        "dwell_min": _number, "max_events_per_unit_time": _integer,
     }, {"t_end", "dt"}),
     "initial_states": _STATES,
     "initial_observer_states": _STATES,
@@ -194,7 +153,7 @@ def _states(spec: dict, shape: tuple, rng, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: give exactly one of 'values' or 'random'")
     if "values" in spec:
         if spec["values"].shape != shape:
-            raise ConfigError(f"{where}: values have shape {spec['values'].shape}, "
+            raise ConfigError(f"{where}.values: has shape {spec['values'].shape}, "
                               f"expected {shape}")
         return spec["values"]
     low, high = spec["random"]["low"], spec["random"]["high"]

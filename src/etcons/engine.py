@@ -36,8 +36,10 @@ from .errors import (
     NonFiniteStateError,
     NoSpanningTreeError,
     ZenoGuardError,
+    _check_integer,
+    _check_number,
 )
-from .graph import Graph, _check_integer, is_connected
+from .graph import Graph, is_connected
 from .linalg import GainSet, SystemModel, _Expm, cascade_lift, symmetric_powers
 from .protocols import ProtocolKernel, ProtocolParams
 
@@ -65,11 +67,11 @@ class DisturbanceSpec:
         if self.kind not in DISTURBANCE_KINDS:
             raise ConfigError(f"expected one of {DISTURBANCE_KINDS}, got {self.kind!r}",
                               "sim.disturbance.kind")
-        if not (0 <= self.amplitude < math.inf):
-            raise ConfigError(f"must be finite and >= 0, got {self.amplitude}",
-                              "sim.disturbance.amplitude")
-        if not math.isfinite(self.frequency):
-            raise ConfigError(f"must be finite, got {self.frequency}", "sim.disturbance.frequency")
+        for name in ("amplitude", "frequency"):
+            key = f"sim.disturbance.{name}"
+            object.__setattr__(self, name, _check_number(getattr(self, name), key))
+        if self.amplitude < 0:
+            raise ConfigError(f"must be >= 0, got {self.amplitude}", "sim.disturbance.amplitude")
         if self.seed is not None:
             _check_integer(self.seed, 0, "sim.disturbance.seed")
 
@@ -88,17 +90,19 @@ class SimConfig:
     max_events_per_unit_time: int = 10_000
 
     def __post_init__(self):
-        for name in ("t_end", "dt", "dwell_min"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"must be finite and positive, got {getattr(self, name)}",
-                                  f"sim.{name}")
-        if not (0 < self.event_tol <= self.dt):
+        for name in ("t_end", "dt", "event_tol", "dwell_min"):
+            v = _check_number(getattr(self, name), f"sim.{name}")
+            if not v > 0:
+                raise ConfigError(f"must be positive, got {v}", f"sim.{name}")
+            object.__setattr__(self, name, v)
+        if self.event_tol > self.dt:
             raise ConfigError(f"must lie in (0, dt]; got {self.event_tol} with dt={self.dt}",
                               "sim.event_tol")
         if self.seed is not None:
             _check_integer(self.seed, 0, "sim.seed")
         _check_integer(self.max_events_per_unit_time, 1, "sim.max_events_per_unit_time")
-        sched = tuple((float(t), g) for (t, g) in self.topology_schedule)
+        sched = tuple((_check_number(t, f"sim.topology_schedule[{k}].t"), g)
+                      for k, (t, g) in enumerate(self.topology_schedule))
         object.__setattr__(self, "topology_schedule", sched)
         prev = 0.0
         for k, (t, g) in enumerate(sched):

@@ -2,8 +2,12 @@
 
 Each class carries the CLI's exit code and message label: config problems
 exit 2, violated standing assumptions (connectivity, stabilizability, ...)
-exit 3, and runtime failures of a simulation exit 4.
+exit 3, and runtime failures of a simulation exit 4. The integer and
+number rules that every owner of an input value applies live here too.
 """
+
+import numbers
+import sys
 
 
 class EtconsError(Exception):
@@ -61,3 +65,18 @@ class ZenoGuardError(SimulationError):
 
 class NonFiniteStateError(SimulationError):
     """The integrated state left the finite range."""
+
+
+def _check_integer(value, low: int, key: str) -> int:
+    """``value`` must be an integer >= low; a bool is not an integer."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise ConfigError(f"must be an integer >= {low}, got {value!r}", key)
+    return int(value)
+
+
+def _check_number(value, key: str) -> float:
+    """``value`` as a float; a finite real number, numpy scalars included, not a bool."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"expected a finite number, got {value!r}", key)
+    return float(value)

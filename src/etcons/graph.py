@@ -9,13 +9,12 @@ layer only; the protocols never see it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DisconnectedGraphError
+from .errors import ConfigError, DisconnectedGraphError, _check_integer
 
 Edge = tuple[int, int]
 
@@ -41,51 +40,43 @@ class Graph:
         return self._adjacency[i]
 
 
-def _check_integer(value, low: int, key: str):
-    """``value`` must be an integer >= low; a bool is not an integer."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-        raise ConfigError(f"must be an integer >= {low}, got {value!r}", key)
-
-
 def build_graph(n: int, edges, leader: int | None = None) -> Graph:
     """Validate and canonicalize a graph given as an edge list.
 
     Edges are stored as (min, max) pairs in lexicographic order. The node
     count, the leader and every edge index must be integers. Rejects
     out-of-range indices, self-loops and duplicate edges (regardless of
-    orientation). Errors name the spec key at fault: n, edges or leader.
+    orientation). Errors name the spec key at fault: n, edges[k] or leader.
     """
-    _check_integer(n, 1, "n")
+    n = _check_integer(n, 1, "n")
     canon = []
     seen = set()
-    for e in edges:
+    for k, e in enumerate(edges):
+        where = f"edges[{k}]"
         try:
             i, j = e
         except (TypeError, ValueError):
-            raise ConfigError(f"edge {e!r} is not a pair of node indices", "edges") from None
-        _check_integer(i, 0, "edges")
-        _check_integer(j, 0, "edges")
-        i, j = int(i), int(j)
+            raise ConfigError(f"edge {e!r} is not a pair of node indices", where) from None
+        i, j = _check_integer(i, 0, where), _check_integer(j, 0, where)
         if i == j:
-            raise ConfigError(f"self-loop ({i},{j}) is not allowed", "edges")
+            raise ConfigError(f"self-loop ({i},{j}) is not allowed", where)
         if not (i < n and j < n):
-            raise ConfigError(f"edge ({i},{j}) out of range for {n} nodes", "edges")
+            raise ConfigError(f"edge ({i},{j}) out of range for {n} nodes", where)
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise ConfigError(f"duplicate edge ({i},{j})", "edges")
+            raise ConfigError(f"duplicate edge ({i},{j})", where)
         seen.add(key)
         canon.append(key)
     if leader is not None:
-        _check_integer(leader, 0, "leader")
-        leader = int(leader)
+        leader = _check_integer(leader, 0, "leader")
         if leader >= n:
             raise ConfigError(f"leader index {leader} out of range for {n} nodes", "leader")
-    return Graph(n_nodes=int(n), edges=tuple(sorted(canon)), leader=leader)
+    return Graph(n_nodes=n, edges=tuple(sorted(canon)), leader=leader)
 
 
 def generate_graph(name: str, n: int, leader: int | None = None) -> Graph:
     """Named generators: ring, path, complete, star (hub at node 0)."""
-    _check_integer(n, 1, "n")
+    n = _check_integer(n, 1, "n")
     if name == "ring":
         if n < 3:
             raise ConfigError("ring needs at least 3 nodes", "n")

@@ -17,23 +17,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConfigError, NotDetectableError, NotStabilizableError
+from .errors import ConfigError, NotDetectableError, NotStabilizableError, _check_number
 
 
-def _as_matrix(m, name: str) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(m, dtype=float))
-    if out.ndim != 2:
-        raise ConfigError(f"{name} must be a matrix, got ndim={out.ndim}")
-    if not np.isfinite(out).all():
-        raise ConfigError(f"{name} contains non-finite entries")
-    return out
+def _as_matrix(m, key: str) -> np.ndarray:
+    """A matrix of entries held to ``_check_number``, as floats; a vector is one row."""
+    try:
+        arr = np.atleast_2d(np.asarray(m, dtype=object))
+    except ValueError:  # rows that numpy cannot stack
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise ConfigError(f"expected a matrix, got {m!r}", key)
+    return np.array([_check_number(v, key) for v in arr.flat]).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
 class SystemModel:
     """Identical agent dynamics xdot = A x + B u, y = C x.
 
-    ``C`` defaults to the identity (full state measurement).
+    ``C`` defaults to the identity (full state measurement). Errors name
+    a matrix by its config key, ``model.<name>``.
     """
 
     A: np.ndarray
@@ -41,15 +44,15 @@ class SystemModel:
     C: np.ndarray | None = None
 
     def __post_init__(self):
-        a = _as_matrix(self.A, "A")
+        a = _as_matrix(self.A, "model.A")
         if a.shape[0] != a.shape[1]:
-            raise ConfigError(f"A must be square, got {a.shape}")
-        b = _as_matrix(self.B, "B")
+            raise ConfigError(f"must be square, got {a.shape}", "model.A")
+        b = _as_matrix(self.B, "model.B")
         if b.shape[0] != a.shape[0]:
-            raise ConfigError(f"B has {b.shape[0]} rows, expected {a.shape[0]}")
-        c = np.eye(a.shape[0]) if self.C is None else _as_matrix(self.C, "C")
+            raise ConfigError(f"has {b.shape[0]} rows, expected {a.shape[0]}", "model.B")
+        c = np.eye(a.shape[0]) if self.C is None else _as_matrix(self.C, "model.C")
         if c.shape[1] != a.shape[0]:
-            raise ConfigError(f"C has {c.shape[1]} columns, expected {a.shape[0]}")
+            raise ConfigError(f"has {c.shape[1]} columns, expected {a.shape[0]}", "model.C")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_number
 from .graph import Edge, Graph
 
 
@@ -40,10 +40,12 @@ class ProtocolParams:
     ``kappa``, ``varrho`` and ``c0`` may be scalars (applied to every edge)
     or per-edge mappings keyed by node pair. A single value is stored per
     undirected edge, which enforces the required symmetry of the gains and
-    of the initial weights identically. Each key is two distinct nodes of
-    the graph, no pair is keyed twice, and pairs that are not edges are
-    allowed (other graphs of a topology schedule use them). Errors name a
-    field by its config key, ``protocol.<field>``.
+    of the initial weights identically; a map is stored keyed by (min, max)
+    pairs. Each key is two distinct nodes, no pair is keyed twice, and
+    pairs that are not edges are allowed (other graphs of a topology
+    schedule use them); ``edge_arrays`` checks the nodes against a graph.
+    Errors name a field by its config key, ``protocol.<field>``, and a map
+    value by ``protocol.<field>.<i>-<j>``.
     """
 
     delta: float
@@ -54,43 +56,48 @@ class ProtocolParams:
     c0: float | Mapping = 0.0
 
     def __post_init__(self):
-        for name in ("delta", "mu", "nu"):
-            v = float(getattr(self, name))
-            if not (v > 0 and math.isfinite(v)):
-                raise ConfigError(f"must be a positive constant, got {v}", f"protocol.{name}")
-            object.__setattr__(self, name, v)
+        for name in ("delta", "mu", "nu", "kappa", "varrho", "c0"):
+            value, where = getattr(self, name), f"protocol.{name}"
+            if isinstance(value, Mapping) and name in ("kappa", "varrho", "c0"):
+                table: dict[Edge, float] = {}
+                for (i, j), v in value.items():
+                    edge = (min(i, j), max(i, j))
+                    if i == j:
+                        raise ConfigError(f"key {(i, j)} is not a pair of distinct nodes", where)
+                    if edge in table:
+                        raise ConfigError(f"key {(i, j)} repeats edge {edge}", where)
+                    table[edge] = _constant(name, v, f"{where}.{i}-{j}")
+                value = table
+            else:
+                value = _constant(name, value, where)
+            object.__setattr__(self, name, value)
 
     def _per_edge(self, name: str, g: Graph) -> np.ndarray:
-        where = f"protocol.{name}"
         value = getattr(self, name)
         if not isinstance(value, Mapping):
-            out = np.full(len(g.edges), float(value))
-        else:
-            table: dict[Edge, float] = {}
-            for (i, j), v in value.items():
-                if i == j or not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
-                    raise ConfigError(f"key {(i, j)} is not a pair of distinct "
-                                      f"nodes in 0..{g.n_nodes - 1}", where)
-                edge = (min(i, j), max(i, j))
-                if edge in table:
-                    raise ConfigError(f"key {(i, j)} repeats edge {edge}", where)
-                table[edge] = float(v)
-            missing = [e for e in g.edges if e not in table]
-            if missing:
-                raise ConfigError(f"missing entries for edges {missing}", where)
-            out = np.array([table[e] for e in g.edges], dtype=float)
-        if not np.isfinite(out).all():
-            raise ConfigError("contains non-finite values", where)
-        return out
+            return np.full(len(g.edges), value)
+        for (i, j) in value:
+            if not (0 <= i and j < g.n_nodes):
+                raise ConfigError(f"key {(i, j)} is not a pair of nodes in "
+                                  f"0..{g.n_nodes - 1}", f"protocol.{name}")
+        missing = [e for e in g.edges if e not in value]
+        if missing:
+            raise ConfigError(f"missing entries for edges {missing}", f"protocol.{name}")
+        return np.array([value[e] for e in g.edges], dtype=float)
 
     def edge_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(kappa, varrho, c0) aligned with g.edges; validates keys and signs."""
-        kappa, varrho, c0 = (self._per_edge(name, g) for name in ("kappa", "varrho", "c0"))
-        if (kappa <= 0).any():
-            raise ConfigError("must be positive on every edge", "protocol.kappa")
-        if (varrho < 0).any():
-            raise ConfigError("must be nonnegative on every edge", "protocol.varrho")
-        return kappa, varrho, c0
+        """(kappa, varrho, c0) aligned with g.edges; checks map keys against g."""
+        return tuple(self._per_edge(name, g) for name in ("kappa", "varrho", "c0"))
+
+
+def _constant(name: str, value, key: str) -> float:
+    """``value`` held to ``_check_number``; varrho >= 0, c0 any, the others > 0."""
+    v = _check_number(value, key)
+    if name == "varrho" and v < 0:
+        raise ConfigError(f"must be nonnegative, got {v}", key)
+    if name not in ("varrho", "c0") and not v > 0:
+        raise ConfigError(f"must be positive, got {v}", key)
+    return v
 
 
 class ProtocolKernel:

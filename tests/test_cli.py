@@ -28,6 +28,9 @@ NAN = float("nan")
 # one kappa per edge of the malformed-config base's ring and star graphs
 RING_STAR_KAPPA = {f"{i}-{j}": 0.2 for i, j in
                    [(i, (i + 1) % 6) for i in range(6)] + [(0, j) for j in range(2, 5)]}
+# a map key whose nodes lie outside the graph: only ``run`` checks the map
+# against the graph, so ``gains`` accepts it
+KAPPA_NODE_OUT_OF_RANGE = {**RING_STAR_KAPPA, "7-9": 0.2}
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
@@ -257,7 +260,7 @@ class TestExitCodes:
         ("outputs", "directory", 5),
         pytest.param("protocol", "kappa", {**RING_STAR_KAPPA, "1-0": 0.9},
                      id="protocol-kappa-duplicate-edge"),
-        pytest.param("protocol", "kappa", {**RING_STAR_KAPPA, "7-9": 0.2},
+        pytest.param("protocol", "kappa", KAPPA_NODE_OUT_OF_RANGE,
                      id="protocol-kappa-node-out-of-range"),
         ("graph", "generator", "foo"),
         ("graph", "n", 0),
@@ -270,7 +273,8 @@ class TestExitCodes:
         ("sim.topology_schedule[0].graph", "generator", "foo"),
         ("sim.topology_schedule[0].graph", "n", 0),
     ])
-    def test_malformed_number_exit_2(self, tmp_path, capsys, section, key, value):
+    @pytest.mark.parametrize("command", ["run", "gains"])
+    def test_malformed_number_exit_2(self, tmp_path, capsys, command, section, key, value):
         # ``section`` is a dotted path with optional [index] parts; the base
         # gains a disturbance, a switch, an edge list, explicit initial
         # values (random ones for the random cases) and an outputs section
@@ -289,7 +293,11 @@ class TestExitCodes:
         # a graph spec gives one of 'generator' or 'edges'
         node.pop({"generator": "edges", "edges": "generator"}.get(key), None)
         path = write_config(tmp_path, cfg)
-        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        args = ["--out", str(tmp_path / "o")] if command == "run" else []
+        if command == "gains" and value is KAPPA_NODE_OUT_OF_RANGE:
+            assert main([command, path]) == 0
+            return
+        assert main([command, path] + args) == 2
         assert capsys.readouterr().err.startswith(f"config error: {section}.{key}")
 
     def test_solver_key_accepts_only_rk4(self, tmp_path, capsys):

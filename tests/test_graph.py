@@ -89,10 +89,10 @@ class TestBuildGraph:
         ("leader", lambda: build_graph(3, [(0, 1), (1, 2)], leader=True)),
         ("leader", lambda: build_graph(3, [(0, 1), (1, 2)], leader=1.7)),
         ("leader", lambda: build_graph(3, [(0, 1), (1, 2)], leader=-1)),
-        ("edges", lambda: build_graph(3, [(0, 1.9), (1, 2)])),
-        ("edges", lambda: build_graph(3, [(0, True)])),
-        ("edges", lambda: build_graph(3, [(-1, 2)])),
-        ("edges", lambda: build_graph(3, [(0, 1, 2)])),
+        ("edges[0]", lambda: build_graph(3, [(0, 1.9), (1, 2)])),
+        ("edges[0]", lambda: build_graph(3, [(0, True)])),
+        ("edges[0]", lambda: build_graph(3, [(-1, 2)])),
+        ("edges[0]", lambda: build_graph(3, [(0, 1, 2)])),
         ("n", lambda: build_graph(0, [])),
         ("n", lambda: build_graph(3.0, [(0, 1)])),
         ("n", lambda: generate_graph("ring", True)),
