@@ -69,6 +69,22 @@ def _xi_norm(traj, idx) -> float:
     return analysis.stacked_norm(analysis.consensus_error(traj.states[idx]))
 
 
+def _nudged_final_error(cfg: dict, member: int) -> float:
+    """||xi(t_end)|| of ``cfg`` with x0[0, 0] scaled by 1 + 1e-12 member."""
+    setup = RunSetup(copy.deepcopy(cfg))
+    setup.x0[0, 0] *= 1.0 + NUDGE * member
+    return _xi_norm(setup.run()[0], -1)
+
+
+@pytest.fixture(scope="module")
+def nudged_finals():
+    """||xi(30)|| of eight leaderless_sec5 runs at the shipped dt, member k
+    nudged by 1e-12 k (member 0 is the shipped run). One such residual is
+    chaotic in the event cascade, so criteria 6 and 13 read their median."""
+    cfg = _config("leaderless_sec5")
+    return np.array([_nudged_final_error(cfg, k) for k in range(8)])
+
+
 def test_criterion_01_gain_reproduction():
     start = time.perf_counter()
     model = etcons.SystemModel(A=[[0, 1, 0], [0, 0, 1], [0, 0, 0]],
@@ -152,16 +168,17 @@ def test_criterion_05_ultimate_bound(runs):
                    f"to {abs(hand_bound - tc.bound):.1e})")
 
 
-def test_criterion_06_leakage_tradeoff(runs, base):
+def test_criterion_06_leakage_tradeoff(runs, nudged_finals):
     sigma_traj = runs["ultimate_bound"]["traj"]
     tail = sigma_traj.times >= 20.0
     residual = max(_xi_norm(sigma_traj, i) for i in np.where(tail)[0])
-    pure_final = _xi_norm(base["traj"], -1)
+    pure_final = float(np.median(nudged_finals))
     tc = analysis.theorem1_bound(runs["ultimate_bound"]["setup"].graph,
                                  runs["ultimate_bound"]["setup"].params,
                                  runs["ultimate_bound"]["gains"].P)
     ok = pure_final * 10.0 <= residual and residual ** 2 <= tc.bound
-    _report(6, ok, f"zero-leakage final error {pure_final:.3e} is >=10x below "
+    _report(6, ok, f"zero-leakage final error {pure_final:.3e} (median of 8 nudged "
+                   f"runs, spread {np.ptp(nudged_finals):.3e}) is >=10x below "
                    f"the sigma-modification residual {residual:.3e}, which "
                    f"stays within the bound {tc.bound:.3f}")
 
@@ -235,7 +252,7 @@ def test_criterion_12_switching_topologies(runs):
                     f"{n_switches} ring/star switches with 2 s dwell")
 
 
-def test_criterion_13_determinism_and_convergence(base, tmp_path):
+def test_criterion_13_determinism_and_convergence(base, nudged_finals, tmp_path):
     # determinism: a fresh end-to-end repeat produces byte-identical CSVs
     cfg = _config("leaderless_sec5")
     dirs = []
@@ -262,12 +279,7 @@ def test_criterion_13_determinism_and_convergence(base, tmp_path):
     half["sim"]["dt"] /= 2.0
     half["sim"]["event_tol"] /= 2.0
 
-    def final_error(c, member):
-        setup = RunSetup(copy.deepcopy(c))
-        setup.x0[0, 0] *= 1.0 + NUDGE * member
-        return _xi_norm(setup.run()[0], -1)
-
-    finals = np.array([[final_error(c, k) for k in range(8)] for c in (cfg, half)])
+    finals = np.array([nudged_finals, [_nudged_final_error(half, k) for k in range(8)]])
     finals /= _xi_norm(base["traj"], 0)
     scale_rel = abs(np.median(finals[0]) - np.median(finals[1]))
     ok = identical and scale_rel < 1e-4
