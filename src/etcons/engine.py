@@ -37,7 +37,9 @@ from .errors import (
     NoSpanningTreeError,
     ZenoGuardError,
     _check_integer,
+    _check_list,
     _check_number,
+    _check_pair,
 )
 from .graph import Graph, is_connected
 from .linalg import GainSet, SystemModel, _Expm, cascade_lift, symmetric_powers
@@ -101,17 +103,18 @@ class SimConfig:
         if self.seed is not None:
             _check_integer(self.seed, 0, "sim.seed")
         _check_integer(self.max_events_per_unit_time, 1, "sim.max_events_per_unit_time")
-        sched = tuple((_check_number(t, f"sim.topology_schedule[{k}].t"), g)
-                      for k, (t, g) in enumerate(self.topology_schedule))
-        object.__setattr__(self, "topology_schedule", sched)
-        prev = 0.0
-        for k, (t, g) in enumerate(sched):
+        sched, prev = [], 0.0
+        for k, entry in enumerate(_check_list(self.topology_schedule, "sim.topology_schedule")):
+            t, g = _check_pair(entry, f"sim.topology_schedule[{k}]")
+            t = _check_number(t, f"sim.topology_schedule[{k}].t")
             if not isinstance(g, Graph):
                 raise ConfigError("expected a (time, Graph) pair", f"sim.topology_schedule[{k}]")
             if t - prev < self.dwell_min:
                 raise ConfigError(f"switch at t={t} comes within dwell_min={self.dwell_min} "
                                   f"of t={prev}", f"sim.topology_schedule[{k}].t")
+            sched.append((t, g))
             prev = t
+        object.__setattr__(self, "topology_schedule", tuple(sched))
 
 
 @dataclass

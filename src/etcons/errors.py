@@ -3,7 +3,8 @@
 Each class carries the CLI's exit code and message label: config problems
 exit 2, violated standing assumptions (connectivity, stabilizability, ...)
 exit 3, and runtime failures of a simulation exit 4. The integer and
-number rules that every owner of an input value applies live here too.
+number rules that every owner of an input value applies live here too,
+with the pair and list rules for edges, map keys and schedules.
 """
 
 import numbers
@@ -80,3 +81,20 @@ def _check_number(value, key: str) -> float:
             and abs(value) <= sys.float_info.max):
         raise ConfigError(f"expected a finite number, got {value!r}", key)
     return float(value)
+
+
+def _check_pair(value, key: str) -> tuple:
+    """``value`` unpacked as a pair."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"expected a pair, got {value!r}", key) from None
+    return first, second
+
+
+def _check_list(value, key: str) -> list:
+    """``value``, an iterable, as a list."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ConfigError(f"expected a list, got {value!r}", key) from None

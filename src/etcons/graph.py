@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DisconnectedGraphError, _check_integer
+from .errors import (ConfigError, DisconnectedGraphError, _check_integer, _check_list,
+                     _check_pair)
 
 Edge = tuple[int, int]
 
@@ -51,13 +52,9 @@ def build_graph(n: int, edges, leader: int | None = None) -> Graph:
     n = _check_integer(n, 1, "n")
     canon = []
     seen = set()
-    for k, e in enumerate(edges):
+    for k, e in enumerate(_check_list(edges, "edges")):
         where = f"edges[{k}]"
-        try:
-            i, j = e
-        except (TypeError, ValueError):
-            raise ConfigError(f"edge {e!r} is not a pair of node indices", where) from None
-        i, j = _check_integer(i, 0, where), _check_integer(j, 0, where)
+        i, j = (_check_integer(v, 0, where) for v in _check_pair(e, where))
         if i == j:
             raise ConfigError(f"self-loop ({i},{j}) is not allowed", where)
         if not (i < n and j < n):

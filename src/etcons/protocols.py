@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, _check_number
+from .errors import ConfigError, _check_integer, _check_number, _check_pair
 from .graph import Edge, Graph
 
 
@@ -41,9 +41,10 @@ class ProtocolParams:
     or per-edge mappings keyed by node pair. A single value is stored per
     undirected edge, which enforces the required symmetry of the gains and
     of the initial weights identically; a map is stored keyed by (min, max)
-    pairs. Each key is two distinct nodes, no pair is keyed twice, and
-    pairs that are not edges are allowed (other graphs of a topology
-    schedule use them); ``edge_arrays`` checks the nodes against a graph.
+    pairs. Each key is a pair of distinct integer nodes, no pair is keyed
+    twice, and pairs that are not edges are allowed (other graphs of a
+    topology schedule use them); ``edge_arrays`` checks the nodes against
+    a graph.
     Errors name a field by its config key, ``protocol.<field>``, and a map
     value by ``protocol.<field>.<i>-<j>``.
     """
@@ -60,7 +61,12 @@ class ProtocolParams:
             value, where = getattr(self, name), f"protocol.{name}"
             if isinstance(value, Mapping) and name in ("kappa", "varrho", "c0"):
                 table: dict[Edge, float] = {}
-                for (i, j), v in value.items():
+                for pair, v in value.items():
+                    try:
+                        i, j = (_check_integer(v, 0, where) for v in _check_pair(pair, where))
+                    except ConfigError:
+                        raise ConfigError(f"key {pair!r} is not a pair of node indices",
+                                          where) from None
                     edge = (min(i, j), max(i, j))
                     if i == j:
                         raise ConfigError(f"key {(i, j)} is not a pair of distinct nodes", where)
@@ -77,7 +83,7 @@ class ProtocolParams:
         if not isinstance(value, Mapping):
             return np.full(len(g.edges), value)
         for (i, j) in value:
-            if not (0 <= i and j < g.n_nodes):
+            if j >= g.n_nodes:
                 raise ConfigError(f"key {(i, j)} is not a pair of nodes in "
                                   f"0..{g.n_nodes - 1}", f"protocol.{name}")
         missing = [e for e in g.edges if e not in value]

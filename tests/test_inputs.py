@@ -1,7 +1,8 @@
 """Each library owner of an input value holds it to the package's one
 number rule (``errors._check_number``), integer rule
-(``errors._check_integer``) or matrix rule (``linalg._as_matrix``) when
-it is built, names the config key at fault, and stores numbers as floats."""
+(``errors._check_integer``), pair and list rules (``errors._check_pair``,
+``errors._check_list``) or matrix rule (``linalg._as_matrix``) when it is
+built, names the config key at fault, and stores numbers as floats."""
 
 import math
 from operator import attrgetter
@@ -70,6 +71,19 @@ REJECTED = [
     pytest.param("protocol.kappa", lambda: params(kappa={(0, 1): 0.2, (1, 0): 0.3}),
                  id="kappa-map-pair-twice"),
     pytest.param("protocol.c0", lambda: params(c0={(2, 2): 0.2}), id="c0-map-self-loop"),
+    # the structure of pairs and lists
+    pytest.param("protocol.kappa", lambda: params(kappa={"0-1": 0.2}), id="kappa-map-string-key"),
+    pytest.param("protocol.kappa", lambda: params(kappa={(0, 1, 2): 0.2}), id="kappa-map-triple"),
+    pytest.param("protocol.varrho", lambda: params(varrho={(0.5, 1): 0.2}),
+                 id="varrho-map-fractional-node"),
+    pytest.param("protocol.c0", lambda: params(c0={(-1, 1): 0.2}), id="c0-map-negative-node"),
+    pytest.param("sim.topology_schedule[0]",
+                 lambda: SimConfig(t_end=10.0, dt=0.5, topology_schedule=(1.0,)),
+                 id="schedule-entry-not-a-pair"),
+    pytest.param("sim.topology_schedule",
+                 lambda: SimConfig(t_end=10.0, dt=0.5, topology_schedule=1.0),
+                 id="schedule-not-a-list"),
+    pytest.param("edges", lambda: build_graph(3, 5), id="edges-not-a-list"),
 ]
 
 
