@@ -1,9 +1,9 @@
 """Numerical kernels: Riccati solver, gain construction, matrix exponential
 and the lifted generator of the flow between broadcasts.
 
-The Riccati equation is solved by scipy's CARE solver, and its solution
-is admitted only after residual, definiteness and stability checks.
-e^{As} has one evaluator, ``_Expm``, a truncated Taylor series in numpy
+All of it is numpy. The Riccati solution comes from the matrix sign
+function and is admitted only after residual, definiteness and stability
+checks. e^{As} has one evaluator, ``_Expm``, a truncated Taylor series
 that the engine, the analysis layer and ``matrix_exponential`` share.
 """
 
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConfigError, NotDetectableError, NotStabilizableError, _check_number
 
@@ -101,10 +100,13 @@ def _unstable_uncontrollable_eig(A: np.ndarray, B: np.ndarray) -> complex | None
 def solve_care(A, B) -> np.ndarray:
     """Stabilizing solution of P A + A' P - P B B' P + I = 0.
 
-    Solved by ``scipy.linalg.solve_continuous_are`` (Laub 1979; Van Dooren
-    1981), then admitted only if P is symmetric positive definite, A - B B' P
-    is Hurwitz and the residual is at most 1e-8 relative to ||P||_F; else
-    ``NotStabilizableError``, naming the PBH eigenvalue when there is one.
+    [I; P] spans the stable invariant subspace of H = [[A, -B B'], [-I, -A']]
+    (Laub 1979), the null space of sign(H) + I (Byers 1987), which unlike an
+    eigenvector basis holds at repeated poles; two Newton-Kleinman steps
+    (Kleinman 1968) polish P. It is admitted only if it is symmetric
+    positive definite, A - B B' P is Hurwitz and the residual is at most
+    1e-8 relative to ||P||_F; else ``NotStabilizableError``, naming the PBH
+    eigenvalue when there is one.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -117,10 +119,27 @@ def solve_care(A, B) -> np.ndarray:
         detail = f" (uncontrollable unstable eigenvalue {lam:.6g})" if lam is not None else ""
         return NotStabilizableError(f"(A, B) is not stabilizable{detail}")
 
-    try:
-        p = sla.solve_continuous_are(A, B, np.eye(n), np.eye(B.shape[1]))
-    except (np.linalg.LinAlgError, ValueError):
-        raise fail() from None
+    G, eye = B @ B.T, np.eye(n)
+    Z = np.block([[A, -G], [-eye, -A.T]])
+    # without convergence (an eigenvalue of H on the imaginary axis) no P
+    # passes the checks below, so overflow and NaN pass silently
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(100):  # Newton's determinant-scaled iteration
+                c = np.exp(-np.linalg.slogdet(Z)[1] / (2 * n))
+                Z, prev = (c * Z + np.linalg.inv(Z) / c) / 2, Z
+                if np.linalg.norm(Z - prev, 1) <= 1e-10 * np.linalg.norm(Z, 1):
+                    break
+            p = np.linalg.lstsq(np.vstack([Z[:n, n:], Z[n:, n:] + eye]),
+                                -np.vstack([Z[:n, :n] + eye, Z[n:, :n]]), rcond=None)[0]
+            for _ in range(2):  # Newton-Kleinman: (A - G P)' X + X (A - G P) = -(I + P G P)
+                p = (p + p.T) / 2
+                closed = (A - G @ p).T
+                p = np.linalg.solve(np.kron(closed, eye) + np.kron(eye, closed),
+                                    -(eye + p @ G @ p).ravel()).reshape(n, n)
+        except np.linalg.LinAlgError:
+            raise fail() from None
+    p = (p + p.T) / 2
     if not np.isfinite(p).all():
         raise fail()
     if care_residual(p, A, B) > 1e-8 * max(1.0, np.linalg.norm(p, "fro")):
@@ -189,6 +208,41 @@ def _taylor_radius(k: int) -> float:
     return lo
 
 
+def _balance(A: np.ndarray) -> np.ndarray:
+    """D^-1 A D for the diagonal D of powers of two that LAPACK's dgebal
+    with job 'S' finds (Parlett & Reinsch): each sweep rescales row and
+    column i so that their 2-norms come within a factor 2, where that cuts
+    their sum below 0.95 of what it was, until no sweep rescales."""
+    def norm(v, vmax):  # scaled by a power of two, as dnrm2 does, to avoid under/overflow
+        scale = math.ldexp(1.0, math.frexp(vmax)[1])
+        return scale * np.linalg.norm(v / scale)
+
+    A, scale, rescaled = A.copy(), np.ones(A.shape[0]), True
+    sfmin1 = np.finfo(float).tiny / np.finfo(float).eps  # dlamch('S') / dlamch('P')
+    sfmin2, sfmax1, sfmax2 = 2 * sfmin1, 1 / sfmin1, 1 / (2 * sfmin1)
+    while rescaled:
+        rescaled = False
+        for i in range(A.shape[0]):
+            ca, ra, f = np.abs(A[:, i]).max(), np.abs(A[i]).max(), 1.0
+            c, r = norm(A[:, i], ca), norm(A[i], ra)
+            if c == 0 or r == 0:
+                continue
+            s, g = c + r, r / 2
+            while c < g and max(f, c, ca) < sfmax2 and min(r, g, ra) > sfmin2:
+                f, c, ca, r, g, ra = 2 * f, 2 * c, 2 * ca, r / 2, g / 2, ra / 2
+            g = c / 2
+            while g >= r and max(r, ra) < sfmax2 and min(f, c, g, ca) > sfmin2:
+                f, c, g, ca, r, ra = f / 2, c / 2, g / 2, ca / 2, 2 * r, 2 * ra
+            if (c + r >= 0.95 * s or (f < 1 and scale[i] < 1 and f * scale[i] <= sfmin1)
+                    or (f > 1 and scale[i] > 1 and scale[i] >= sfmax1 / f)):
+                continue
+            scale[i] *= f
+            A[i] *= 1 / f
+            A[:, i] *= f
+            rescaled = True
+    return A
+
+
 #: _TAYLOR_THETA[k] bounds ||A||_1 s for a degree-k truncation of e^{As}
 _MAX_DEGREE = 16
 _TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
@@ -198,7 +252,7 @@ class _Expm:
     """e^{A s} from a truncated Taylor series, numpy only.
 
     P_k = A^k / k! is computed once. For theta = ||A'||_1 |s|, A' = T^-1 A T
-    balanced by powers of two T (Parlett & Reinsch), the degree K is the
+    balanced by powers of two T (``_balance``), the degree K is the
     smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
     remainder of the series for A' is then at most unit roundoff u relative
     to ||e^{A's}|| >= e^{-theta}. The products for A are those for A' scaled
@@ -213,8 +267,7 @@ class _Expm:
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
-        balanced = sla.matrix_balance(A, permute=False)[0]
-        self._norm = float(np.abs(balanced).sum(axis=0).max())
+        self._norm = float(np.abs(_balance(A)).sum(axis=0).max())
         term = np.eye(A.shape[0])
         self._P = [term]
         self._exact = False
@@ -276,14 +329,15 @@ def cascade_lift(L, BK, A, Gamma, lam: float, Ed, W) -> np.ndarray:
     nv, n, nd = L.shape[0], A.shape[0], W.shape[0]
     (_, A2, U2), (_, A3, U3) = symmetric_powers(A, 2), symmetric_powers(A, 3)
     m = nv + n + len(A3)
-    M = np.zeros((m + nd, m + nd))
+    out = np.zeros((m + nd + 1 + len(A2) + n,) * 2)
+    M, E = out[:m + nd, :m + nd], out[m + nd:-n, m + nd:-n]  # views of the first two blocks
     M[:nv, :nv], M[:nv, nv:nv + n], M[:nv, m:] = L, BK, Ed
     M[nv:nv + n, nv:nv + n] = A - lam * np.eye(n)
     M[nv:nv + n, nv + n:m] = np.kron(Gamma.reshape(1, -1), np.eye(n)) @ U3
     M[nv + n:m, nv + n:m], M[m:, m:] = A3, W
-    E = np.zeros((1 + len(A2), 1 + len(A2)))
     E[0, 0], E[0, 1:], E[1:, 1:] = -lam, Gamma.ravel() @ U2, A2
-    return sla.block_diag(M, E, A)
+    out[-n:, -n:] = A
+    return out
 
 
 def matrix_exponential(A, t: float = 1.0) -> np.ndarray:

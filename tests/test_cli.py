@@ -165,6 +165,26 @@ class TestRunCommand:
             assert (tmp_path / "1" / name).read_bytes() == \
                 (tmp_path / "2" / name).read_bytes(), name
 
+    def test_runs_import_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency: runs of every variant and of a
+        # topology schedule, in a fresh process, load no scipy module
+        args = []
+        for name in ("leaderless_sec5", "observer", "leader_follower", "switching"):
+            cfg = load_config(os.path.join(REPO, "configs", f"{name}.json"))
+            cfg["sim"]["t_end"] = 4.5  # past two switches of the schedule
+            args += [write_config(tmp_path, cfg, f"{name}.json"), str(tmp_path / name)]
+        code = ("import sys\n"
+                "from etcons.cli import main\n"
+                "for path, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+                "    assert main(['run', path, '--out', out]) == 0\n"
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(etcons.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_emit_writes_only_the_listed_files(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
         out = tmp_path / "emitted"

@@ -1,11 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from etcons import engine
+from etcons.cli import RunSetup, load_config
 from etcons.errors import ConfigError, NotDetectableError, NotStabilizableError
 from etcons.linalg import (
     SystemModel,
+    _balance,
     _Expm,
     care_residual,
     design_gains,
@@ -244,3 +251,72 @@ class TestSystemModel:
             SystemModel(A=A_TRIPLE, B=[[1], [0]])
         with pytest.raises(ConfigError):
             SystemModel(A=A_TRIPLE, B=B_TRIPLE, C=[[1, 0]])
+
+
+# -- scipy as the oracle of the numpy kernels --------------------------------
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = ("leaderless_sec5", "ultimate_bound", "observer", "leader_follower",
+           "switching", "disturbance")
+
+
+def _matrices(rows, cols, entries):
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.array(v, dtype=float).reshape(rows, cols))
+
+
+# entries spread over many binades, with exact zeros, so balancing rescales
+_SPREAD = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 2.0 ** e,
+                                            st.floats(-1.0, 1.0), st.integers(-30, 30)))
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.floats(-3.0, 3.0)
+    return draw(_matrices(n, n, entries)), draw(_matrices(n, draw(st.integers(1, n)), entries))
+
+
+# scipy warns on the draws where it loses accuracy, which the tests skip
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::scipy.linalg.LinAlgWarning")
+class TestScipyOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(1, 10).flatmap(lambda n: _matrices(n, n, _SPREAD)))
+    def test_balance_is_lapacks_bit_for_bit(self, a):
+        assert np.array_equal(_balance(a), scipy.linalg.matrix_balance(a, permute=False)[0])
+
+    def test_balance_is_lapacks_on_every_config_lift(self, monkeypatch):
+        balanced = []
+
+        class Recording(_Expm):
+            def __init__(self, a):
+                balanced.append(a)
+                super().__init__(a)
+
+        monkeypatch.setattr(engine, "_Expm", Recording)
+        for name in SHIPPED:
+            cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+            cfg["sim"]["t_end"] = 2 * cfg["sim"]["dt"]  # the lifts are built before the first step
+            RunSetup(cfg).run()
+        assert len(balanced) >= len(SHIPPED)
+        for a in balanced:
+            assert np.array_equal(_balance(a), scipy.linalg.matrix_balance(a, permute=False)[0])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pair=_pairs())
+    def test_solve_care_agrees_with_scipy(self, pair):
+        a, b = pair
+        try:
+            ref = scipy.linalg.solve_continuous_are(a, b, np.eye(len(a)), np.eye(b.shape[1]))
+        except (np.linalg.LinAlgError, ValueError):
+            ref = None
+        # stabilizable pairs away from the edge, where scipy's P is accurate
+        # enough to be the oracle: both solvers' errors grow with ||P|| as a
+        # pair nears an uncontrollable unstable mode, and scipy's residual
+        # reaches 2e-9 on some pairs that are not near one
+        assume(ref is not None and np.isfinite(ref).all() and np.linalg.norm(ref) <= 1e3
+               and care_residual(ref, a, b) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+               and is_hurwitz(a - b @ b.T @ ref))
+        p = solve_care(a, b)
+        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert care_residual(p, a, b) <= 1e-8 * max(1.0, np.linalg.norm(p, "fro"))
