@@ -63,7 +63,7 @@ class ProtocolParams:
                 table: dict[Edge, float] = {}
                 for pair, v in value.items():
                     try:
-                        i, j = (_check_integer(v, 0, where) for v in _check_pair(pair, where))
+                        i, j = (_check_integer(x, 0, where) for x in _check_pair(pair, where))
                     except ConfigError:
                         raise ConfigError(f"key {pair!r} is not a pair of node indices",
                                           where) from None

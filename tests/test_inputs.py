@@ -73,7 +73,6 @@ REJECTED = [
     pytest.param("protocol.c0", lambda: params(c0={(2, 2): 0.2}), id="c0-map-self-loop"),
     # the structure of pairs and lists
     pytest.param("protocol.kappa", lambda: params(kappa={"0-1": 0.2}), id="kappa-map-string-key"),
-    pytest.param("protocol.kappa", lambda: params(kappa={(0, 1, 2): 0.2}), id="kappa-map-triple"),
     pytest.param("protocol.varrho", lambda: params(varrho={(0.5, 1): 0.2}),
                  id="varrho-map-fractional-node"),
     pytest.param("protocol.c0", lambda: params(c0={(-1, 1): 0.2}), id="c0-map-negative-node"),

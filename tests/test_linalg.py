@@ -79,6 +79,15 @@ class TestSolveCare:
             assert is_hurwitz(a - b @ b.T @ p)
             assert care_residual(p, a, b) <= 1e-8 * max(1.0, np.linalg.norm(p, "fro"))
 
+    def test_repeated_closed_loop_pole(self):
+        # a controllable pair whose closed loop has a double pole at -a:
+        # there the Hamiltonian's eigenvectors are parallel, and P from an
+        # eigenvector basis failed the admission checks
+        a = 2.9100769855162363
+        A, B = np.array([[0.0, a], [0.0, a]]), np.array([[0.0], [a]])
+        p = solve_care(A, B)
+        assert np.allclose(np.linalg.eigvals(A - B @ B.T @ p), [-a, -a])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             solve_care(np.eye(2), np.ones((3, 1)))
