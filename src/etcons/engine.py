@@ -267,6 +267,7 @@ class _Simulation:
         self._segments = [WeightSegment(graph, 0.0, 0, [])]
 
         self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
+        self._threshold = self.kernel.decay(self._grid_t)  # the threshold at each checkpoint
         # a pass ends after a switch checkpoint (after every one in dense
         # mode) and before a checkpoint that is not one dt after the last
         t = np.array(self._grid_t)
@@ -381,10 +382,11 @@ class _Simulation:
             self._lift_now = X, d[:, self._mono2].prod(axis=-1)
         return self._lift_now
 
-    def _flow(self, tab, times, cells):
+    def _flow(self, tab, times, cells, threshold=None):
         """The closed-form flow from now to the instants ``times``, with the
-        readout ``tab`` at their offsets (see ``_tables``); step k lies in
-        grid cell cells[k]. Returns the stacks of v, Z, the edge work, c and
+        readout ``tab`` at their offsets (see ``_tables``) and the trigger
+        threshold there when tabulated; step k lies in grid cell
+        cells[k]. Returns the stacks of v, Z, the edge work, c and
         the trigger values, and p now with its flow to each instant."""
         kern, n = self.kernel, self.model.n
         RV, decay, R, ET, PP = tab
@@ -399,7 +401,7 @@ class _Simulation:
         dq = kern.edge_terms(Zs)
         g = self._g  # each edge reads its group's weight integral
         c = decay[:, g] * self.c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]
-        f = kern.trigger_values(V[..., -n:], Zs, dq, c, times)
+        f = kern.trigger_values(V[..., -n:], Zs, dq, c, times, threshold)
         return V, Zs, dq, c, f, (self.P, PP)
 
     # -- triggers --------------------------------------------------------
@@ -545,8 +547,10 @@ class _Simulation:
         checkpoint i alone by one exponential."""
         times, cells = self._grid_t[i:j], self._grid_cell[i:j]
         if self._on_grid(self.t, times[0]):
-            return self._flow([x[1:j - i + 1] for x in self._table], times, cells)
-        return self._flow(self._tables([times[0] - self.t]), times[:1], cells[:1])
+            return self._flow([x[1:j - i + 1] for x in self._table], times, cells,
+                              self._threshold[i:j])
+        return self._flow(self._tables([times[0] - self.t]), times[:1], cells[:1],
+                          self._threshold[i:i + 1])
 
     def _advance(self, i: int) -> int:
         """One pass from now over the checkpoints from i on: commit every

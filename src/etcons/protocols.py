@@ -202,24 +202,30 @@ class ProtocolKernel:
         d, q = dq
         return self.coupling(d, c) @ self.K.T, self.kappa * (-self.varrho * c + q)
 
+    def decay(self, t) -> float | np.ndarray:
+        """The threshold mu e^{-nu t} at a time t, or a column (S, 1) of
+        them at a sequence of times; math.exp per time, as np.exp may
+        differ in the last bit."""
+        p = self.params
+        if isinstance(t, (int, float)):
+            return p.mu * math.exp(-p.nu * t)
+        return np.array([[p.mu * math.exp(-p.nu * s)] for s in t])
+
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,
-                       t: float) -> np.ndarray:
+                       t: float, decay=None) -> np.ndarray:
         """Stacked trigger values (N,); the leader's entry is -inf.
 
         ``live`` is the stack the broadcasts sample from: X for state
         feedback and leader-follower runs, CHI for observer runs. On inputs
         stacked along one leading axis ``t`` holds one time per slice.
+        ``decay`` is ``decay(t)`` when the caller holds it.
         """
         p = self.params
         eqf = self.quadratic(Z - live)
         err_coef = self._node_sum(self.err_w * (1.0 + p.delta * c))
         dis = self._node_sum(self.dis_w * dq[1])
-        if isinstance(t, (int, float)):
-            decay = p.mu * math.exp(-p.nu * t)
-        else:  # math.exp per time: np.exp may differ in the last bit
-            decay = np.array([[p.mu * math.exp(-p.nu * s)] for s in t])
-        f = err_coef * eqf - dis - decay
+        f = err_coef * eqf - dis - (self.decay(t) if decay is None else decay)
         if self.leader is not None:
             f[..., self.leader] = -np.inf
         return f

@@ -462,9 +462,9 @@ class TestCarriedEdgeWork:
 
         flow, triggers = _Simulation._flow, _Simulation._triggers
 
-        def checked_flow(sim, tab, times, cells):
+        def checked_flow(sim, *args):
             check(sim)
-            return flow(sim, tab, times, cells)
+            return flow(sim, *args)
 
         def checked_triggers(sim, t):
             check(sim)
