@@ -6,14 +6,12 @@ order. Broadcast estimates are never integrated: they are closed-form
 propagations e^{As} z of the latest samples, the rows of the estimate
 stack Z, so an agent's own estimate cannot drift numerically.
 
-Between broadcasts the cascade Z -> c -> v is the linear flow of a lift
-(``linalg.cascade_lift``), which ``_tables`` reads off one matrix
-exponential per leakage rate; its rows at the offsets k dt are built once
-per run. A pass evaluates the flow at a run of grid instants by those rows,
-or at one instant by its own exponential when now is off the grid. It
-spans at most ``_BLOCK_ELEMENTS`` values per stack and ends at a switch
-instant (at every grid instant in dense mode). Its instants are committed
-up to the first with a trigger value >= 0. That crossing is bisected on
+Between broadcasts the cascade Z -> c -> v flows in closed form
+(``flow.CascadeFlow``). A pass evaluates it at a run of grid instants by
+the rows of the run's table, or at one instant by its own exponential when
+now is off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per stack
+and ends at a switch instant (at every grid instant in dense mode). Its
+instants are committed up to the first with a trigger value >= 0. That crossing is bisected on
 the closed form, the state there is committed as evaluated, and every
 agent whose trigger function is nonnegative there broadcasts (ascending
 index, each reset immediately visible, one broadcast per agent per
@@ -42,7 +40,8 @@ from .errors import (
     _check_pair,
 )
 from .graph import Graph, is_connected
-from .linalg import GainSet, SystemModel, _Expm, cascade_lift, symmetric_powers
+from .flow import CascadeFlow
+from .linalg import GainSet, SystemModel
 from .protocols import ProtocolKernel, ProtocolParams
 
 VARIANTS = ("state", "observer", "leader_follower")
@@ -277,27 +276,17 @@ class _Simulation:
                             | set((np.flatnonzero(off) + 1).tolist()) | {t.size})
         Ed, W = self._setup_disturbance(v.shape[1])
 
-        # one lift per distinct leakage rate lambda = kappa varrho of any graph
+        # one lift per distinct leakage rate lambda = kappa varrho of any graph,
+        # read at every offset k dt that a pass of any graph can reach
         graphs = [graph] + [g for (_, g) in sim.topology_schedule]
         lams = {float(lam) for g in graphs for lam in np.multiply(*params.edge_arrays(g)[:2])}
-        self._lams = np.array(sorted(lams) or [0.0])
-        self._lifts = [_Expm(cascade_lift(L, Bv @ gains.K, A, gains.Gamma, lam, Ed, W).T)
-                       for lam in self._lams]
-        self._mono2, self._mono3 = (symmetric_powers(A, k)[0] for k in (2, 3))
-        self._agent_size = v.shape[1] + n + len(self._mono3) + W.shape[0]
-        self._group()
-        # the readout at every offset k dt that a pass of any graph can reach
-        widths = sim.dt * np.arange(max(self._cap(len(g.edges)) for g in graphs) + 1)
-        self._table = [x.copy() for x in self._tables(widths)]  # slices would pin every F
+        self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt,
+                                max(self._cap(len(g.edges)) for g in graphs))
+        self.flow.use(self.kernel)
 
     def _cap(self, m: int) -> int:
         """Most steps in a pass over m edges."""
         return max(1, _BLOCK_ELEMENTS // max(1, m * self.v.shape[1]))
-
-    def _on_grid(self, t0: float, t1: float) -> bool:
-        """Whether t1 lies one base step after t0, up to the rounding of
-        the grid times."""
-        return abs(t1 - t0 - self.cfg.dt) <= 4 * math.ulp(t1)
 
     # -- disturbance ---------------------------------------------------
 
@@ -342,67 +331,25 @@ class _Simulation:
 
     # -- flow ----------------------------------------------------------
 
-    def _group(self):
-        """Each edge's leakage group under the current graph, and its
-        membership mask per group (G, M)."""
-        k = self.kernel
-        self._g = np.searchsorted(self._lams, k.kappa * k.varrho)
-        self._in_group = (self._g == np.arange(len(self._lams))[:, None]).astype(float)
-
-    def _cubes(self):
-        """p = sum ±kappa_e m3(d_e) of every agent per group (N, G, r3),
-        from the edge work."""
-        k, m3 = self.kernel, self.dq[0][:, self._mono3].prod(axis=-1)
-        self.P = k.coupling(m3, self._in_group * k.kappa).transpose(1, 0, 2)
-
-    def _tables(self, widths):
-        """The closed-form readout at each width s: the rows that map an
-        agent's lift to v(s) (s, D, nv), e^{-lambda s} and the weight
-        integrals of m2(d) per group, (s, G) and (s, G, r2), (e^{As})^T,
-        and the flow of the cubic moments p (s, r3, r3)."""
-        nv, n, a = self.v.shape[1], self.model.n, self._agent_size
-        m = nv + n + len(self._mono3)
-        F = [np.stack([e.at(s) for s in widths]) for e in self._lifts]
-        RV = np.concatenate([F[0][:, :nv, :nv]] + [f[:, nv:m, :nv] for f in F]
-                            + [F[0][:, m:a, :nv]], axis=1)
-        C = np.stack([f[:, a:-n, a] for f in F], axis=1)
-        return RV, C[..., 0], C[..., 1:], F[0][:, -n:, -n:], F[0][:, nv + n:m, nv + n:m]
-
     def _lifted(self, cell: int):
-        """The lift of now, rows [v, (w, p) per group, r] (N, D) with r the
-        disturbance states of a step in grid cell ``cell``, and m2(d) per
-        edge; formed on first use after each change of the state."""
+        """``CascadeFlow.lift`` of now, with the disturbance states of a step
+        in grid cell ``cell``; formed on first use after each change of the
+        state, and p with it after a broadcast."""
         if self._lift_now is None:
-            if self.P is None:  # a broadcast changed the edge work
-                self._cubes()
-            N, d = self.n_agents, self.dq[0]
-            w = self.kernel.coupling(d, self._in_group * self.c).transpose(1, 0, 2)
-            X = np.hstack([self.v, np.concatenate([w, self.P], axis=2).reshape(N, -1),
-                           self._dist(self.t, cell)])
-            self._lift_now = X, d[:, self._mono2].prod(axis=-1)
+            if self.P is None:
+                self.P = self.flow.cubes(self.dq)
+            self._lift_now = self.flow.lift(self.v, self.dq, self.c, self.P,
+                                            self._dist(self.t, cell))
         return self._lift_now
 
     def _flow(self, tab, times, cells, threshold=None):
-        """The closed-form flow from now to the instants ``times``, with the
-        readout ``tab`` at their offsets (see ``_tables``) and the trigger
-        threshold there when tabulated; step k lies in grid cell
-        cells[k]. Returns the stacks of v, Z, the edge work, c and
-        the trigger values, and p now with its flow to each instant."""
-        kern, n = self.kernel, self.model.n
-        RV, decay, R, ET, PP = tab
-        X, dd = self._lifted(cells[0])
-        V = X @ RV
+        """``CascadeFlow`` from now to the instants ``times``, step k in grid
+        cell cells[k], and p now with its flow to each instant."""
+        lifted, steps = self._lifted(cells[0]), None
         if self._dist_kind == "uniform-random" and len(cells) > 1:
-            # a new cell's draw is a step in the disturbance state
             steps = np.diff(self._draws(cells), axis=0)
-            lag = np.maximum(np.arange(1, len(cells) + 1)[:, None] - np.arange(1, len(cells)), 0)
-            V += np.einsum("jna,kjab->knb", steps, self._table[0][:, -n:][lag])
-        Zs = self.Z @ ET
-        dq = kern.edge_terms(Zs)
-        g = self._g  # each edge reads its group's weight integral
-        c = decay[:, g] * self.c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]
-        f = kern.trigger_values(V[..., -n:], Zs, dq, c, times, threshold)
-        return V, Zs, dq, c, f, (self.P, PP)
+        flow = self.flow(lifted, self.Z, self.c, tab, times, threshold, steps)
+        return flow + ((self.P, tab[4]),)
 
     # -- triggers --------------------------------------------------------
 
@@ -454,9 +401,7 @@ class _Simulation:
             f = self._triggers(t)
 
     def _force_broadcast(self, t: float, kind: str):
-        # f values are a pre-reset snapshot; forced broadcasts are not
-        # crossings, the value is informational only
-        f = self._triggers(t)
+        f = self._triggers(t)  # a pre-reset snapshot, informational only
         # one broadcast per agent per instant: skip agents already sent at t
         done = {self.leader}
         for e in reversed(self.events):
@@ -509,7 +454,7 @@ class _Simulation:
                 if tm == t0 and self._f_now is not None:
                     return self._f_now
                 stats.localization_evaluations += 1
-                seen[tm] = self._flow(self._tables([tm - t0]), [tm], [cell]), 0
+                seen[tm] = self._flow(self.flow.tables([tm - t0]), [tm], [cell]), 0
             flow, k = seen[tm]
             return float(flow[4][k].max())
 
@@ -546,10 +491,10 @@ class _Simulation:
         table when now lies one base step before checkpoint i, else to
         checkpoint i alone by one exponential."""
         times, cells = self._grid_t[i:j], self._grid_cell[i:j]
-        if self._on_grid(self.t, times[0]):
-            return self._flow([x[1:j - i + 1] for x in self._table], times, cells,
+        if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
+            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells,
                               self._threshold[i:j])
-        return self._flow(self._tables([times[0] - self.t]), times[:1], cells[:1],
+        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cells[:1],
                           self._threshold[i:i + 1])
 
     def _advance(self, i: int) -> int:
@@ -608,7 +553,7 @@ class _Simulation:
         self.c = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
         self.kernel = kernel
         self.dq = kernel.edge_terms(self.Z)  # re-indexed by the new edge list
-        self._group()  # the broadcast round forms p anew
+        self.flow.use(kernel)  # the broadcast round forms p anew
         # the new segment opens with the next row stored, the one at t
         self._segments.append(WeightSegment(new_graph, t, len(self._times), []))
         self._force_broadcast(t, kind="switch")

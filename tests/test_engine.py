@@ -317,7 +317,7 @@ class TestRelocalization:
             if forced:
                 return t_star, state
             forced.append(self.t + (t_star - self.t) / 2)
-            tab = self._tables([forced[0] - self.t])
+            tab = self.flow.tables([forced[0] - self.t])
             return forced[0], (self._flow(tab, forced, [cell]), 0)
 
         monkeypatch.setattr(_Simulation, "_localize", early)
@@ -355,13 +355,13 @@ class TestClosedForm:
         # gives the current state's bits, and every width the oracle's
         engine = mid_run(model, gains, params, ring6, short_sim())
         t0, h = engine.t, short_sim().dt
-        V, Z, _, c, f, _ = engine._flow(engine._tables([0.0]), [t0], [5])
+        V, Z, _, c, f, _ = engine._flow(engine.flow.tables([0.0]), [t0], [5])
         assert np.array_equal(V[0], engine.v) and np.array_equal(Z[0], engine.Z)
         assert np.array_equal(c[0], engine.c)
         assert np.array_equal(f[0], engine._triggers(t0))
         for theta in (0.25, 0.5, 1.0):
             t = t0 + theta * h
-            V, Z, _, c, _, _ = engine._flow(engine._tables([t - t0]), [t], [5])
+            V, Z, _, c, _, _ = engine._flow(engine.flow.tables([t - t0]), [t], [5])
             v, cw, z = rk4_flow(engine, t)
             assert close(V[0], v) and close(c[0], cw) and close(Z[0], z), theta
 
@@ -376,7 +376,7 @@ class TestClosedForm:
         def checked_commit(sim, t, flow, k):
             commit(sim, t, flow, k)
             P = sim.P
-            sim._cubes()
+            sim.P = sim.flow.cubes(sim.dq)
             assert close(P, sim.P, 1e-10), t
             checked.append(t)
 
@@ -398,19 +398,19 @@ class TestClosedForm:
         broadcast, commit, checked = _Simulation._broadcast, _Simulation._commit, []
 
         def check(sim, cell):
-            k, G = sim.kernel, len(sim._lams)
+            k, G = sim.kernel, len(sim.flow.lams)
             assert G == 2
             P_oracle, W_oracle = np.zeros((6, G, len(mono))), np.zeros((6, G, 3))
             for i in range(6):
                 for j in graph.neighbors(i) if i != graph.leader else ():
                     e = graph.edges.index((min(i, j), max(i, j)))
-                    g = list(sim._lams).index(k.kappa[e] * k.varrho[e])
+                    g = list(sim.flow.lams).index(k.kappa[e] * k.varrho[e])
                     d = sim.Z[i] - sim.Z[j]
                     P_oracle[i, g] += k.kappa[e] * np.array([d[a] * d[b] * d[c]
                                                              for a, b, c in mono])
                     W_oracle[i, g] += sim.c[e] * d
             P = sim.P
-            sim._cubes()
+            sim.P = sim.flow.cubes(sim.dq)
             P_fresh, sim.P = sim.P, P
             X, _ = sim._lifted(cell)
             sim._lift_now = None
@@ -504,7 +504,7 @@ class TestReusedValues:
         localize, checked = _Simulation._localize, []
 
         def fresh(sim, t, cell):
-            return sim._flow(sim._tables([t - sim.t]), [t], [cell])
+            return sim._flow(sim.flow.tables([t - sim.t]), [t], [cell])
 
         def checked_localize(sim, t1, cell, end):
             if sim._f_now is not None:  # what the bisection's evaluation at t0 gives

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from etcons import engine
+from etcons import flow
 from etcons.cli import RunSetup, load_config
 from etcons.errors import ConfigError, NotDetectableError, NotStabilizableError
 from etcons.linalg import (
@@ -302,7 +302,7 @@ class TestScipyOracle:
                 balanced.append(a)
                 super().__init__(a)
 
-        monkeypatch.setattr(engine, "_Expm", Recording)
+        monkeypatch.setattr(flow, "_Expm", Recording)
         for name in SHIPPED:
             cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
             cfg["sim"]["t_end"] = 2 * cfg["sim"]["dt"]  # the lifts are built before the first step
