@@ -454,7 +454,7 @@ class _Simulation:
                 if tm == t0 and self._f_now is not None:
                     return self._f_now
                 stats.localization_evaluations += 1
-                seen[tm] = self._flow(self.flow.tables([tm - t0]), [tm], [cell]), 0
+                seen[tm] = self._flow(self.flow.readout(tm - t0), [tm], [cell]), 0
             flow, k = seen[tm]
             return float(flow[4][k].max())
 
@@ -494,7 +494,7 @@ class _Simulation:
         if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
             return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells,
                               self._threshold[i:j])
-        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cells[:1],
+        return self._flow(self.flow.readout(times[0] - self.t), times[:1], cells[:1],
                           self._threshold[i:i + 1])
 
     def _advance(self, i: int) -> int:

@@ -5,13 +5,21 @@ Between broadcasts Z -> c -> v is the linear flow of a lift
 ``CascadeFlow`` reads it off the lifts' exponentials. An agent's lift row
 is [v, (w, p) per group, r]: w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
 over its edges of each group, r its disturbance states.
+
+The readout at a width s is linear in the exponentials, so it is the
+polynomial in s of the readout of their Taylor terms ``_Expm._P``. Those
+coefficients are built once per run, to the degree that a width of dt
+needs, and ``readout`` evaluates them by ``_Expm.at``'s own Horner
+recurrence at ``_Expm.at``'s degree: one lift's readout keeps its bits.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
-from .linalg import _Expm, cascade_lift, symmetric_powers
+from .linalg import _TAYLOR_THETA, _Expm, cascade_lift, symmetric_powers
 
 
 class CascadeFlow:
@@ -25,6 +33,17 @@ class CascadeFlow:
         self.mono2, self.mono3 = (symmetric_powers(A, k)[0] for k in (2, 3))
         self._nv, self._n, self._nd = L.shape[0], A.shape[0], W.shape[0]
         self.grid = [x.copy() for x in self.tables(dt * np.arange(steps + 1))]  # no view pins F
+        # the Taylor coefficients, zero past a lift's exact degree
+        self._norm = max(e._norm for e in self.lifts)
+        deg = min(bisect.bisect_left(_TAYLOR_THETA, self._norm * dt),
+                  max(len(e._P) for e in self.lifts) - 1)
+        zero = np.zeros_like(self.lifts[0]._P[0])
+        coef = self._read([np.stack([(e._P + [zero] * deg)[k] for k in range(deg + 1)])
+                           for e in self.lifts])
+        self._coef = np.concatenate([x.reshape(deg + 1, -1) for x in coef], axis=1)
+        self._coef.setflags(write=False)  # a readout of degree 0 is a view of it
+        ends = np.cumsum([0] + [x[0].size for x in coef])
+        self._parts = [(a, b, (1,) + x.shape[1:]) for a, b, x in zip(ends, ends[1:], coef)]
 
     def use(self, kernel):
         """Each edge's leakage group under the kernel's graph, and its mask
@@ -51,10 +70,24 @@ class CascadeFlow:
         (s, D, nv), e^{-lambda s} and the weight integrals of m2(d) per
         group, (s, G) and (s, G, r2), (e^{As})^T, and the flow of the cubic
         moments p (s, r3, r3)."""
+        return self._read([np.stack([e.at(s) for s in widths]) for e in self.lifts])
+
+    def readout(self, s: float):
+        """``tables([s])`` from the Taylor coefficients, or from the
+        exponentials where the width needs a higher degree than theirs."""
+        k = bisect.bisect_left(_TAYLOR_THETA, self._norm * s)
+        if k >= len(self._coef):
+            return self.tables([s])
+        out = self._coef[k]
+        for j in range(k - 1, -1, -1):
+            out = out * s + self._coef[j]
+        return [out[a:b].reshape(shape) for a, b, shape in self._parts]
+
+    def _read(self, F):
+        """The readout tables of stacked matrices F (s, D, D), one per lift."""
         nv, n = self._nv, self._n
         m = nv + n + len(self.mono3)
         a = m + self._nd
-        F = [np.stack([e.at(s) for s in widths]) for e in self.lifts]
         RV = np.concatenate([F[0][:, :nv, :nv]] + [f[:, nv:m, :nv] for f in F]
                             + [F[0][:, m:a, :nv]], axis=1)
         C = np.stack([f[:, a:-n, a] for f in F], axis=1)
