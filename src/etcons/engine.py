@@ -344,12 +344,15 @@ class _Simulation:
 
     def _flow(self, tab, times, cells, threshold=None):
         """``CascadeFlow`` from now to the instants ``times``, step k in grid
-        cell cells[k], and p now with its flow to each instant."""
-        lifted, steps = self._lifted(cells[0]), None
+        cell cells[k]: the stacks of v, Z, the edge work, c and the trigger
+        values there, and p now with its flow to each instant."""
+        lifted, steps, kern = self._lifted(cells[0]), None, self.kernel
         if self._dist_kind == "uniform-random" and len(cells) > 1:
             steps = np.diff(self._draws(cells), axis=0)
-        flow = self.flow(lifted, self.Z, self.c, tab, times, threshold, steps)
-        return flow + ((self.P, tab[4]),)
+        V, Zs, c = self.flow(lifted, self.Z, self.c, tab, steps)
+        dq = kern.edge_terms(Zs)
+        f = kern.trigger_values(V[..., -self.model.n:], Zs, dq, c, times, threshold)
+        return V, Zs, dq, c, f, (self.P, tab[4])
 
     # -- triggers --------------------------------------------------------
 
@@ -442,25 +445,32 @@ class _Simulation:
     def _localize(self, t1: float, cell: int, end):
         """Event time in (now, t1] on the closed-form flow from now through
         grid cell ``cell``, and the flow there as (result, index). ``end``
-        is the pass's flow at t1, whose trigger maximum is >= 0."""
+        is the pass's flow at t1, whose trigger maximum is >= 0. Bisection
+        evaluates the candidates alone, the agents with f(t1) >= 0, on
+        their star; the flow at the answer is evaluated in full."""
         t0, stats = self.t, self.stats
         if t1 - t0 <= self.cfg.event_tol:
             return t1, end
         stats.localizations += 1
-        seen = {t1: end}
+        f1 = end[0][4][end[1]]
+        cands = np.flatnonzero(f1 >= 0)
+        f_star = self.flow.star_triggers(self._lifted(cell), self.Z, self.c,
+                                         self.kernel.star(cands))
+        seen = {t1: float(f1.max())}
 
         def g(tm: float) -> float:
             if tm not in seen:
                 if tm == t0 and self._f_now is not None:
                     return self._f_now
                 stats.localization_evaluations += 1
-                seen[tm] = self._flow(self.flow.readout(tm - t0), [tm], [cell]), 0
-            flow, k = seen[tm]
-            return float(flow[4][k].max())
+                seen[tm] = float(f_star(tm - t0, tm)[:cands.size].max())
+            return seen[tm]
 
-        t_star = locate_event(g, t0, t1, self.cfg.event_tol, f_hi=g(t1))
-        g(t_star)
-        return t_star, seen[t_star]
+        t_star = locate_event(g, t0, t1, self.cfg.event_tol, f_hi=seen[t1])
+        if t_star == t1:
+            return t1, end
+        stats.localization_evaluations += 1
+        return t_star, (self._flow(self.flow.readout(t_star - t0), [t_star], [cell]), 0)
 
     # -- main loop ---------------------------------------------------------
 

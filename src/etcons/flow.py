@@ -1,16 +1,13 @@
 """The closed-form flow of the adaptive cascade between broadcasts.
 
 Between broadcasts Z -> c -> v is the linear flow of a lift
-(``linalg.cascade_lift``), one per leakage rate lambda = kappa varrho;
-``CascadeFlow`` reads it off the lifts' exponentials. An agent's lift row
-is [v, (w, p) per group, r]: w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
-over its edges of each group, r its disturbance states.
-
-The readout at a width s is linear in the exponentials, so it is the
-polynomial in s of the readout of their Taylor terms ``_Expm._P``. Those
-coefficients are built once per run, to the degree that a width of dt
-needs, and ``readout`` evaluates them by ``_Expm.at``'s own Horner
-recurrence at ``_Expm.at``'s degree: one lift's readout keeps its bits.
+(``linalg.cascade_lift``) per leakage rate lambda = kappa varrho, read off
+the lifts' exponentials. An agent's lift row is [v, (w, p) per group, r]:
+w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e) over its edges of the group,
+r its disturbance states. The readout at a width s is the polynomial in s
+of the readout of the Taylor terms ``_Expm._P``, built once per run to the
+degree a width of dt needs and evaluated by ``_Expm.at``'s Horner
+recurrence at its degree, so that one lift's readout keeps its bits.
 """
 
 from __future__ import annotations
@@ -23,9 +20,9 @@ from .linalg import _TAYLOR_THETA, _Expm, cascade_lift, symmetric_powers
 
 
 class CascadeFlow:
-    """The lifts of one run, L the agent stack's generator and BK its
-    input through the coupling, and ``grid``, the readout at every offset
-    k dt, k <= steps; ``use`` takes the kernel of the current graph."""
+    """The lifts of one run, L the agent stack's generator and BK its input
+    through the coupling, and ``grid``, the readout at each offset k dt,
+    k <= steps; ``use`` takes the kernel of the current graph."""
 
     def __init__(self, L, BK, A, Gamma, Ed, W, lams, dt: float, steps: int):
         self.lams = np.array(sorted(lams) or [0.0])
@@ -33,21 +30,18 @@ class CascadeFlow:
         self.mono2, self.mono3 = (symmetric_powers(A, k)[0] for k in (2, 3))
         self._nv, self._n, self._nd = L.shape[0], A.shape[0], W.shape[0]
         self.grid = [x.copy() for x in self.tables(dt * np.arange(steps + 1))]  # no view pins F
-        # the Taylor coefficients, zero past a lift's exact degree
         self._norm = max(e._norm for e in self.lifts)
         deg = min(bisect.bisect_left(_TAYLOR_THETA, self._norm * dt),
                   max(len(e._P) for e in self.lifts) - 1)
-        zero = np.zeros_like(self.lifts[0]._P[0])
-        coef = self._read([np.stack([(e._P + [zero] * deg)[k] for k in range(deg + 1)])
-                           for e in self.lifts])
-        self._coef = np.concatenate([x.reshape(deg + 1, -1) for x in coef], axis=1)
+        zero = np.zeros_like(self.lifts[0]._P[0])  # past a lift's exact degree
+        self._terms = self._read([np.stack((e._P + [zero] * deg)[:deg + 1]) for e in self.lifts])
+        self._coef = np.hstack([x.reshape(deg + 1, -1) for x in self._terms])
         self._coef.setflags(write=False)  # a readout of degree 0 is a view of it
-        ends = np.cumsum([0] + [x[0].size for x in coef])
-        self._parts = [(a, b, (1,) + x.shape[1:]) for a, b, x in zip(ends, ends[1:], coef)]
+        ends = np.cumsum([0] + [x[0].size for x in self._terms])
+        self._parts = [(a, b, (1,) + x.shape[1:]) for a, b, x in zip(ends, ends[1:], self._terms)]
 
     def use(self, kernel):
-        """Each edge's leakage group under the kernel's graph, and its mask
-        per group (G, M)."""
+        """Each edge's leakage group and the group masks (G, M)."""
         self.kernel = kernel
         self.g = np.searchsorted(self.lams, kernel.kappa * kernel.varrho)
         self.in_group = (self.g == np.arange(len(self.lams))[:, None]).astype(float)
@@ -73,15 +67,22 @@ class CascadeFlow:
         return self._read([np.stack([e.at(s) for s in widths]) for e in self.lifts])
 
     def readout(self, s: float):
-        """``tables([s])`` from the Taylor coefficients, or from the
-        exponentials where the width needs a higher degree than theirs."""
-        k = bisect.bisect_left(_TAYLOR_THETA, self._norm * s)
-        if k >= len(self._coef):
+        """``tables([s])``, off the Taylor terms unless s needs a higher degree."""
+        out = self._horner(self._coef, s)
+        if out is None:
             return self.tables([s])
-        out = self._coef[k]
-        for j in range(k - 1, -1, -1):
-            out = out * s + self._coef[j]
         return [out[a:b].reshape(shape) for a, b, shape in self._parts]
+
+    def _horner(self, coef, s: float):
+        """The polynomial with coefficients coef (K + 1, L) at s, at
+        ``_Expm.at``'s degree for the width; None past degree K."""
+        k = bisect.bisect_left(_TAYLOR_THETA, self._norm * s)
+        if k >= len(coef):
+            return None
+        out = coef[k]
+        for j in range(k - 1, -1, -1):
+            out = out * s + coef[j]
+        return out
 
     def _read(self, F):
         """The readout tables of stacked matrices F (s, D, D), one per lift."""
@@ -93,19 +94,38 @@ class CascadeFlow:
         C = np.stack([f[:, a:-n, a] for f in F], axis=1)
         return RV, C[..., 0], C[..., 1:], F[0][:, -n:, -n:], F[0][:, nv + n:m, nv + n:m]
 
-    def __call__(self, lifted, Z, c, tab, times, threshold=None, steps=None):
-        """The flow from a ``lift`` with estimates Z and weights c to the
-        instants ``times`` at the offsets of the readout ``tab``; ``steps``
-        are the jumps of the disturbance states at the instants after the
-        first. Returns the stacks of v, Z, the edge work, c and f."""
-        kern, n = self.kernel, self._n
+    def __call__(self, lifted, Z, c, tab, steps=None, star=None):
+        """The stacks of v, Z and c at the offsets of the readout ``tab``
+        from a ``lift`` with estimates Z and weights c, on the nodes and
+        edges of ``star`` alone when given (``ProtocolKernel.star``);
+        ``steps`` jump the disturbance states at the offsets after the first."""
+        kern, n, g = self.kernel, self._n, self.g
         (X, dd), (RV, decay, R, ET, _) = lifted, tab
+        if star is not None:
+            kern, nodes, edges = star
+            X, dd, Z, c, g = X[nodes], dd[edges], Z[nodes], c[edges], g[edges]
         V = X @ RV
         if steps is not None:
-            lag = np.maximum(np.arange(1, len(times) + 1)[:, None] - np.arange(1, len(times)), 0)
+            lag = np.maximum(np.arange(1, len(V) + 1)[:, None] - np.arange(1, len(V)), 0)
             V += np.einsum("jna,kjab->knb", steps, self.grid[0][:, -n:][lag])
-        Zs = Z @ ET
-        dq = kern.edge_terms(Zs)
-        g = self.g  # each edge reads its group's weight integral
-        c = decay[:, g] * c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]
-        return V, Zs, dq, c, kern.trigger_values(V[..., -n:], Zs, dq, c, times, threshold)
+        c = decay[:, g] * c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]  # by group
+        return V, Z @ ET, c
+
+    def star_triggers(self, lifted, Z, c, star):
+        """f(s, t), the trigger values of ``star``'s nodes at width s and
+        instant t, off one polynomial: the star's flow of the Taylor terms."""
+        kern, n, rows = star[0], self._n, star[1].size * self._n
+
+        def flat(tab):
+            V, Zs, cs = self(lifted, Z, c, tab, star=star)
+            return np.hstack([V[..., -n:].reshape(len(V), -1), Zs.reshape(len(V), -1), cs])
+
+        coef = flat(self._terms)
+
+        def f(s: float, t: float):
+            out = self._horner(coef, s)
+            out = flat(self.tables([s]))[0] if out is None else out
+            live, Zs = out[:rows].reshape(-1, n), out[rows:2 * rows].reshape(-1, n)
+            return kern.trigger_values(live, Zs, kern.edge_terms(Zs), out[2 * rows:], t)
+
+        return f

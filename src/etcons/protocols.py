@@ -23,6 +23,7 @@ three formulas kept in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -141,6 +142,11 @@ class ProtocolKernel:
         self.dis_w = np.where(is_leader_edge, 0.5, 0.25)
         self._ones = np.ones(self.Gamma.shape[0])
         self._flat = {}  # per width k: endpoint indices into a raveled (N, k) stack
+        # agent i's incident edges, ascending: _incident[_first[i]:_first[i + 1]]
+        ends, ids = np.concatenate([self.ei, self.ej]), np.tile(np.arange(len(graph.edges)), 2)
+        order = np.lexsort((ids, ends))
+        self._incident = ids[order]
+        self._first = np.searchsorted(ends[order], np.arange(self.n_agents + 1))
 
     def _endpoint_sums(self, v: np.ndarray, at_i: np.ndarray, at_j: np.ndarray,
                        size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,10 +208,29 @@ class ProtocolKernel:
         d, q = dq
         return self.coupling(d, c) @ self.K.T, self.kappa * (-self.varrho * c + q)
 
+    def star(self, agents) -> tuple[ProtocolKernel, np.ndarray, np.ndarray]:
+        """The kernel of the agents' star, the edges incident to them, with
+        its nodes (the agents, then their other neighbours) and edges as
+        indices here; its values at the agents are theirs in the graph."""
+        mark = np.zeros(self.ei.size, dtype=bool)  # marks cost less than np.unique
+        mark[np.concatenate([self._incident[self._first[i]:self._first[i + 1]]
+                             for i in agents])] = True
+        edges, local = np.flatnonzero(mark), np.full(self.n_agents, -2)  # -2: off the star
+        local[self.ei[edges]] = local[self.ej[edges]] = -1
+        local[agents] = np.arange(len(agents))
+        others = np.flatnonzero(local == -1)
+        local[others] = np.arange(len(agents), len(agents) + others.size)
+        star = copy.copy(self)
+        star.n_agents, star._flat = len(agents) + others.size, {}
+        star.ei, star.ej = local[self.ei[edges]], local[self.ej[edges]]
+        star.leader = None if self.leader is None or local[self.leader] < 0 else local[self.leader]
+        for name in ("kappa", "varrho", "c0", "err_w", "dis_w"):
+            setattr(star, name, getattr(self, name)[edges])
+        return star, np.concatenate([agents, others]), edges
+
     def decay(self, t) -> float | np.ndarray:
-        """The threshold mu e^{-nu t} at a time t, or a column (S, 1) of
-        them at a sequence of times; math.exp per time, as np.exp may
-        differ in the last bit."""
+        """mu e^{-nu t} at a time t, or a column (S, 1) at a sequence of
+        times, by math.exp: np.exp may differ in the last bit."""
         p = self.params
         if isinstance(t, (int, float)):
             return p.mu * math.exp(-p.nu * t)
