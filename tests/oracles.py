@@ -5,13 +5,17 @@ code that ``src/etcons`` runs in a faster shape: the protocol formulas are
 written for one agent or one edge (``ProtocolKernel`` stacks them), the
 flow between broadcasts is integrated by classical RK4, one stage at a time
 on the whole augmented state (the engine evaluates its closed form), event
-localization evaluates every bisection midpoint, the CSV writers format
-one value per f-string, and the Zeno report rescans the event list and
-every weight row for each interval it checks.
+localization evaluates every bisection midpoint, or the whole closed form
+at every point the localizer asks for (the engine evaluates the
+candidates' star), the CSV writers format one value per f-string, and the
+Zeno report rescans the event list and every weight row for each interval
+it checks. ``audit_crossings`` samples the closed form between the
+instants the engine checks.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Mapping
 
@@ -19,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from etcons.analysis import ZenoCheck, ZenoReport, _grid_slice
-from etcons.engine import EventRecord, Trajectory
+from etcons import engine
+from etcons.engine import EventRecord, Trajectory, locate_event
 from etcons.graph import Graph
 
 
@@ -109,6 +114,83 @@ def bisect_event(f, t_lo: float, t_hi: float, event_tol: float,
         else:
             lo = mid
     return hi
+
+
+def localize_full(sim, t1: float, cell: int, end) -> float:
+    """``_Simulation._localize``'s event time, with every point the
+    localizer asks for evaluated on the whole closed form: the trigger
+    maximum over all agents, at the width from now by ``_Expm.at``."""
+    t0 = sim.t
+    if t1 - t0 <= sim.cfg.event_tol:
+        return t1
+
+    def g(tm: float) -> float:
+        if tm == t1:
+            return float(end[0][4][end[1]].max())
+        if tm == t0 and sim._f_now is not None:
+            return sim._f_now
+        return float(sim._flow(sim.flow.tables([tm - t0]), [tm], [cell])[4].max())
+
+    return locate_event(g, t0, t1, sim.cfg.event_tol)
+
+
+def audit_crossings(run, points: int = 7) -> dict:
+    """The sampled missed-crossing audit of ``run()``, a call that runs
+    ``simulate`` once: the whole closed form is evaluated at ``points``
+    interior points of every committed step, each from the state at the
+    step's start, the localized steps (t0, t*] included.
+
+    Returns the number of steps audited, the number of them whose largest
+    interior trigger value reaches 0 (a crossing the engine missed), the
+    largest interior trigger value of any step (``max_f``; its negative is
+    the smallest interior margin) and what ``run()`` returned.
+    """
+    sim_class = engine._Simulation
+    advance, pass_, localize = sim_class._advance, sim_class._pass, sim_class._localize
+    out = {"steps": 0, "missed": 0, "max_f": -math.inf}
+    rec = {}
+
+    def recorded_pass(sim, i, j):
+        # the engine at the pass start: a sweep resets rows of Z in place,
+        # and a switch after the pass hands the flow the next kernel
+        rec["start"] = start = copy.copy(sim)
+        start.Z, start.flow = sim.Z.copy(), copy.copy(sim.flow)
+        rec["flow"] = pass_(sim, i, j)
+        return rec["flow"]
+
+    def recorded_localize(sim, t1, cell, end):
+        rec["t_star"], found = localize(sim, t1, cell, end)
+        return rec["t_star"], found
+
+    def audited_advance(sim, i):
+        rec.clear()
+        nxt = advance(sim, i)
+        start, flow = rec["start"], rec["flow"]
+        B = len(flow[0])
+        times, cells = sim._grid_t[i:i + B], sim._grid_cell[i:i + B]
+        fmax = flow[4].max(axis=1)
+        hit = next((k for k in range(B) if fmax[k] >= 0), B)
+        ends = list(times[:hit]) + ([rec["t_star"]] if hit < B else [])
+        for k, t_end in enumerate(ends):
+            probe = copy.copy(start)
+            if k:
+                probe._commit(times[k - 1], flow, k - 1)
+            t0 = probe.t
+            inner = [t0 + (t_end - t0) * j / (points + 1) for j in range(1, points + 1)]
+            tab = probe.flow.tables([t - t0 for t in inner])
+            top = float(probe._flow(tab, inner, [cells[k]])[4].max())
+            out["steps"] += 1
+            out["missed"] += top >= 0
+            out["max_f"] = max(out["max_f"], top)
+        return nxt
+
+    sim_class._advance, sim_class._pass = audited_advance, recorded_pass
+    sim_class._localize = recorded_localize
+    try:
+        out["result"] = run()
+    finally:
+        sim_class._advance, sim_class._pass, sim_class._localize = advance, pass_, localize
+    return out
 
 
 def rk4_step(sim, t: float, y: np.ndarray, Z: np.ndarray, h: float, w=None):
