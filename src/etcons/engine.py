@@ -8,15 +8,19 @@ stack Z, so an agent's own estimate cannot drift numerically.
 
 Between broadcasts the cascade Z -> c -> v flows in closed form
 (``flow.CascadeFlow``). A pass evaluates it at a run of grid instants by
-the rows of the run's table, or at one instant by its own exponential when
-now is off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per stack
-and ends at a switch instant (at every grid instant in dense mode). Its
-instants are committed up to the first with a trigger value >= 0. That crossing is bisected on
-the closed form, the state there is committed as evaluated, and every
-agent whose trigger function is nonnegative there broadcasts (ascending
-index, each reset immediately visible, one broadcast per agent per
-instant). If none is, the crossing is localized again from that instant.
-Each instant's row is stored once, after its last reset.
+the rows of the run's table, or at one instant off the lifts' Taylor
+coefficients when now is off the grid; it spans at most
+``_BLOCK_ELEMENTS`` values per stack and ends at a switch instant (at
+every grid instant in dense mode). Its instants are committed up to the
+first with a trigger value >= 0. That crossing is bisected on the closed
+form of the candidates alone, the agents whose trigger value is >= 0
+there, on their star (their rows, their neighbours' estimates and their
+incident edges), read off one polynomial in the width per localization.
+At the localized instant the whole flow is evaluated and committed, and
+every agent whose trigger function is nonnegative there broadcasts
+(ascending index, each reset immediately visible, one broadcast per agent
+per instant). If none is, the crossing is localized again from that
+instant. Each instant's row is stored once, after its last reset.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
-"""The closed-form flow of the adaptive cascade between broadcasts.
+"""The closed-form flow of the cascade Z -> c -> v between broadcasts.
 
-Between broadcasts Z -> c -> v is the linear flow of a lift
-(``linalg.cascade_lift``) per leakage rate lambda = kappa varrho, read off
-the lifts' exponentials. An agent's lift row is [v, (w, p) per group, r]:
+It is the linear flow of a lift (``linalg.cascade_lift``) per leakage rate
+lambda = kappa varrho. An agent's lift row is [v, (w, p) per group, r]:
 w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e) over its edges of the group,
 r its disturbance states. The readout at a width s is the polynomial in s
 of the readout of the Taylor terms ``_Expm._P``, built once per run to the
-degree a width of dt needs and evaluated by ``_Expm.at``'s Horner
-recurrence at its degree, so that one lift's readout keeps its bits.
+degree a width of dt needs; Horner's recurrence at ``_Expm.at``'s degree
+gives one lift's readout ``_Expm.at``'s bits.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ from .linalg import _TAYLOR_THETA, _Expm, cascade_lift, symmetric_powers
 
 
 class CascadeFlow:
-    """The lifts of one run, L the agent stack's generator and BK its input
-    through the coupling, and ``grid``, the readout at each offset k dt,
-    k <= steps; ``use`` takes the kernel of the current graph."""
+    """The lifts of one run (L the agent stack's generator, BK its input
+    through the coupling) and ``grid``, the readout at offsets k dt <= steps dt."""
 
     def __init__(self, L, BK, A, Gamma, Ed, W, lams, dt: float, steps: int):
         self.lams = np.array(sorted(lams) or [0.0])
@@ -41,7 +39,8 @@ class CascadeFlow:
         self._parts = [(a, b, (1,) + x.shape[1:]) for a, b, x in zip(ends, ends[1:], self._terms)]
 
     def use(self, kernel):
-        """Each edge's leakage group and the group masks (G, M)."""
+        """Take the current graph's kernel, each edge's leakage group and the
+        group masks (G, M)."""
         self.kernel = kernel
         self.g = np.searchsorted(self.lams, kernel.kappa * kernel.varrho)
         self.in_group = (self.g == np.arange(len(self.lams))[:, None]).astype(float)
@@ -52,8 +51,8 @@ class CascadeFlow:
         return k.coupling(m3, self.in_group * k.kappa).transpose(1, 0, 2)
 
     def lift(self, v, dq, c, P, r):
-        """The lift rows (N, D) of agent stack v, edge work dq, weights c,
-        cubic moments P and disturbance states r, and m2(d) per edge."""
+        """The lift rows (N, D) of v, dq, c, P and the disturbance states r,
+        and m2(d) per edge."""
         d = dq[0]
         w = self.kernel.coupling(d, self.in_group * c).transpose(1, 0, 2)
         X = np.hstack([v, np.concatenate([w, P], axis=2).reshape(len(v), -1), r])
@@ -74,8 +73,7 @@ class CascadeFlow:
         return [out[a:b].reshape(shape) for a, b, shape in self._parts]
 
     def _horner(self, coef, s: float):
-        """The polynomial with coefficients coef (K + 1, L) at s, at
-        ``_Expm.at``'s degree for the width; None past degree K."""
+        """coef (K + 1, L) at s to ``_Expm.at``'s degree; None past K."""
         k = bisect.bisect_left(_TAYLOR_THETA, self._norm * s)
         if k >= len(coef):
             return None
@@ -95,10 +93,9 @@ class CascadeFlow:
         return RV, C[..., 0], C[..., 1:], F[0][:, -n:, -n:], F[0][:, nv + n:m, nv + n:m]
 
     def __call__(self, lifted, Z, c, tab, steps=None, star=None):
-        """The stacks of v, Z and c at the offsets of the readout ``tab``
-        from a ``lift`` with estimates Z and weights c, on the nodes and
-        edges of ``star`` alone when given (``ProtocolKernel.star``);
-        ``steps`` jump the disturbance states at the offsets after the first."""
+        """v, Z and c at the offsets of ``tab`` from a ``lift``, Z and c, on
+        ``star`` alone when given (``ProtocolKernel.star``); ``steps`` jump
+        the disturbance states at the offsets after the first."""
         kern, n, g = self.kernel, self._n, self.g
         (X, dd), (RV, decay, R, ET, _) = lifted, tab
         if star is not None:

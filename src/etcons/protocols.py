@@ -212,21 +212,20 @@ class ProtocolKernel:
         """The kernel of the agents' star, the edges incident to them, with
         its nodes (the agents, then their other neighbours) and edges as
         indices here; its values at the agents are theirs in the graph."""
-        mark = np.zeros(self.ei.size, dtype=bool)  # marks cost less than np.unique
-        mark[np.concatenate([self._incident[self._first[i]:self._first[i + 1]]
-                             for i in agents])] = True
-        edges, local = np.flatnonzero(mark), np.full(self.n_agents, -2)  # -2: off the star
+        on = np.zeros(self.ei.size, dtype=bool)  # marks cost less than np.unique here
+        on[np.concatenate([self._incident[self._first[i]:self._first[i + 1]] for i in agents])] = 1
+        edges, local = np.flatnonzero(on), np.full(self.n_agents, -2)  # -2: off the star
         local[self.ei[edges]] = local[self.ej[edges]] = -1
-        local[agents] = np.arange(len(agents))
-        others = np.flatnonzero(local == -1)
-        local[others] = np.arange(len(agents), len(agents) + others.size)
+        local[agents] = 0
+        nodes = np.concatenate([agents, np.flatnonzero(local == -1)])
+        local[nodes] = np.arange(nodes.size)
         star = copy.copy(self)
-        star.n_agents, star._flat = len(agents) + others.size, {}
+        star.n_agents, star._flat = nodes.size, {}
         star.ei, star.ej = local[self.ei[edges]], local[self.ej[edges]]
         star.leader = None if self.leader is None or local[self.leader] < 0 else local[self.leader]
         for name in ("kappa", "varrho", "c0", "err_w", "dis_w"):
             setattr(star, name, getattr(self, name)[edges])
-        return star, np.concatenate([agents, others]), edges
+        return star, nodes, edges
 
     def decay(self, t) -> float | np.ndarray:
         """mu e^{-nu t} at a time t, or a column (S, 1) at a sequence of
