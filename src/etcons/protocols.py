@@ -233,7 +233,7 @@ class ProtocolKernel:
         p = self.params
         if isinstance(t, (int, float)):
             return p.mu * math.exp(-p.nu * t)
-        return np.array([[p.mu * math.exp(-p.nu * s)] for s in t])
+        return np.fromiter((p.mu * math.exp(-p.nu * s) for s in t), float, len(t))[:, None]
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,
