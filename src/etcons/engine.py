@@ -456,7 +456,7 @@ class _Simulation:
         if t1 - t0 <= self.cfg.event_tol:
             return t1, end
         stats.localizations += 1
-        f1 = end[0][4][end[1]]
+        f1 = end[0][4][end[1]]  # the pass's trigger values at t1
         cands = np.flatnonzero(f1 >= 0)
         f_star = self.flow.star_triggers(self._lifted(cell), self.Z, self.c,
                                          self.kernel.star(cands))
@@ -503,7 +503,7 @@ class _Simulation:
     def _pass(self, i: int, j: int):
         """The ``_flow`` from now to checkpoints i..j-1 by rows of the run's
         table when now lies one base step before checkpoint i, else to
-        checkpoint i alone by one exponential."""
+        checkpoint i alone by ``CascadeFlow.readout``."""
         times, cells = self._grid_t[i:j], self._grid_cell[i:j]
         if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
             return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells,

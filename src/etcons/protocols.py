@@ -16,8 +16,9 @@ observer state chi for x everywhere; the formulas are unchanged.
 
 Each formula reads agent-local and incident-edge data only.
 ``ProtocolKernel`` is their one implementation: it evaluates them for
-every agent and edge at once and carries no global graph quantity beyond
-the edge list itself. The tests check it against per-agent forms of the
+every agent and edge at once, or for a few agents on the kernel of their
+incident edges (``star``), and carries no global graph quantity beyond
+the edge list and each agent's incident edges. The tests check it against per-agent forms of the
 three formulas kept in ``tests/oracles.py``.
 """
 
