@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .engine import VARIANTS, DisturbanceSpec, SimConfig, Trajectory, simulate
+from .engine import VARIANTS, DisturbanceSpec, SimConfig, Trajectory, initial_states, simulate
 from .errors import ConfigError, EtconsError, _check_number
 from .graph import Graph, build_graph, generate_graph
 from .linalg import GainSet, SystemModel, _as_matrix, design_gains
@@ -152,9 +152,6 @@ def _states(spec: dict, shape: tuple, rng, where: str) -> np.ndarray:
     if len(spec) != 1:
         raise ConfigError(f"{where}: give exactly one of 'values' or 'random'")
     if "values" in spec:
-        if spec["values"].shape != shape:
-            raise ConfigError(f"{where}.values: has shape {spec['values'].shape}, "
-                              f"expected {shape}")
         return spec["values"]
     low, high = spec["random"]["low"], spec["random"]["high"]
     if not low < high:
@@ -176,13 +173,9 @@ class RunSetup:
 
         rng = np.random.default_rng(self.sim.seed)
         shape = (self.graph.n_nodes, self.model.n)
-        self.x0 = _states(cfg["initial_states"], shape, rng, "initial_states")
-        self.chi0 = None
-        if "initial_observer_states" in cfg:
-            if self.variant != "observer":
-                raise ConfigError("initial_observer_states only applies to the observer variant")
-            self.chi0 = _states(cfg["initial_observer_states"], shape, rng,
-                                "initial_observer_states")
+        keys = ("initial_states", "initial_observer_states")
+        given = [_states(cfg[key], shape, rng, key) if key in cfg else None for key in keys]
+        self.x0, self.chi0 = initial_states(shape, self.variant, *given, keys=keys)
         outputs = cfg.get("outputs", {})
         self.out_dir = outputs.get("directory")
         self.emit = outputs.get("emit", EMIT_CHOICES)

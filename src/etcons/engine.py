@@ -603,6 +603,23 @@ class _Simulation:
         )
 
 
+def initial_states(shape: tuple, variant: str, x0, chi0=None, keys=(None, None)):
+    """x0 and chi0 (or None) as float arrays, each of ``shape`` with finite
+    entries; chi0 only on observer runs. ``keys`` name them in a config."""
+    if chi0 is not None and variant != "observer":
+        raise ConfigError("chi0 only applies to the observer variant", keys[1])
+    out = []
+    for name, v, key in (("x0", x0, keys[0]), ("chi0", chi0, keys[1])):
+        if v is not None:
+            v = np.asarray(v, dtype=float)
+            if v.shape != shape:
+                raise ConfigError(f"{name} has shape {v.shape}, expected {shape}", key)
+            if not np.isfinite(v).all():
+                raise ConfigError(f"{name} has non-finite entries", key)
+        out.append(v)
+    return out
+
+
 def simulate(
     model: SystemModel,
     graph: Graph,
@@ -642,14 +659,7 @@ def simulate(
         except ConfigError as exc:
             raise ConfigError(f"{exc.reason} (in {where})", exc.key) from None
 
-    shape = (graph.n_nodes, model.n)
-    for name, v in (("x0", x0), ("chi0", chi0)):
-        if v is not None:
-            v = np.asarray(v, dtype=float)
-            if v.shape != shape:
-                raise ConfigError(f"{name} has shape {v.shape}, expected {shape}")
-            if not np.isfinite(v).all():
-                raise ConfigError(f"{name} has non-finite entries")
+    x0, chi0 = initial_states((graph.n_nodes, model.n), variant, x0, chi0)
     if gains.K.shape != (model.p, model.n):
         raise ConfigError(f"K has shape {gains.K.shape}, expected ({model.p}, {model.n})")
     if gains.Gamma.shape != (model.n, model.n):
@@ -659,8 +669,6 @@ def simulate(
             raise ConfigError("observer variant requires an observer gain F")
         if gains.F.shape != (model.n, model.q):
             raise ConfigError(f"F has shape {gains.F.shape}, expected ({model.n}, {model.q})")
-    elif chi0 is not None:
-        raise ConfigError("chi0 only applies to the observer variant")
     simulation = _Simulation(model, graph, gains, params, sim, x0, variant,
                              chi0=chi0, broadcast_every_step=broadcast_every_step)
     return simulation.run()

@@ -228,6 +228,21 @@ class TestExitCodes:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
         assert "stabilizable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("initial_states", {"values": [[0.0, 0.0]] * 6}),
+        ("initial_observer_states", {"values": [[0.0, 0.0, 0.0]] * 6}),
+    ], ids=["wrong-shape", "observer-states-on-a-state-run"])
+    @pytest.mark.parametrize("command", ["run", "gains"])
+    def test_initial_state_rules_exit_2(self, tmp_path, capsys, command, key, value):
+        # one implementation of the rules serves both commands; ``gains``
+        # never simulates
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg[key] = value
+        args = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, write_config(tmp_path, cfg)] + args) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["extra_section"] = {}
