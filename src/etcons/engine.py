@@ -280,8 +280,8 @@ class _Simulation:
                             | set((np.flatnonzero(off) + 1).tolist()) | {t.size})
         Ed, W = self._setup_disturbance(v.shape[1])
 
-        # one lift per distinct leakage rate lambda = kappa varrho of any graph,
-        # read at every offset k dt that a pass of any graph can reach
+        # one lift with a group per leakage rate lambda = kappa varrho of any
+        # graph, read at every offset k dt that a pass of any graph can reach
         graphs = [graph] + [g for (_, g) in sim.topology_schedule]
         lams = {float(lam) for g in graphs for lam in np.multiply(*params.edge_arrays(g)[:2])}
         self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt,
@@ -356,7 +356,7 @@ class _Simulation:
         V, Zs, c = self.flow(lifted, self.Z, self.c, tab, steps)
         dq = kern.edge_terms(Zs)
         f = kern.trigger_values(V[..., -self.model.n:], Zs, dq, c, times, threshold)
-        return V, Zs, dq, c, f, (self.P, tab[4])
+        return V, Zs, dq, c, f, (self.P, tab[0][:, self.flow._p0, self.flow._p0])
 
     # -- triggers --------------------------------------------------------
 

@@ -1,13 +1,13 @@
 """The closed-form flow of the cascade Z -> c -> v between broadcasts.
 
-It is the linear flow of a lift (``linalg.cascade_lift``) per leakage rate
-lambda = kappa varrho. An agent's lift row is [v, (w, p) per group, r]:
-w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e) over its edges of the group,
-r its disturbance states. The readout at a width s is the polynomial in s
-of the readout of the Taylor terms ``_Expm._P``, built once per run to the
-degree a width of dt needs; Horner's recurrence at ``_Expm.at``'s degree
-gives one lift's readout ``_Expm.at``'s bits.
-"""
+It is the linear flow of one lift (``linalg.cascade_lift``), with a group
+per leakage rate lambda = kappa varrho. An agent's lift row is
+[v, (w, p) per group, r]: w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
+over its edges of the group, r its disturbance states. Every readout is a
+slice of the lift's exponential. The readout at a width s is the
+polynomial in s of the readout of the Taylor terms ``_Expm._P``, built
+once per run to the degree a width of dt needs; Horner's recurrence at
+``_Expm.at``'s degree gives ``_Expm.at``'s bits."""
 
 from __future__ import annotations
 
@@ -19,20 +19,25 @@ from .linalg import _TAYLOR_THETA, _Expm, cascade_lift, symmetric_powers
 
 
 class CascadeFlow:
-    """The lifts of one run (L the agent stack's generator, BK its input
+    """The lift of one run (L the agent stack's generator, BK its input
     through the coupling) and ``grid``, the readout at offsets k dt <= steps dt."""
 
     def __init__(self, L, BK, A, Gamma, Ed, W, lams, dt: float, steps: int):
         self.lams = np.array(sorted(lams) or [0.0])
-        self.lifts = [_Expm(cascade_lift(L, BK, A, Gamma, lam, Ed, W).T) for lam in self.lams]
+        self.expm = _Expm(cascade_lift(L, BK, A, Gamma, self.lams, Ed, W).T)
         self.mono2, self.mono3 = (symmetric_powers(A, k)[0] for k in (2, 3))
-        self._nv, self._n, self._nd = L.shape[0], A.shape[0], W.shape[0]
+        nv, n, nd, G = L.shape[0], A.shape[0], W.shape[0], len(self.lams)
+        a = nv + G * (n + len(self.mono3)) + nd
+        # the agent row [v, (w, p) per group, r], of which v ends with the live stack
+        self.nv, self._n, self.live, self.r = nv, n, slice(nv - n, nv), slice(a - nd, a)
+        self._p0 = slice(nv + n, nv + n + len(self.mono3))
+        # each group's decay and weight integrals, [c/kappa, m2] to c/kappa
+        first = a + (1 + len(self.mono2)) * np.arange(G)[:, None]
+        self._edges = (first + np.arange(1 + len(self.mono2)), first)
         self.grid = [x.copy() for x in self.tables(dt * np.arange(steps + 1))]  # no view pins F
-        self._norm = max(e._norm for e in self.lifts)
-        deg = min(bisect.bisect_left(_TAYLOR_THETA, self._norm * dt),
-                  max(len(e._P) for e in self.lifts) - 1)
-        zero = np.zeros_like(self.lifts[0]._P[0])  # past a lift's exact degree
-        self._terms = self._read([np.stack((e._P + [zero] * deg)[:deg + 1]) for e in self.lifts])
+        P = self.expm._P
+        deg = min(bisect.bisect_left(_TAYLOR_THETA, self.expm._norm * dt), len(P) - 1)
+        self._terms = self._read(np.stack(P[:deg + 1]))
         self._coef = np.hstack([x.reshape(deg + 1, -1) for x in self._terms])
         self._coef.setflags(write=False)  # a readout of degree 0 is a view of it
         ends = np.cumsum([0] + [x[0].size for x in self._terms])
@@ -59,11 +64,11 @@ class CascadeFlow:
         return X, d[:, self.mono2].prod(axis=-1)
 
     def tables(self, widths):
-        """The readout at each width s: the rows that map a lift row to v(s)
-        (s, D, nv), e^{-lambda s} and the weight integrals of m2(d) per
-        group, (s, G) and (s, G, r2), (e^{As})^T, and the flow of the cubic
-        moments p (s, r3, r3)."""
-        return self._read([np.stack([e.at(s) for s in widths]) for e in self.lifts])
+        """The readout at each width s: the agent block of the lift's
+        exponential (s, a, a), which maps a lift row to the row at s,
+        e^{-lambda s} and the weight integrals of m2(d) per group, (s, G)
+        and (s, G, r2), and (e^{As})^T."""
+        return self._read(np.stack([self.expm.at(s) for s in widths]))
 
     def readout(self, s: float):
         """``tables([s])``, off the Taylor terms unless s needs a higher degree."""
@@ -74,7 +79,7 @@ class CascadeFlow:
 
     def _horner(self, coef, s: float):
         """coef (K + 1, L) at s to ``_Expm.at``'s degree; None past K."""
-        k = bisect.bisect_left(_TAYLOR_THETA, self._norm * s)
+        k = bisect.bisect_left(_TAYLOR_THETA, self.expm._norm * s)
         if k >= len(coef):
             return None
         out = coef[k]
@@ -83,28 +88,24 @@ class CascadeFlow:
         return out
 
     def _read(self, F):
-        """The readout tables of stacked matrices F (s, D, D), one per lift."""
-        nv, n = self._nv, self._n
-        m = nv + n + len(self.mono3)
-        a = m + self._nd
-        RV = np.concatenate([F[0][:, :nv, :nv]] + [f[:, nv:m, :nv] for f in F]
-                            + [F[0][:, m:a, :nv]], axis=1)
-        C = np.stack([f[:, a:-n, a] for f in F], axis=1)
-        return RV, C[..., 0], C[..., 1:], F[0][:, -n:, -n:], F[0][:, nv + n:m, nv + n:m]
+        """The readout tables of stacked matrices F (s, D, D)."""
+        a, n = self.r.stop, self._n
+        C = F[:, self._edges[0], self._edges[1]]
+        return F[:, :a, :a], C[..., 0], C[..., 1:], F[:, -n:, -n:]
 
     def __call__(self, lifted, Z, c, tab, steps=None, star=None):
         """v, Z and c at the offsets of ``tab`` from a ``lift``, Z and c, on
         ``star`` alone when given (``ProtocolKernel.star``); ``steps`` jump
         the disturbance states at the offsets after the first."""
         kern, n, g = self.kernel, self._n, self.g
-        (X, dd), (RV, decay, R, ET, _) = lifted, tab
+        (X, dd), (F, decay, R, ET) = lifted, tab
         if star is not None:
             kern, nodes, edges = star
             X, dd, Z, c, g = X[nodes], dd[edges], Z[nodes], c[edges], g[edges]
-        V = X @ RV
+        V = X @ F[..., :self.nv]
         if steps is not None:
             lag = np.maximum(np.arange(1, len(V) + 1)[:, None] - np.arange(1, len(V)), 0)
-            V += np.einsum("jna,kjab->knb", steps, self.grid[0][:, -n:][lag])
+            V += np.einsum("jna,kjab->knb", steps, self.grid[0][:, self.r, :self.nv][lag])
         c = decay[:, g] * c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]  # by group
         return V, Z @ ET, c
 

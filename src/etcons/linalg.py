@@ -312,30 +312,35 @@ def symmetric_powers(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
     return mono, S @ ksum @ U, U
 
 
-def cascade_lift(L, BK, A, Gamma, lam: float, Ed, W) -> np.ndarray:
+def cascade_lift(L, BK, A, Gamma, lams, Ed, W) -> np.ndarray:
     """The generator (column form) of the adaptive cascade between
-    broadcasts at leakage rate lam = kappa varrho, after Van Loan (IEEE TAC
-    23(3), 1978): the block diagonal of three lifts, so that one matrix
-    exponential gives every closed-form readout. m2 and m3 are the
-    quadratic and cubic monomials of d (``symmetric_powers``).
+    broadcasts, after Van Loan (IEEE TAC 23(3), 1978): one block-diagonal
+    matrix, so that one matrix exponential gives every closed-form readout.
+    Edges fall into groups by their leakage rate lam = kappa varrho, one
+    group per entry of ``lams``. m2 and m3 are the quadratic and cubic
+    monomials of d (``symmetric_powers``).
 
-    * Agent [v, w, p, r]: v' = L v + BK w + Ed r, w' = (A - lam I) w + G p
-      and r' = W r, where w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
-      over the agent's edges, G p = sum ±kappa_e (d_e' Gamma d_e) d_e, and
-      r holds the disturbance states.
-    * Edge [c/kappa, m2(d)]: (c/kappa)' = -lam c/kappa + d' Gamma d.
+    * Agent [v, (w, p) per group, r]: v' = L v + BK sum w + Ed r,
+      w' = (A - lam I) w + G p and r' = W r, where w = sum ±c_e d_e and
+      p = sum ±kappa_e m3(d_e) over the agent's edges of the group,
+      G p = sum ±kappa_e (d_e' Gamma d_e) d_e, and r holds the disturbance
+      states.
+    * Edge [c/kappa, m2(d)], per group: (c/kappa)' = -lam c/kappa + d' Gamma d.
     * Estimate: z' = A z.
     """
     nv, n, nd = L.shape[0], A.shape[0], W.shape[0]
     (_, A2, U2), (_, A3, U3) = symmetric_powers(A, 2), symmetric_powers(A, 3)
-    m = nv + n + len(A3)
-    out = np.zeros((m + nd + 1 + len(A2) + n,) * 2)
-    M, E = out[:m + nd, :m + nd], out[m + nd:-n, m + nd:-n]  # views of the first two blocks
-    M[:nv, :nv], M[:nv, nv:nv + n], M[:nv, m:] = L, BK, Ed
-    M[nv:nv + n, nv:nv + n] = A - lam * np.eye(n)
-    M[nv:nv + n, nv + n:m] = np.kron(Gamma.reshape(1, -1), np.eye(n)) @ U3
-    M[nv + n:m, nv + n:m], M[m:, m:] = A3, W
-    E[0, 0], E[0, 1:], E[1:, 1:] = -lam, Gamma.ravel() @ U2, A2
+    G3, q2 = np.kron(Gamma.reshape(1, -1), np.eye(n)) @ U3, Gamma.ravel() @ U2
+    k, m = n + len(A3), 1 + len(A2)  # the sizes of a (w, p) group and of an edge group
+    a = nv + len(lams) * k + nd
+    out = np.zeros((a + len(lams) * m + n,) * 2)
+    out[:nv, :nv], out[:nv, a - nd:a], out[a - nd:a, a - nd:a] = L, Ed, W
+    for g, lam in enumerate(lams):
+        w, e = nv + g * k, a + g * m
+        out[:nv, w:w + n] = BK
+        out[w:w + n, w:w + n], out[w:w + n, w + n:w + k] = A - lam * np.eye(n), G3
+        out[w + n:w + k, w + n:w + k] = A3
+        out[e, e], out[e, e + 1:e + m], out[e + 1:e + m, e + 1:e + m] = -lam, q2, A2
     out[-n:, -n:] = A
     return out
 

@@ -26,6 +26,7 @@ from etcons.analysis import ZenoCheck, ZenoReport, _grid_slice
 from etcons import engine
 from etcons.engine import EventRecord, Trajectory, locate_event
 from etcons.graph import Graph
+from etcons.linalg import _Expm, symmetric_powers
 
 
 def control_input(
@@ -191,6 +192,43 @@ def audit_crossings(run, points: int = 7) -> dict:
     finally:
         sim_class._advance, sim_class._pass, sim_class._localize = advance, pass_, localize
     return out
+
+
+def single_rate_lift(L, BK, A, Gamma, lam: float, Ed, W) -> np.ndarray:
+    """The generator (column form) of the cascade at one leakage rate lam:
+    the block diagonal of the agent lift [v, w, p, r], the edge lift
+    [c/kappa, m2(d)] and the estimate z (``linalg.cascade_lift`` places one
+    (w, p) group and one edge group per rate in a single generator)."""
+    nv, n, nd = L.shape[0], A.shape[0], W.shape[0]
+    (_, A2, U2), (_, A3, U3) = symmetric_powers(A, 2), symmetric_powers(A, 3)
+    m = nv + n + len(A3)
+    out = np.zeros((m + nd + 1 + len(A2) + n,) * 2)
+    M, E = out[:m + nd, :m + nd], out[m + nd:-n, m + nd:-n]  # views of the first two blocks
+    M[:nv, :nv], M[:nv, nv:nv + n], M[:nv, m:] = L, BK, Ed
+    M[nv:nv + n, nv:nv + n] = A - lam * np.eye(n)
+    M[nv:nv + n, nv + n:m] = np.kron(Gamma.reshape(1, -1), np.eye(n)) @ U3
+    M[nv + n:m, nv + n:m], M[m:, m:] = A3, W
+    E[0, 0], E[0, 1:], E[1:, 1:] = -lam, Gamma.ravel() @ U2, A2
+    out[-n:, -n:] = A
+    return out
+
+
+def per_rate_tables(args, widths):
+    """``CascadeFlow.tables`` at ``widths`` from one lift per leakage rate,
+    each exponentiated on its own and their readouts stitched: the rows
+    (s, D, nv) that map a lift row to v(s), e^{-lambda s} and the weight
+    integrals per group, and (e^{As})^T. ``args`` are ``CascadeFlow``'s
+    (L, BK, A, Gamma, Ed, W, lams)."""
+    L, BK, A, Gamma, Ed, W, lams = args
+    nv, n, nd = L.shape[0], A.shape[0], W.shape[0]
+    m = nv + n + len(symmetric_powers(A, 3)[0])
+    a = m + nd
+    F = [np.stack([_Expm(single_rate_lift(L, BK, A, Gamma, lam, Ed, W).T).at(s)
+                   for s in widths]) for lam in sorted(lams) or [0.0]]
+    RV = np.concatenate([F[0][:, :nv, :nv]] + [f[:, nv:m, :nv] for f in F]
+                        + [F[0][:, m:a, :nv]], axis=1)
+    C = np.stack([f[:, a:-n, a] for f in F], axis=1)
+    return RV, C[..., 0], C[..., 1:], F[0][:, -n:, -n:]
 
 
 def rk4_step(sim, t: float, y: np.ndarray, Z: np.ndarray, h: float, w=None):

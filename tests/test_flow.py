@@ -19,12 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etcons import engine
 from etcons.cli import RunSetup, load_config
 from etcons.engine import _Simulation
+from etcons.flow import CascadeFlow
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import _TAYLOR_THETA
 from etcons.protocols import ProtocolKernel, ProtocolParams
-from oracles import audit_crossings, localize_full
+from oracles import audit_crossings, localize_full, per_rate_tables
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = ("leaderless_sec5", "ultimate_bound", "switching", "leader_follower",
@@ -40,18 +42,43 @@ def config(name: str, **sim) -> dict:
     return cfg
 
 
+def two_rates(**sim) -> dict:
+    """leader_follower with two leakage rates: varrho 0.1 on edges 0-1 and
+    2-3 and 0.05 on the others."""
+    cfg = config("leader_follower", **sim)
+    cfg["protocol"]["varrho"] = {f"{i}-{j}": 0.1 if (i, j) in ((0, 1), (2, 3)) else 0.05
+                                 for i, j in cfg["graph"]["edges"]}
+    return cfg
+
+
 def engine_for(cfg: dict) -> _Simulation:
-    """An engine built as ``RunSetup.run`` builds it, before its first step."""
-    s = RunSetup(copy.deepcopy(cfg))
-    return _Simulation(s.model, s.graph, s.design(), s.params, s.sim, s.x0, s.variant,
-                       chi0=s.chi0)
+    """An engine built as ``RunSetup.run`` builds it, before its first step,
+    with the arguments (L, BK, A, Gamma, Ed, W, lams) of its flow as
+    ``lift_args``."""
+    s, args = RunSetup(copy.deepcopy(cfg)), []
+
+    class Recorded(CascadeFlow):
+        def __init__(self, *given):
+            args.extend(given[:7])
+            super().__init__(*given)
+
+    engine.CascadeFlow = Recorded
+    try:
+        sim = _Simulation(s.model, s.graph, s.design(), s.params, s.sim, s.x0, s.variant,
+                          chi0=s.chi0)
+    finally:
+        engine.CascadeFlow = CascadeFlow
+    sim.lift_args = args
+    return sim
 
 
-# the six shipped lifts at their own dt, and ultimate_bound at dt = 0.2,
-# where theta(dt) is above the Taylor degree cap: widths past the radius
-# of degree 16 go to the exponentials, which scale and square (its lift,
-# with leakage, is not nilpotent as leaderless_sec5's is)
+# the six shipped lifts at their own dt, the two-rate leader lift, and
+# ultimate_bound at dt = 0.2, where theta(dt) is above the Taylor degree
+# cap: widths past the radius of degree 16 go to the exponentials, which
+# scale and square (its lift, with leakage, is not nilpotent as
+# leaderless_sec5's is)
 ENGINES = {name: engine_for(config(name, t_end=0.01)) for name in SHIPPED}
+ENGINES["two_rates"] = engine_for(two_rates(t_end=0.01))
 ENGINES["above_cap"] = engine_for(config("ultimate_bound", t_end=1.0, dt=0.2))
 
 
@@ -62,9 +89,25 @@ def relative_gap(a, b) -> float:
 class TestReadout:
     def test_the_above_cap_case_is_above_the_cap(self):
         flow = ENGINES["above_cap"].flow
-        assert flow._norm * 0.2 > _TAYLOR_THETA[-1] and len(flow._coef) == len(_TAYLOR_THETA)
+        assert flow.expm._norm * 0.2 > _TAYLOR_THETA[-1]
+        assert len(flow._coef) == len(_TAYLOR_THETA)
         shipped = [e for name, e in ENGINES.items() if name != "above_cap"]
-        assert all(e.flow._norm * e.cfg.dt <= 0.014 for e in shipped)
+        assert all(e.flow.expm._norm * e.cfg.dt <= 0.014 for e in shipped)
+        assert len(ENGINES["two_rates"].flow.lams) == 2
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_one_lift_is_the_per_rate_lifts(self, name):
+        # the groups' blocks of one exponential are those of one exponential
+        # per rate, bit for bit: the grid's offsets and widths in (0, dt]
+        engine = ENGINES[name]
+        flow, dt = engine.flow, engine.cfg.dt
+        widths = dt * np.array([1e-9, 1e-4, 0.3, 0.5, 0.99, 1.0])
+        for s, tables in ((dt * np.arange(len(flow.grid[0])), flow.grid),
+                          (widths, flow.tables(widths))):
+            F, decay, R, ET = tables
+            oracle = per_rate_tables(engine.lift_args, s)
+            for new, old in zip((F[..., :flow.nv], decay, R, ET), oracle):
+                assert new.shape == old.shape and np.array_equal(new, old), name
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(ENGINES)), frac=st.floats(0.0, 1.0, exclude_min=True))
