@@ -15,7 +15,7 @@ import bisect
 
 import numpy as np
 
-from .linalg import _TAYLOR_THETA, _Expm, cascade_lift, symmetric_powers
+from .linalg import _Expm, cascade_lift, symmetric_powers
 
 
 class CascadeFlow:
@@ -36,7 +36,7 @@ class CascadeFlow:
         self._edges = (first + np.arange(1 + len(self.mono2)), first)
         self.grid = [x.copy() for x in self.tables(dt * np.arange(steps + 1))]  # no view pins F
         P = self.expm._P
-        deg = min(bisect.bisect_left(_TAYLOR_THETA, self.expm._norm * dt), len(P) - 1)
+        deg = min(bisect.bisect_left(self.expm._theta, self.expm._norm * dt), len(P) - 1)
         self._terms = self._read(np.stack(P[:deg + 1]))
         self._coef = np.hstack([x.reshape(deg + 1, -1) for x in self._terms])
         self._coef.setflags(write=False)  # a readout of degree 0 is a view of it
@@ -79,7 +79,7 @@ class CascadeFlow:
 
     def _horner(self, coef, s: float):
         """coef (K + 1, L) at s to ``_Expm.at``'s degree; None past K."""
-        k = bisect.bisect_left(_TAYLOR_THETA, self.expm._norm * s)
+        k = bisect.bisect_left(self.expm._theta, self.expm._norm * s)
         if k >= len(coef):
             return None
         out = coef[k]

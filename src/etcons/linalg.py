@@ -10,6 +10,7 @@ that the engine, the analysis layer and ``matrix_exponential`` share.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -191,9 +192,10 @@ def design_gains(model: SystemModel, observer: bool = False) -> GainSet:
     return GainSet(P=p, K=k, Gamma=gamma, F=f)
 
 
-def _taylor_radius(k: int) -> float:
-    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta}."""
-    log_u = math.log(2.0 ** -53)
+def _taylor_radius(k: int, log2_kappa: int) -> float:
+    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta} / kappa,
+    kappa = 2^log2_kappa."""
+    log_u = math.log(2.0) * (-53 - log2_kappa)
 
     def excess(th: float) -> float:
         return (k + 1) * math.log(th) - math.lgamma(k + 2) + 2 * th - log_u
@@ -208,11 +210,11 @@ def _taylor_radius(k: int) -> float:
     return lo
 
 
-def _balance(A: np.ndarray) -> np.ndarray:
-    """D^-1 A D for the diagonal D of powers of two that LAPACK's dgebal
-    with job 'S' finds (Parlett & Reinsch): each sweep rescales row and
-    column i so that their 2-norms come within a factor 2, where that cuts
-    their sum below 0.95 of what it was, until no sweep rescales."""
+def _balance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D^-1 A D and the diagonal of D, the powers of two that LAPACK's
+    dgebal with job 'S' finds (Parlett & Reinsch): each sweep rescales row
+    and column i so that their 2-norms come within a factor 2, where that
+    cuts their sum below 0.95 of what it was, until no sweep rescales."""
     def norm(v, vmax):  # scaled by a power of two, as dnrm2 does, to avoid under/overflow
         scale = math.ldexp(1.0, math.frexp(vmax)[1])
         return scale * np.linalg.norm(v / scale)
@@ -240,22 +242,28 @@ def _balance(A: np.ndarray) -> np.ndarray:
             A[i] *= 1 / f
             A[:, i] *= f
             rescaled = True
-    return A
+    return A, scale
 
 
-#: _TAYLOR_THETA[k] bounds ||A||_1 s for a degree-k truncation of e^{As}
 _MAX_DEGREE = 16
-_TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _taylor_radii(log2_kappa: int) -> tuple[float, ...]:
+    """The bound on ||A'||_1 s of a degree-k truncation of e^{As}, k <= 16."""
+    return tuple(_taylor_radius(k, log2_kappa) for k in range(_MAX_DEGREE + 1))
 
 
 class _Expm:
     """e^{A s} from a truncated Taylor series, numpy only.
 
     P_k = A^k / k! is computed once. For theta = ||A'||_1 |s|, A' = T^-1 A T
-    balanced by powers of two T (``_balance``), the degree K is the
-    smallest with theta^{K+1}/(K+1)! e^{theta} <= u e^{-theta}: the
-    remainder of the series for A' is then at most unit roundoff u relative
-    to ||e^{A's}|| >= e^{-theta}. The products for A are those for A' scaled
+    balanced by powers of two T (``_balance``), and kappa = max T / min T,
+    the degree K is the smallest with theta^{K+1}/(K+1)! e^{theta} <=
+    u e^{-theta} / kappa: the remainder of the series for A' is then at
+    most u / kappa relative to ||e^{A's}|| >= e^{-theta}, and the one for
+    A, T times it times T^-1, at most unit roundoff u relative to
+    ||e^{As}|| >= e^{-theta}. The products for A are those for A' scaled
     by powers of two, so A is used as given; only theta is A''s, which
     keeps Gamma's thousands in the engine's lifts from forcing needless
     squarings. When A^k is exactly zero the series is exact
@@ -267,7 +275,9 @@ class _Expm:
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
-        self._norm = float(np.abs(_balance(A)).sum(axis=0).max())
+        balanced, scale = _balance(A)
+        self._norm = float(np.abs(balanced).sum(axis=0).max())
+        self._theta = _taylor_radii(math.frexp(scale.max() / scale.min())[1] - 1)
         term = np.eye(A.shape[0])
         self._P = [term]
         self._exact = False
@@ -282,12 +292,12 @@ class _Expm:
 
     def at(self, s: float) -> np.ndarray:
         """e^{A s}."""
-        P, squarings, theta = self._P, 0, self._norm * abs(s)
-        if theta > _TAYLOR_THETA[-1] and not self._exact:
+        P, squarings, theta, radii = self._P, 0, self._norm * abs(s), self._theta
+        if theta > radii[-1] and not self._exact:
             # smallest j with theta 2^-j below the degree-cap radius
-            squarings = math.frexp(theta / _TAYLOR_THETA[-1])[1]
+            squarings = math.frexp(theta / radii[-1])[1]
             s, theta = math.ldexp(s, -squarings), math.ldexp(theta, -squarings)
-        k = min(bisect.bisect_left(_TAYLOR_THETA, theta), len(P) - 1)
+        k = min(bisect.bisect_left(radii, theta), len(P) - 1)
         out = P[k]
         for j in range(k - 1, -1, -1):
             out = out * s + P[j]

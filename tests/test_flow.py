@@ -24,7 +24,6 @@ from etcons.cli import RunSetup, load_config
 from etcons.engine import _Simulation
 from etcons.flow import CascadeFlow
 from etcons.graph import build_graph, generate_graph
-from etcons.linalg import _TAYLOR_THETA
 from etcons.protocols import ProtocolKernel, ProtocolParams
 from oracles import audit_crossings, localize_full, per_rate_tables
 
@@ -89,8 +88,8 @@ def relative_gap(a, b) -> float:
 class TestReadout:
     def test_the_above_cap_case_is_above_the_cap(self):
         flow = ENGINES["above_cap"].flow
-        assert flow.expm._norm * 0.2 > _TAYLOR_THETA[-1]
-        assert len(flow._coef) == len(_TAYLOR_THETA)
+        assert flow.expm._norm * 0.2 > flow.expm._theta[-1]
+        assert len(flow._coef) == len(flow.expm._theta)
         shipped = [e for name, e in ENGINES.items() if name != "above_cap"]
         assert all(e.flow.expm._norm * e.cfg.dt <= 0.014 for e in shipped)
         assert len(ENGINES["two_rates"].flow.lams) == 2
@@ -98,7 +97,10 @@ class TestReadout:
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_one_lift_is_the_per_rate_lifts(self, name):
         # the groups' blocks of one exponential are those of one exponential
-        # per rate, bit for bit: the grid's offsets and widths in (0, dt]
+        # per rate, bit for bit, at the grid's offsets and widths in (0, dt];
+        # the two-rate lift balances to a wider spread of scales than its
+        # second rate's own lift, so that rate's blocks take a higher degree
+        # and agree to rounding
         engine = ENGINES[name]
         flow, dt = engine.flow, engine.cfg.dt
         widths = dt * np.array([1e-9, 1e-4, 0.3, 0.5, 0.99, 1.0])
@@ -107,7 +109,9 @@ class TestReadout:
             F, decay, R, ET = tables
             oracle = per_rate_tables(engine.lift_args, s)
             for new, old in zip((F[..., :flow.nv], decay, R, ET), oracle):
-                assert new.shape == old.shape and np.array_equal(new, old), name
+                assert new.shape == old.shape, name
+                assert np.array_equal(new, old) or (
+                    name == "two_rates" and relative_gap(new, old) <= 1e-15), name
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(ENGINES)), frac=st.floats(0.0, 1.0, exclude_min=True))

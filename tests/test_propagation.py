@@ -36,11 +36,15 @@ def _stiff():
 # name -> (A, dt, bound in multiples of eps on the 1-norm relative error).
 # The stiff case has ||A||_1 dt > 1, so the evaluator scales and squares;
 # scipy's own error there reaches ~16 eps against a 40-digit reference.
+# Balancing spreads the scales of the slow chain's rows over 2^22 and cuts
+# its norm by a factor above 1000: a degree chosen by the balanced norm
+# alone erred by 1e-10 at dt.
 EXPM_CASES = {
     "nilpotent-chain": (3.0 * np.eye(4, k=1), 1e-3, 4),
     "rotation": (np.array([[0.0, 6 * math.pi], [-6 * math.pi, 0.0]]), 1e-2, 4),
     "random-dense": (np.random.default_rng(7).normal(size=(5, 5)), 5e-2, 4),
     "stiff": (_stiff(), 2e-2, 64),
+    "slow-chain": (np.array([[-2e-4, 0, 0], [-0.64, -2e-4, 0], [0, 1.0, -6e-4]]), 1e-2, 4),
 }
 
 
@@ -80,6 +84,10 @@ class TestTaylorExpm:
     def test_stiff_case_needs_scaling(self):
         a, dt, _ = EXPM_CASES["stiff"]
         assert _norm1(a) * dt > 1.0
+
+    def test_slow_chain_is_balanced_far(self):
+        a, _, _ = EXPM_CASES["slow-chain"]
+        assert _Expm(a)._norm * 1000 < _norm1(a)
 
     def test_series_stops_at_nilpotency(self):
         triple = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
