@@ -7,9 +7,12 @@ propagations e^{As} z of the latest samples, the rows of the estimate
 stack Z, so an agent's own estimate cannot drift numerically.
 
 Between broadcasts the cascade Z -> c -> v flows in closed form
-(``flow.CascadeFlow``). A pass evaluates it at a run of grid instants by
-the rows of the run's table, or at one instant off the lifts' Taylor
-coefficients when now is off the grid; it spans at most
+(``flow.CascadeFlow``). The engine's state is agent i's lift row
+[v, (w, p) per group, r] in row i of X: each reset forms the (w, p)
+columns from the edge work, and between resets they flow with v. A pass
+evaluates the flow at a run of grid instants by the rows of the run's
+table, or at one instant off the lift's Taylor coefficients when now is
+off the grid; it spans at most
 ``_BLOCK_ELEMENTS`` values per stack and ends at a switch instant (at
 every grid instant in dense mode). Its instants are committed up to the
 first with a trigger value >= 0. That crossing is bisected on the closed
@@ -253,7 +256,7 @@ class _Simulation:
             chi = np.zeros(v.shape) if chi0 is None else np.asarray(chi0, dtype=float)
             v, L = np.hstack([v, chi]), np.block([[A, np.zeros_like(A)], [-FC, A + FC]])
             Bv = np.vstack([Bv, Bv])
-        self.v, self.c = v, self.kernel.c0
+        self.c, self._nv = self.kernel.c0, v.shape[1]
         # the estimate stack and its edge work, always updated together
         self.Z = v[:, -n:].copy()
         self.dq = self.kernel.edge_terms(self.Z)
@@ -262,7 +265,6 @@ class _Simulation:
         self.events: list[EventRecord] = []
         self.stats = RunStats()
         self._f_now = None  # the trigger maximum at the current state, when known
-        self._lift_now = self.P = None  # the lift of the current state and its p, when formed
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
 
         # the stored rows: times, then blocks of x, Z and chi
@@ -287,10 +289,14 @@ class _Simulation:
         self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt,
                                 max(self._cap(len(g.edges)) for g in graphs))
         self.flow.use(self.kernel)
+        # the state: each agent's lift row [v, (w, p) per group, r], whose
+        # (w, p) columns each reset forms and whose r columns each pass sets
+        self.X = np.zeros((self.n_agents, self.flow.r.stop))
+        self.X[:, :self._nv] = v
 
     def _cap(self, m: int) -> int:
         """Most steps in a pass over m edges."""
-        return max(1, _BLOCK_ELEMENTS // max(1, m * self.v.shape[1]))
+        return max(1, _BLOCK_ELEMENTS // max(1, m * self._nv))
 
     # -- disturbance ---------------------------------------------------
 
@@ -336,38 +342,33 @@ class _Simulation:
     # -- flow ----------------------------------------------------------
 
     def _lifted(self, cell: int):
-        """``CascadeFlow.lift`` of now, with the disturbance states of a step
-        in grid cell ``cell``; formed on first use after each change of the
-        state, and p with it after a broadcast."""
-        if self._lift_now is None:
-            if self.P is None:
-                self.P = self.flow.cubes(self.dq)
-            self._lift_now = self.flow.lift(self.v, self.dq, self.c, self.P,
-                                            self._dist(self.t, cell))
-        return self._lift_now
+        """The lift rows of now, with the disturbance states of a step in
+        grid cell ``cell``, and m2(d) per edge."""
+        self.X[:, self.flow.r] = self._dist(self.t, cell)
+        return self.X, self._m2
 
     def _flow(self, tab, times, cells, threshold=None):
         """``CascadeFlow`` from now to the instants ``times``, step k in grid
-        cell cells[k]: the stacks of v, Z, the edge work, c and the trigger
-        values there, and p now with its flow to each instant."""
+        cell cells[k]: the stacks of lift rows, Z, the edge work, c and the
+        trigger values there."""
         lifted, steps, kern = self._lifted(cells[0]), None, self.kernel
         if self._dist_kind == "uniform-random" and len(cells) > 1:
             steps = np.diff(self._draws(cells), axis=0)
         V, Zs, c = self.flow(lifted, self.Z, self.c, tab, steps)
         dq = kern.edge_terms(Zs)
-        f = kern.trigger_values(V[..., -self.model.n:], Zs, dq, c, times, threshold)
-        return V, Zs, dq, c, f, (self.P, tab[0][:, self.flow._p0, self.flow._p0])
+        f = kern.trigger_values(V[..., self.flow.live], Zs, dq, c, times, threshold)
+        return V, Zs, dq, c, f
 
     # -- triggers --------------------------------------------------------
 
     def _triggers(self, t: float) -> np.ndarray:
         """Trigger values at t of the current state."""
-        return self.kernel.trigger_values(self.v[:, -self.model.n:], self.Z, self.dq, self.c, t)
+        return self.kernel.trigger_values(self.X[:, self.flow.live], self.Z, self.dq, self.c, t)
 
     def _broadcast(self, agents, t: float, f, kind: str):
         """Reset each agent's estimate to its live value at t, logging f[i],
-        then form the edge work of the new stack."""
-        live = self.v[:, -self.model.n:]
+        then ``_reset``."""
+        live = self.X[:, self.flow.live]
         for i in agents:
             value = live[i].copy()
             self.Z[i] = value
@@ -386,8 +387,14 @@ class _Simulation:
                         f"t={t:.6f}; exceeds max_events_per_unit_time="
                         f"{self.cfg.max_events_per_unit_time}"
                     )
-        self.dq, self._f_now, self._lift_now = self.kernel.edge_terms(self.Z), None, None
-        self.P = None  # p, formed anew when the flow next needs it
+        self._reset()
+
+    def _reset(self):
+        """Form the edge work of the estimate stack, and from it the (w, p)
+        columns of the lift rows."""
+        self.dq, self._f_now = self.kernel.edge_terms(self.Z), None
+        self._m2 = self.flow.squares(self.dq[0])
+        self.X[:, self.flow.wp] = self.flow.moments(self.dq, self.c)
 
     def _sweep(self, t: float, f: np.ndarray) -> bool:
         """Trigger every agent whose f >= 0, ascending index, resets
@@ -419,30 +426,29 @@ class _Simulation:
 
     # -- storage ---------------------------------------------------------
 
-    def _store(self, times, v, Z, c):
-        """Record rows at ``times`` from agent stacks v (r, N, nv),
-        estimate stacks Z (r, N, n) and weights c (r, M), copied into
-        compact arrays."""
+    def _store(self, times, V, Z, c):
+        """Record rows at ``times`` from lift rows V (r, N, D), estimate
+        stacks Z (r, N, n) and weights c (r, M), copied into compact arrays."""
         n = self.model.n
         self._times.extend(times)
-        self._states.append(v[..., :n].copy())
+        self._states.append(V[..., :n].copy())
         if self.variant == "observer":
-            self._chis.append(v[..., n:].copy())
+            self._chis.append(V[..., n:self._nv].copy())
         self._estimates.append(Z.copy())
         self._segments[-1].values.append(c.copy())
 
     def _store_row(self):
         """Record the current instant, after every reset at it."""
-        self._store([self.t], self.v[None], self.Z[None], self.c[None])
+        self._store([self.t], self.X[None], self.Z[None], self.c[None])
 
     def _commit(self, t: float, flow, k: int):
-        """Make instant k of a ``_flow`` result the current instant t; the
-        result's arrays live on until the next one, but no stored row
+        """Make instant k of a ``_flow`` result the current instant t. The
+        state is then a view of the result, which resets and passes write
+        into, so nothing reads the result's rows afterwards; no stored row
         points into them."""
-        V, Zs, dq, c, f, (P, PP) = flow
-        self.t, self.v, self.Z, self.dq, self.c = t, V[k], Zs[k], (dq[0][k], dq[1][k]), c[k]
-        self.P = (P.reshape(-1, PP.shape[-1]) @ PP[k]).reshape(P.shape)
-        self._f_now, self._lift_now = float(f[k].max()), None
+        V, Zs, dq, c, f = flow
+        self.t, self.X, self.Z, self.dq, self.c = t, V[k], Zs[k], (dq[0][k], dq[1][k]), c[k]
+        self._m2, self._f_now = self.flow.squares(self.dq[0]), float(f[k].max())
 
     # -- event localization ------------------------------------------------
 
@@ -516,7 +522,7 @@ class _Simulation:
         instant before the first with max f >= 0, and localize and process
         that crossing. Returns the next checkpoint to reach."""
         j = min(i + self._cap(self.kernel.ei.size), self._ends[bisect.bisect_right(self._ends, i)])
-        flow = V, Zs, _, c, f, _ = self._pass(i, j)
+        flow = V, Zs, _, c, f = self._pass(i, j)
         B = len(V)
         j, times, cells = i + B, self._grid_t[i:i + B], self._grid_cell[i:i + B]
         self.stats.steps += B
@@ -567,7 +573,7 @@ class _Simulation:
         self.c = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
         self.kernel = kernel
         self.dq = kernel.edge_terms(self.Z)  # re-indexed by the new edge list
-        self.flow.use(kernel)  # the broadcast round forms p anew
+        self.flow.use(kernel)  # the broadcast round forms the (w, p) columns anew
         # the new segment opens with the next row stored, the one at t
         self._segments.append(WeightSegment(new_graph, t, len(self._times), []))
         self._force_broadcast(t, kind="switch")

@@ -3,8 +3,10 @@
 It is the linear flow of one lift (``linalg.cascade_lift``), with a group
 per leakage rate lambda = kappa varrho. An agent's lift row is
 [v, (w, p) per group, r]: w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
-over its edges of the group, r its disturbance states. Every readout is a
-slice of the lift's exponential. The readout at a width s is the
+over its edges of the group, r its disturbance states. A reset forms the
+(w, p) columns from the edge work (``moments``); the agent block of the
+lift's exponential then carries the whole row, and the other readouts are
+slices of the same exponential. The readout at a width s is the
 polynomial in s of the readout of the Taylor terms ``_Expm._P``, built
 once per run to the degree a width of dt needs; Horner's recurrence at
 ``_Expm.at``'s degree gives ``_Expm.at``'s bits."""
@@ -29,8 +31,8 @@ class CascadeFlow:
         nv, n, nd, G = L.shape[0], A.shape[0], W.shape[0], len(self.lams)
         a = nv + G * (n + len(self.mono3)) + nd
         # the agent row [v, (w, p) per group, r], of which v ends with the live stack
-        self.nv, self._n, self.live, self.r = nv, n, slice(nv - n, nv), slice(a - nd, a)
-        self._p0 = slice(nv + n, nv + n + len(self.mono3))
+        self.nv, self._n, self.live = nv, n, slice(nv - n, nv)
+        self.wp, self.r = slice(nv, a - nd), slice(a - nd, a)
         # each group's decay and weight integrals, [c/kappa, m2] to c/kappa
         first = a + (1 + len(self.mono2)) * np.arange(G)[:, None]
         self._edges = (first + np.arange(1 + len(self.mono2)), first)
@@ -50,18 +52,16 @@ class CascadeFlow:
         self.g = np.searchsorted(self.lams, kernel.kappa * kernel.varrho)
         self.in_group = (self.g == np.arange(len(self.lams))[:, None]).astype(float)
 
-    def cubes(self, dq):
-        """p of every agent per group (N, G, r3), from the edge work."""
-        k, m3 = self.kernel, dq[0][:, self.mono3].prod(axis=-1)
-        return k.coupling(m3, self.in_group * k.kappa).transpose(1, 0, 2)
+    def moments(self, dq, c):
+        """The (w, p) columns of every agent's lift row (N, G (n + r3)),
+        formed from the edge work and the weights."""
+        k, d = self.kernel, dq[0]
+        per_edge = np.hstack([c[:, None] * d, k.kappa[:, None] * d[:, self.mono3].prod(axis=-1)])
+        return k.coupling(per_edge, self.in_group).transpose(1, 0, 2).reshape(k.n_agents, -1)
 
-    def lift(self, v, dq, c, P, r):
-        """The lift rows (N, D) of v, dq, c, P and the disturbance states r,
-        and m2(d) per edge."""
-        d = dq[0]
-        w = self.kernel.coupling(d, self.in_group * c).transpose(1, 0, 2)
-        X = np.hstack([v, np.concatenate([w, P], axis=2).reshape(len(v), -1), r])
-        return X, d[:, self.mono2].prod(axis=-1)
+    def squares(self, d):
+        """m2(d) per edge (M, r2), which the weight integrals read."""
+        return d[:, self.mono2].prod(axis=-1)
 
     def tables(self, widths):
         """The readout at each width s: the agent block of the lift's
@@ -94,18 +94,21 @@ class CascadeFlow:
         return F[:, :a, :a], C[..., 0], C[..., 1:], F[:, -n:, -n:]
 
     def __call__(self, lifted, Z, c, tab, steps=None, star=None):
-        """v, Z and c at the offsets of ``tab`` from a ``lift``, Z and c, on
-        ``star`` alone when given (``ProtocolKernel.star``); ``steps`` jump
-        the disturbance states at the offsets after the first."""
-        kern, n, g = self.kernel, self._n, self.g
+        """The lift rows, Z and c at the offsets of ``tab`` from lift rows X
+        with m2(d) per edge (``lifted``), Z and c, on ``star`` alone when
+        given (``ProtocolKernel.star``); ``steps`` jump the disturbance
+        states at the offsets after the first (into v: a pass sets the r
+        columns anew)."""
+        kern, g = self.kernel, self.g
         (X, dd), (F, decay, R, ET) = lifted, tab
         if star is not None:
             kern, nodes, edges = star
             X, dd, Z, c, g = X[nodes], dd[edges], Z[nodes], c[edges], g[edges]
-        V = X @ F[..., :self.nv]
+        V = X @ F
         if steps is not None:
             lag = np.maximum(np.arange(1, len(V) + 1)[:, None] - np.arange(1, len(V)), 0)
-            V += np.einsum("jna,kjab->knb", steps, self.grid[0][:, self.r, :self.nv][lag])
+            V[..., :self.nv] += np.einsum("jna,kjab->knb", steps,
+                                          self.grid[0][:, self.r, :self.nv][lag])
         c = decay[:, g] * c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]  # by group
         return V, Z @ ET, c
 
@@ -116,7 +119,7 @@ class CascadeFlow:
 
         def flat(tab):
             V, Zs, cs = self(lifted, Z, c, tab, star=star)
-            return np.hstack([V[..., -n:].reshape(len(V), -1), Zs.reshape(len(V), -1), cs])
+            return np.hstack([V[..., self.live].reshape(len(V), -1), Zs.reshape(len(V), -1), cs])
 
         coef = flat(self._terms)
 

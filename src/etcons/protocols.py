@@ -117,8 +117,8 @@ class ProtocolKernel:
     O(M n) and the kernel holds no N x M array. A node sums, in
     ``graph.edges`` order, the edges where it is the lower endpoint, then
     those where it is the upper one, and adds the two; ``coupling`` is
-    the one such scatter of per-edge vectors, which the engine also uses
-    for its cubic moments. Inputs are the estimate stack Z (N x n) and its
+    the one such scatter of per-edge vectors, which the closed-form flow
+    also uses for its moments. Inputs are the estimate stack Z (N x n) and its
     edge work ``dq`` (see ``edge_terms``), the live stack X or CHI, and
     the edge weight vector c (M,). Each input may carry the same leading
     stack axes, for instance one slice per grid point; a stacked call
@@ -181,7 +181,7 @@ class ProtocolKernel:
         disagreements d_e = Z[i] - Z[j] (M, n) and d' Gamma d (M,).
 
         It changes only when Z does, so the engine forms it once per stack
-        and hands it to ``flow_terms`` and ``trigger_values``.
+        and hands it to ``trigger_values`` and to the closed-form flow.
         """
         d = Z.take(self.ei, axis=-2) - Z.take(self.ej, axis=-2)
         return d, self.quadratic(d)

@@ -152,10 +152,10 @@ def audit_crossings(run, points: int = 7) -> dict:
     rec = {}
 
     def recorded_pass(sim, i, j):
-        # the engine at the pass start: a sweep resets rows of Z in place,
-        # and a switch after the pass hands the flow the next kernel
+        # the engine at the pass start: a sweep resets rows of Z and X in
+        # place, and a switch after the pass hands the flow the next kernel
         rec["start"] = start = copy.copy(sim)
-        start.Z, start.flow = sim.Z.copy(), copy.copy(sim.flow)
+        start.Z, start.X, start.flow = sim.Z.copy(), sim.X.copy(), copy.copy(sim.flow)
         rec["flow"] = pass_(sim, i, j)
         return rec["flow"]
 
@@ -282,11 +282,11 @@ def rk4_flow(sim, t1: float, w=None, substeps: int = 100):
     """An engine's flow from its current state to t1 by ``substeps`` steps
     of ``rk4_step``; ``w(s)`` is the disturbance. Returns the agent stack v
     (x, then chi on observer runs), the weights c and the estimates Z."""
-    m = sim.kernel.ei.size
-    y, Z, h = np.concatenate([sim.v.ravel(), sim.c]), sim.Z, (t1 - sim.t) / substeps
+    m, v = sim.kernel.ei.size, sim.X[:, :sim.flow.nv]
+    y, Z, h = np.concatenate([v.ravel(), sim.c]), sim.Z, (t1 - sim.t) / substeps
     for k in range(substeps):
         y, Z, _ = rk4_step(sim, sim.t + k * h, y, Z, h, w)
-    return y[:y.size - m].reshape(sim.v.shape), y[y.size - m:], Z
+    return y[:y.size - m].reshape(v.shape), y[y.size - m:], Z
 
 
 def events_for(traj: Trajectory, agent: int) -> list[EventRecord]:

@@ -343,9 +343,8 @@ def mid_run(model, gains, params, graph, sim, variant="state", seed=4):
                          variant)
     engine.t = engine._grid_t[4]
     engine.Z = engine.Z + rng.uniform(-0.2, 0.2, engine.Z.shape)
-    engine.dq = engine.kernel.edge_terms(engine.Z)
     engine.c = engine.c + rng.uniform(0.0, 1.0, engine.c.size)
-    engine.P = None
+    engine._reset()  # the lift rows of this state
     return engine
 
 
@@ -355,29 +354,31 @@ class TestClosedForm:
         # gives the current state's bits, and every width the oracle's
         engine = mid_run(model, gains, params, ring6, short_sim())
         t0, h = engine.t, short_sim().dt
-        V, Z, _, c, f, _ = engine._flow(engine.flow.tables([0.0]), [t0], [5])
-        assert np.array_equal(V[0], engine.v) and np.array_equal(Z[0], engine.Z)
+        V, Z, _, c, f = engine._flow(engine.flow.tables([0.0]), [t0], [5])
+        assert np.array_equal(V[0], engine.X) and np.array_equal(Z[0], engine.Z)
         assert np.array_equal(c[0], engine.c)
         assert np.array_equal(f[0], engine._triggers(t0))
         for theta in (0.25, 0.5, 1.0):
             t = t0 + theta * h
-            V, Z, _, c, _, _ = engine._flow(engine.flow.tables([t - t0]), [t], [5])
+            V, Z, _, c, _ = engine._flow(engine.flow.tables([t - t0]), [t], [5])
             v, cw, z = rk4_flow(engine, t)
-            assert close(V[0], v) and close(c[0], cw) and close(Z[0], z), theta
+            assert close(V[0][:, :3], v) and close(c[0], cw) and close(Z[0], z), theta
 
     @pytest.mark.parametrize("event_tol", [1e-8, 1e-2])
     def test_committed_cubic_moments_match_the_edge_work(self, model, gains, params, ring6,
                                                           monkeypatch, event_tol):
-        # p flows with the estimates between broadcasts, so at every commit
-        # it is p formed afresh from the edge work; at event_tol = dt every
+        # the (w, p) columns of the lift rows flow with the estimates and
+        # the weights between broadcasts, so at every commit they are the
+        # columns formed afresh from the edge work; at event_tol = dt every
         # crossing is committed at its step's end, past a commit in the pass
         commit, checked = _Simulation._commit, []
 
         def checked_commit(sim, t, flow, k):
             commit(sim, t, flow, k)
-            P = sim.P
-            sim.P = sim.flow.cubes(sim.dq)
-            assert close(P, sim.P, 1e-10), t
+            flowed, fresh = (x.reshape(6, 1, -1) for x in (sim.X[:, sim.flow.wp],
+                                                           sim.flow.moments(sim.dq, sim.c)))
+            for part in (slice(0, 3), slice(3, None)):  # w, then p
+                assert close(flowed[..., part], fresh[..., part], 1e-10), t
             checked.append(t)
 
         monkeypatch.setattr(_Simulation, "_commit", checked_commit)
@@ -387,9 +388,10 @@ class TestClosedForm:
 
     def test_scatter_per_group_matches_the_per_agent_sums(self, model, gains, monkeypatch):
         # a leader graph with two leakage rates: after every broadcast and
-        # every commit, each group's p and w of agent i are the sums over
-        # i's neighbours j along that group's edges of kappa_ij m3(z_i - z_j)
-        # and c_ij (z_i - z_j), and the leader's rows are zero
+        # every commit, each group's p and w columns of agent i's lift row
+        # are the sums over i's neighbours j along that group's edges of
+        # kappa_ij m3(z_i - z_j) and c_ij (z_i - z_j), and the leader's are
+        # zero; a broadcast forms them, and between broadcasts they flow
         edges = [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
         graph = build_graph(6, edges, leader=0)
         varrho = {e: 0.1 if e in ((0, 1), (2, 3)) else 0.05 for e in edges}
@@ -397,7 +399,7 @@ class TestClosedForm:
         mono = list(itertools.combinations_with_replacement(range(3), 3))
         broadcast, commit, checked = _Simulation._broadcast, _Simulation._commit, []
 
-        def check(sim, cell):
+        def check(sim, tol):
             k, G = sim.kernel, len(sim.flow.lams)
             assert G == 2
             P_oracle, W_oracle = np.zeros((6, G, len(mono))), np.zeros((6, G, 3))
@@ -409,23 +411,19 @@ class TestClosedForm:
                     P_oracle[i, g] += k.kappa[e] * np.array([d[a] * d[b] * d[c]
                                                              for a, b, c in mono])
                     W_oracle[i, g] += sim.c[e] * d
-            P = sim.P
-            sim.P = sim.flow.cubes(sim.dq)
-            P_fresh, sim.P = sim.P, P
-            X, _ = sim._lifted(cell)
-            sim._lift_now = None
-            W = X[:, 3:3 + G * (3 + len(mono))].reshape(6, G, -1)[..., :3]
-            assert close(P_fresh, P_oracle) and close(W, W_oracle)
-            assert not P_fresh[graph.leader].any() and not W[graph.leader].any()
+            row = sim.X[:, sim.flow.wp].reshape(6, G, -1)
+            W, P = row[..., :3], row[..., 3:]
+            assert close(P, P_oracle, tol) and close(W, W_oracle, tol)
+            assert not P[graph.leader].any() and not W[graph.leader].any()
             checked.append(sim.t)
 
         def checked_broadcast(sim, agents, t, f, kind):
             broadcast(sim, agents, t, f, kind)
-            check(sim, 0)
+            check(sim, 1e-12)
 
         def checked_commit(sim, t, flow, k):
             commit(sim, t, flow, k)
-            check(sim, 0)
+            check(sim, 1e-10)
 
         monkeypatch.setattr(_Simulation, "_broadcast", checked_broadcast)
         monkeypatch.setattr(_Simulation, "_commit", checked_commit)
@@ -542,15 +540,17 @@ def _checked_passes(monkeypatch, wanted):
 
     def checked(sim, i, j):
         flow = compare(sim, i, j)
-        V, Z, _, c, _, _ = flow
-        passes.append((len(V), sim.kernel.ei.size * sim.v.shape[1]))
+        V, Z, _, c, _ = flow
+        nv = sim.flow.nv
+        passes.append((len(V), sim.kernel.ei.size * nv))
         if len(compared) < wanted and (len(V) > 1 or len(passes) == 1):
             compared.append(i)
             probe = copy.copy(sim)  # the oracle steps on from its own states
+            probe.X = sim.X.copy()
             for k in range(len(V)):
-                probe.v, probe.c, probe.Z = rk4_flow(probe, sim._grid_t[i + k])
-                probe.t = sim._grid_t[i + k]
-                assert close(V[k], probe.v) and close(c[k], probe.c) and close(Z[k], probe.Z)
+                v, probe.c, probe.Z = rk4_flow(probe, sim._grid_t[i + k])
+                probe.X[:, :nv], probe.t = v, sim._grid_t[i + k]
+                assert close(V[k][:, :nv], v) and close(c[k], probe.c) and close(Z[k], probe.Z)
         return flow
 
     monkeypatch.setattr(_Simulation, "_pass", checked)

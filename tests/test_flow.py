@@ -173,9 +173,9 @@ class TestStar:
         sim = copy.copy(engine)
         rng = np.random.default_rng(8)
         sim.Z = sim.Z + rng.uniform(-0.3, 0.3, sim.Z.shape)
-        sim.dq = sim.kernel.edge_terms(sim.Z)
         sim.c = sim.c + rng.uniform(0, 1, sim.c.size)
-        sim.P = sim._lift_now = None
+        sim.X = sim.X.copy()  # the reset re-forms the lift rows in place
+        sim._reset()
         agents = np.array([a for a in (1, 3) if a != sim.leader])
         star = sim.kernel.star(agents)
         f_star = sim.flow.star_triggers(sim._lifted(0), sim.Z, sim.c, star)
@@ -214,10 +214,15 @@ def localizations(monkeypatch, cfg: dict, wanted: int, after_switch: int = 0):
     return compared
 
 
+def named(name: str, **sim) -> dict:
+    """A shipped config, or ``two_rates``, with ``sim`` keys replaced."""
+    return two_rates(**sim) if name == "two_rates" else config(name, **sim)
+
+
 class TestLocalizer:
-    @pytest.mark.parametrize("name", [n for n in SHIPPED if n != "switching"])
+    @pytest.mark.parametrize("name", [n for n in SHIPPED if n != "switching"] + ["two_rates"])
     def test_first_localizations_match_the_whole_flow(self, monkeypatch, name):
-        compared = localizations(monkeypatch, config(name, t_end=10.0), 50)
+        compared = localizations(monkeypatch, named(name, t_end=10.0), 50)
         assert len(compared) == 50
 
     def test_localizations_after_each_switch(self, monkeypatch):
@@ -232,11 +237,37 @@ class TestAudit:
     # a missed crossing is a committed step whose largest interior trigger
     # value reaches 0; the localized steps (t0, t*] are audited too
     @pytest.mark.parametrize("dt, t_end", [(1e-3, 0.6), (1e-2, 3.0)], ids=["dt1e-3", "dt1e-2"])
-    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("name", SHIPPED + ("two_rates",))
     def test_no_missed_crossing(self, name, dt, t_end):
-        cfg = config(name, t_end=t_end, dt=dt)
+        cfg = named(name, t_end=t_end, dt=dt)
         audit = audit_crossings(lambda: RunSetup(cfg).run())
         traj = audit["result"][0]
         assert audit["steps"] >= round(t_end / dt)
         assert audit["missed"] == 0 and audit["max_f"] < 0
         assert any(e.kind == "trigger" for e in traj.events)
+
+
+class TestResets:
+    def test_one_coupling_per_broadcast_round(self, monkeypatch):
+        # a broadcast round forms the (w, p) columns of the lift rows by one
+        # coupling over the stacked per-edge values, and they flow between
+        # rounds: no pass or localization forms them again (ring400 at
+        # seed 42, as the ring-sparse benchmark runs it, shortened)
+        cfg = config("leaderless_sec5", t_end=0.2)
+        cfg["graph"] = {"generator": "ring", "n": 400}
+        calls = {"coupling": 0, "rounds": 0}
+        coupling, broadcast = ProtocolKernel.coupling, _Simulation._broadcast
+
+        def counted_coupling(kernel, *args):
+            calls["coupling"] += 1
+            return coupling(kernel, *args)
+
+        def counted_broadcast(sim, *args):
+            calls["rounds"] += 1
+            return broadcast(sim, *args)
+
+        monkeypatch.setattr(ProtocolKernel, "coupling", counted_coupling)
+        monkeypatch.setattr(_Simulation, "_broadcast", counted_broadcast)
+        stats = RunSetup(cfg).run()[0].stats
+        assert calls["coupling"] == calls["rounds"] > 10
+        assert stats.passes > calls["rounds"] and stats.localizations > 10
