@@ -10,7 +10,6 @@ that the engine, the analysis layer and ``matrix_exponential`` share.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -192,10 +191,9 @@ def design_gains(model: SystemModel, observer: bool = False) -> GainSet:
     return GainSet(P=p, K=k, Gamma=gamma, F=f)
 
 
-def _taylor_radius(k: int, log2_kappa: int) -> float:
-    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta} / kappa,
-    kappa = 2^log2_kappa."""
-    log_u = math.log(2.0) * (-53 - log2_kappa)
+def _taylor_radius(k: int) -> float:
+    """Largest theta with theta^{k+1}/(k+1)! e^{theta} <= u e^{-theta}."""
+    log_u = math.log(2.0 ** -53)
 
     def excess(th: float) -> float:
         return (k + 1) * math.log(th) - math.lgamma(k + 2) + 2 * th - log_u
@@ -245,39 +243,35 @@ def _balance(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A, scale
 
 
+#: _TAYLOR_THETA[k] bounds ||A||_1 s for a degree-k truncation of e^{As}
 _MAX_DEGREE = 16
-
-
-@functools.lru_cache(maxsize=None)
-def _taylor_radii(log2_kappa: int) -> tuple[float, ...]:
-    """The bound on ||A'||_1 s of a degree-k truncation of e^{As}, k <= 16."""
-    return tuple(_taylor_radius(k, log2_kappa) for k in range(_MAX_DEGREE + 1))
+_TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
 
 
 class _Expm:
     """e^{A s} from a truncated Taylor series, numpy only.
 
     P_k = A^k / k! is computed once. For theta = ||A'||_1 |s|, A' = T^-1 A T
-    balanced by powers of two T (``_balance``), and kappa = max T / min T,
-    the degree K is the smallest with theta^{K+1}/(K+1)! e^{theta} <=
-    u e^{-theta} / kappa: the remainder of the series for A' is then at
-    most u / kappa relative to ||e^{A's}|| >= e^{-theta}, and the one for
-    A, T times it times T^-1, at most unit roundoff u relative to
-    ||e^{As}|| >= e^{-theta}. The products for A are those for A' scaled
-    by powers of two, so A is used as given; only theta is A''s, which
-    keeps Gamma's thousands in the engine's lifts from forcing needless
-    squarings. When A^k is exactly zero the series is exact
-    at degree k - 1, which caps K for every s (the triple integrator stops
-    at K = 2).
-    Widths beyond the reach of degree _MAX_DEGREE are scaled by 2^-j and
-    the result squared j times.
+    balanced by powers of two T (``_balance``), the series for A' cut at
+    degree K leaves at most theta^{K+1}/(K+1)! e^{theta}, and the one for
+    A = T A' T^-1 at most kappa = max T / min T times that. K is the
+    smallest degree whose radius ``_TAYLOR_THETA[K]`` / kappa^{1/(K+1)}
+    holds theta, which keeps that below u e^{-theta} / kappa: unit
+    roundoff u relative to ||e^{As}|| >= e^{-theta}. The products for A
+    are those for A' scaled by powers of two, so A is used as given; only
+    theta is A''s, which keeps Gamma's thousands in the engine's lifts
+    from forcing needless squarings. When A^k is exactly zero the series
+    is exact at degree k - 1, which caps K for every s (the triple
+    integrator stops at K = 2). Widths beyond the reach of degree
+    _MAX_DEGREE are scaled by 2^-j and the result squared j times.
     """
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
         balanced, scale = _balance(A)
         self._norm = float(np.abs(balanced).sum(axis=0).max())
-        self._theta = _taylor_radii(math.frexp(scale.max() / scale.min())[1] - 1)
+        kappa = scale.max() / scale.min()
+        self._theta = [th / kappa ** (1 / (k + 1)) for k, th in enumerate(_TAYLOR_THETA)]
         term = np.eye(A.shape[0])
         self._P = [term]
         self._exact = False
