@@ -280,7 +280,7 @@ class _Simulation:
         self._ends = sorted({k + 1 for k, g in enumerate(self._grid_switch)
                              if broadcast_every_step or g is not None}
                             | set((np.flatnonzero(off) + 1).tolist()) | {t.size})
-        Ed, W = self._setup_disturbance(v.shape[1])
+        Ed, W = self._setup_disturbance(self._nv)
 
         # one lift with a group per leakage rate lambda = kappa varrho of any
         # graph, read at every offset k dt that a pass of any graph can reach
@@ -291,8 +291,7 @@ class _Simulation:
         self.flow.use(self.kernel)
         # the state: each agent's lift row [v, (w, p) per group, r], whose
         # (w, p) columns each reset forms and whose r columns each pass sets
-        self.X = np.zeros((self.n_agents, self.flow.r.stop))
-        self.X[:, :self._nv] = v
+        self.X = np.hstack([v, np.zeros((self.n_agents, self.flow.r.stop - self._nv))])
 
     def _cap(self, m: int) -> int:
         """Most steps in a pass over m edges."""
@@ -343,9 +342,9 @@ class _Simulation:
 
     def _lifted(self, cell: int):
         """The lift rows of now, with the disturbance states of a step in
-        grid cell ``cell``, and m2(d) per edge."""
+        grid cell ``cell``."""
         self.X[:, self.flow.r] = self._dist(self.t, cell)
-        return self.X, self._m2
+        return self.X
 
     def _flow(self, tab, times, cells, threshold=None):
         """``CascadeFlow`` from now to the instants ``times``, step k in grid
@@ -354,7 +353,7 @@ class _Simulation:
         lifted, steps, kern = self._lifted(cells[0]), None, self.kernel
         if self._dist_kind == "uniform-random" and len(cells) > 1:
             steps = np.diff(self._draws(cells), axis=0)
-        V, Zs, c = self.flow(lifted, self.Z, self.c, tab, steps)
+        V, Zs, c = self.flow(lifted, self.Z, self.dq[0], self.c, tab, steps)
         dq = kern.edge_terms(Zs)
         f = kern.trigger_values(V[..., self.flow.live], Zs, dq, c, times, threshold)
         return V, Zs, dq, c, f
@@ -393,7 +392,6 @@ class _Simulation:
         """Form the edge work of the estimate stack, and from it the (w, p)
         columns of the lift rows."""
         self.dq, self._f_now = self.kernel.edge_terms(self.Z), None
-        self._m2 = self.flow.squares(self.dq[0])
         self.X[:, self.flow.wp] = self.flow.moments(self.dq, self.c)
 
     def _sweep(self, t: float, f: np.ndarray) -> bool:
@@ -448,7 +446,7 @@ class _Simulation:
         points into them."""
         V, Zs, dq, c, f = flow
         self.t, self.X, self.Z, self.dq, self.c = t, V[k], Zs[k], (dq[0][k], dq[1][k]), c[k]
-        self._m2, self._f_now = self.flow.squares(self.dq[0]), float(f[k].max())
+        self._f_now = float(f[k].max())
 
     # -- event localization ------------------------------------------------
 
@@ -464,7 +462,7 @@ class _Simulation:
         stats.localizations += 1
         f1 = end[0][4][end[1]]  # the pass's trigger values at t1
         cands = np.flatnonzero(f1 >= 0)
-        f_star = self.flow.star_triggers(self._lifted(cell), self.Z, self.c,
+        f_star = self.flow.star_triggers(self._lifted(cell), self.Z, self.dq[0], self.c,
                                          self.kernel.star(cands))
         seen = {t1: float(f1.max())}
 
@@ -614,15 +612,12 @@ def initial_states(shape: tuple, variant: str, x0, chi0=None, keys=(None, None))
     entries; chi0 only on observer runs. ``keys`` name them in a config."""
     if chi0 is not None and variant != "observer":
         raise ConfigError("chi0 only applies to the observer variant", keys[1])
-    out = []
-    for name, v, key in (("x0", x0, keys[0]), ("chi0", chi0, keys[1])):
-        if v is not None:
-            v = np.asarray(v, dtype=float)
-            if v.shape != shape:
-                raise ConfigError(f"{name} has shape {v.shape}, expected {shape}", key)
-            if not np.isfinite(v).all():
-                raise ConfigError(f"{name} has non-finite entries", key)
-        out.append(v)
+    out = [None if v is None else np.asarray(v, dtype=float) for v in (x0, chi0)]
+    for name, v, key in zip(("x0", "chi0"), out, keys):
+        if v is not None and v.shape != shape:
+            raise ConfigError(f"{name} has shape {v.shape}, expected {shape}", key)
+        if v is not None and not np.isfinite(v).all():
+            raise ConfigError(f"{name} has non-finite entries", key)
     return out
 
 

@@ -39,11 +39,9 @@ class CascadeFlow:
         self.grid = [x.copy() for x in self.tables(dt * np.arange(steps + 1))]  # no view pins F
         P = self.expm._P
         deg = min(bisect.bisect_left(self.expm._theta, self.expm._norm * dt), len(P) - 1)
-        self._terms = self._read(np.stack(P[:deg + 1]))
-        self._coef = np.hstack([x.reshape(deg + 1, -1) for x in self._terms])
-        self._coef.setflags(write=False)  # a readout of degree 0 is a view of it
-        ends = np.cumsum([0] + [x[0].size for x in self._terms])
-        self._parts = [(a, b, (1,) + x.shape[1:]) for a, b, x in zip(ends, ends[1:], self._terms)]
+        self._taylor = np.stack(P[:deg + 1])
+        self._taylor.setflags(write=False)  # a readout of degree 0 is a view of it
+        self._terms = self._read(self._taylor)
 
     def use(self, kernel):
         """Take the current graph's kernel, each edge's leakage group and the
@@ -59,10 +57,6 @@ class CascadeFlow:
         per_edge = np.hstack([c[:, None] * d, k.kappa[:, None] * d[:, self.mono3].prod(axis=-1)])
         return k.coupling(per_edge, self.in_group).transpose(1, 0, 2).reshape(k.n_agents, -1)
 
-    def squares(self, d):
-        """m2(d) per edge (M, r2), which the weight integrals read."""
-        return d[:, self.mono2].prod(axis=-1)
-
     def tables(self, widths):
         """The readout at each width s: the agent block of the lift's
         exponential (s, a, a), which maps a lift row to the row at s,
@@ -72,13 +66,11 @@ class CascadeFlow:
 
     def readout(self, s: float):
         """``tables([s])``, off the Taylor terms unless s needs a higher degree."""
-        out = self._horner(self._coef, s)
-        if out is None:
-            return self.tables([s])
-        return [out[a:b].reshape(shape) for a, b, shape in self._parts]
+        out = self._horner(self._taylor, s)
+        return self.tables([s]) if out is None else self._read(out[None])
 
     def _horner(self, coef, s: float):
-        """coef (K + 1, L) at s to ``_Expm.at``'s degree; None past K."""
+        """coef (K + 1, ...) at s to ``_Expm.at``'s degree; None past K."""
         k = bisect.bisect_left(self.expm._theta, self.expm._norm * s)
         if k >= len(coef):
             return None
@@ -93,17 +85,16 @@ class CascadeFlow:
         C = F[:, self._edges[0], self._edges[1]]
         return F[:, :a, :a], C[..., 0], C[..., 1:], F[:, -n:, -n:]
 
-    def __call__(self, lifted, Z, c, tab, steps=None, star=None):
-        """The lift rows, Z and c at the offsets of ``tab`` from lift rows X
-        with m2(d) per edge (``lifted``), Z and c, on ``star`` alone when
-        given (``ProtocolKernel.star``); ``steps`` jump the disturbance
-        states at the offsets after the first (into v: a pass sets the r
-        columns anew)."""
-        kern, g = self.kernel, self.g
-        (X, dd), (F, decay, R, ET) = lifted, tab
+    def __call__(self, X, Z, d, c, tab, steps=None, star=None):
+        """The lift rows, Z and c at the offsets of ``tab`` from lift rows X,
+        Z, its disagreements d and c, on ``star`` alone when given
+        (``ProtocolKernel.star``); ``steps`` jump the disturbance states at
+        the offsets after the first (into v: a pass sets the r columns anew)."""
+        kern, g, (F, decay, R, ET) = self.kernel, self.g, tab
         if star is not None:
             kern, nodes, edges = star
-            X, dd, Z, c, g = X[nodes], dd[edges], Z[nodes], c[edges], g[edges]
+            X, d, Z, c, g = X[nodes], d[edges], Z[nodes], c[edges], g[edges]
+        dd = d[:, self.mono2].prod(axis=-1)  # m2(d) per edge
         V = X @ F
         if steps is not None:
             lag = np.maximum(np.arange(1, len(V) + 1)[:, None] - np.arange(1, len(V)), 0)
@@ -112,13 +103,13 @@ class CascadeFlow:
         c = decay[:, g] * c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]  # by group
         return V, Z @ ET, c
 
-    def star_triggers(self, lifted, Z, c, star):
+    def star_triggers(self, X, Z, d, c, star):
         """f(s, t), the trigger values of ``star``'s nodes at width s and
         instant t, off one polynomial: the star's flow of the Taylor terms."""
         kern, n, rows = star[0], self._n, star[1].size * self._n
 
         def flat(tab):
-            V, Zs, cs = self(lifted, Z, c, tab, star=star)
+            V, Zs, cs = self(X, Z, d, c, tab, star=star)
             return np.hstack([V[..., self.live].reshape(len(V), -1), Zs.reshape(len(V), -1), cs])
 
         coef = flat(self._terms)

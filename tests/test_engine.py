@@ -399,7 +399,7 @@ class TestClosedForm:
         mono = list(itertools.combinations_with_replacement(range(3), 3))
         broadcast, commit, checked = _Simulation._broadcast, _Simulation._commit, []
 
-        def check(sim, tol):
+        def check(sim):
             k, G = sim.kernel, len(sim.flow.lams)
             assert G == 2
             P_oracle, W_oracle = np.zeros((6, G, len(mono))), np.zeros((6, G, 3))
@@ -413,17 +413,17 @@ class TestClosedForm:
                     W_oracle[i, g] += sim.c[e] * d
             row = sim.X[:, sim.flow.wp].reshape(6, G, -1)
             W, P = row[..., :3], row[..., 3:]
-            assert close(P, P_oracle, tol) and close(W, W_oracle, tol)
+            assert close(P, P_oracle) and close(W, W_oracle)
             assert not P[graph.leader].any() and not W[graph.leader].any()
             checked.append(sim.t)
 
         def checked_broadcast(sim, agents, t, f, kind):
             broadcast(sim, agents, t, f, kind)
-            check(sim, 1e-12)
+            check(sim)
 
         def checked_commit(sim, t, flow, k):
             commit(sim, t, flow, k)
-            check(sim, 1e-10)
+            check(sim)
 
         monkeypatch.setattr(_Simulation, "_broadcast", checked_broadcast)
         monkeypatch.setattr(_Simulation, "_commit", checked_commit)

@@ -89,7 +89,7 @@ class TestReadout:
     def test_the_above_cap_case_is_above_the_cap(self):
         flow = ENGINES["above_cap"].flow
         assert flow.expm._norm * 0.2 > flow.expm._theta[-1]
-        assert len(flow._coef) == len(flow.expm._theta)
+        assert len(flow._taylor) == len(flow.expm._theta)
         shipped = [e for name, e in ENGINES.items() if name != "above_cap"]
         assert all(e.flow.expm._norm * e.cfg.dt <= 0.014 for e in shipped)
         assert len(ENGINES["two_rates"].flow.lams) == 2
@@ -132,7 +132,7 @@ class TestReadout:
         for s in widths:
             for poly, exact in zip(flow.readout(s), flow.tables([s])):
                 assert np.array_equal(poly, exact), (name, s)
-        past = flow._horner(flow._coef, dt) is None
+        past = flow._horner(flow._taylor, dt) is None
         assert past == (name == "above_cap")
 
 
@@ -178,7 +178,7 @@ class TestStar:
         sim._reset()
         agents = np.array([a for a in (1, 3) if a != sim.leader])
         star = sim.kernel.star(agents)
-        f_star = sim.flow.star_triggers(sim._lifted(0), sim.Z, sim.c, star)
+        f_star = sim.flow.star_triggers(sim._lifted(0), sim.Z, sim.dq[0], sim.c, star)
         for frac in (1e-6, 0.05, 0.4, 1.0):
             s = frac * sim.cfg.dt
             whole = sim._flow(sim.flow.tables([s]), [s], [0])[4][0]
