@@ -12,18 +12,18 @@ Between broadcasts the cascade Z -> c -> v flows in closed form
 columns from the edge work, and between resets they flow with v. A pass
 evaluates the flow at a run of grid instants by the rows of the run's
 table, or at one instant off the lift's Taylor coefficients when now is
-off the grid; it spans at most
-``_BLOCK_ELEMENTS`` values per stack and ends at a switch instant (at
-every grid instant in dense mode). Its instants are committed up to the
-first with a trigger value >= 0. That crossing is bisected on the closed
-form of the candidates alone, the agents whose trigger value is >= 0
-there, on their star (their rows, their neighbours' estimates and their
-incident edges), read off one polynomial in the width per localization.
-At the localized instant the whole flow is evaluated and committed, and
-every agent whose trigger function is nonnegative there broadcasts
-(ascending index, each reset immediately visible, one broadcast per agent
-per instant). If none is, the crossing is localized again from that
-instant. Each instant's row is stored once, after its last reset.
+off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per stack and
+ends at a switch instant (at every grid instant in dense mode). Its
+instants are committed up to the first with a trigger value >= 0. That
+crossing is bisected on the closed form of the candidates alone, the
+agents whose trigger value is >= 0 there, on their star (their rows,
+their neighbours' estimates and their incident edges), read off one
+polynomial in the width per localization. At the localized instant the
+whole flow is evaluated and committed, and every agent whose trigger
+function is nonnegative there broadcasts (ascending index, each reset
+immediately visible, one broadcast per agent per instant). If none is,
+the crossing is localized again from that instant. Each instant's row is
+stored once, after its last reset.
 """
 
 from __future__ import annotations
@@ -341,8 +341,7 @@ class _Simulation:
     # -- flow ----------------------------------------------------------
 
     def _lifted(self, cell: int):
-        """The lift rows of now, with the disturbance states of a step in
-        grid cell ``cell``."""
+        """The lift rows of now, with the disturbance states of a step in cell ``cell``."""
         self.X[:, self.flow.r] = self._dist(self.t, cell)
         return self.X
 
@@ -365,8 +364,9 @@ class _Simulation:
         return self.kernel.trigger_values(self.X[:, self.flow.live], self.Z, self.dq, self.c, t)
 
     def _broadcast(self, agents, t: float, f, kind: str):
-        """Reset each agent's estimate to its live value at t, logging f[i],
-        then ``_reset``."""
+        """Reset each agent's estimate to its live value at t, logging f[i];
+        then form the edge work of the estimate stack, and from it the
+        (w, p) columns of the lift rows (with no agents, those of now)."""
         live = self.X[:, self.flow.live]
         for i in agents:
             value = live[i].copy()
@@ -386,11 +386,6 @@ class _Simulation:
                         f"t={t:.6f}; exceeds max_events_per_unit_time="
                         f"{self.cfg.max_events_per_unit_time}"
                     )
-        self._reset()
-
-    def _reset(self):
-        """Form the edge work of the estimate stack, and from it the (w, p)
-        columns of the lift rows."""
         self.dq, self._f_now = self.kernel.edge_terms(self.Z), None
         self.X[:, self.flow.wp] = self.flow.moments(self.dq, self.c)
 
@@ -440,10 +435,9 @@ class _Simulation:
         self._store([self.t], self.X[None], self.Z[None], self.c[None])
 
     def _commit(self, t: float, flow, k: int):
-        """Make instant k of a ``_flow`` result the current instant t. The
-        state is then a view of the result, which resets and passes write
-        into, so nothing reads the result's rows afterwards; no stored row
-        points into them."""
+        """Make instant k of a ``_flow`` result the current instant t. The state
+        is then a view of the result that resets and passes write into: nothing
+        reads the result afterwards, and no stored row points into it."""
         V, Zs, dq, c, f = flow
         self.t, self.X, self.Z, self.dq, self.c = t, V[k], Zs[k], (dq[0][k], dq[1][k]), c[k]
         self._f_now = float(f[k].max())

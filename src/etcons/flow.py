@@ -3,13 +3,13 @@
 It is the linear flow of one lift (``linalg.cascade_lift``), with a group
 per leakage rate lambda = kappa varrho. An agent's lift row is
 [v, (w, p) per group, r]: w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
-over its edges of the group, r its disturbance states. A reset forms the
-(w, p) columns from the edge work (``moments``); the agent block of the
-lift's exponential then carries the whole row, and the other readouts are
-slices of the same exponential. The readout at a width s is the
-polynomial in s of the readout of the Taylor terms ``_Expm._P``, built
-once per run to the degree a width of dt needs; Horner's recurrence at
-``_Expm.at``'s degree gives ``_Expm.at``'s bits."""
+over its edges of the group, r its disturbance states. A reset forms the (w, p)
+columns from the edge work (``moments``); the agent block of the lift's
+exponential then carries the whole row, and the other readouts are slices
+of the same exponential. The readout at a width s is the polynomial in s
+of the readout of the Taylor terms ``_Expm._P``, built once per run to the
+degree a width of dt needs; Horner's recurrence at ``_Expm.at``'s degree
+gives ``_Expm.at``'s bits."""
 
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ class CascadeFlow:
         deg = min(bisect.bisect_left(self.expm._theta, self.expm._norm * dt), len(P) - 1)
         self._taylor = np.stack(P[:deg + 1])
         self._taylor.setflags(write=False)  # a readout of degree 0 is a view of it
-        self._terms = self._read(self._taylor)
 
     def use(self, kernel):
         """Take the current graph's kernel, each edge's leakage group and the
@@ -112,7 +111,7 @@ class CascadeFlow:
             V, Zs, cs = self(X, Z, d, c, tab, star=star)
             return np.hstack([V[..., self.live].reshape(len(V), -1), Zs.reshape(len(V), -1), cs])
 
-        coef = flat(self._terms)
+        coef = flat(self._read(self._taylor))
 
         def f(s: float, t: float):
             out = self._horner(coef, s)

@@ -319,10 +319,9 @@ def symmetric_powers(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.
 def cascade_lift(L, BK, A, Gamma, lams, Ed, W) -> np.ndarray:
     """The generator (column form) of the adaptive cascade between
     broadcasts, after Van Loan (IEEE TAC 23(3), 1978): one block-diagonal
-    matrix, so that one matrix exponential gives every closed-form readout.
-    Edges fall into groups by their leakage rate lam = kappa varrho, one
-    group per entry of ``lams``. m2 and m3 are the quadratic and cubic
-    monomials of d (``symmetric_powers``).
+    matrix, so that one matrix exponential gives every closed-form readout,
+    with a group per leakage rate lam = kappa varrho in ``lams``. m2 and m3
+    are the quadratic and cubic monomials of d (``symmetric_powers``).
 
     * Agent [v, (w, p) per group, r]: v' = L v + BK sum w + Ed r,
       w' = (A - lam I) w + G p and r' = W r, where w = sum ±c_e d_e and
@@ -340,10 +339,9 @@ def cascade_lift(L, BK, A, Gamma, lams, Ed, W) -> np.ndarray:
     out = np.zeros((a + len(lams) * m + n,) * 2)
     out[:nv, :nv], out[:nv, a - nd:a], out[a - nd:a, a - nd:a] = L, Ed, W
     for g, lam in enumerate(lams):
-        w, e = nv + g * k, a + g * m
-        out[:nv, w:w + n] = BK
-        out[w:w + n, w:w + n], out[w:w + n, w + n:w + k] = A - lam * np.eye(n), G3
-        out[w + n:w + k, w + n:w + k] = A3
+        w, e = nv + g * k, a + g * m  # the group's w and its edge group's c/kappa
+        out[:nv, w:w + n], out[w:w + n, w:w + n] = BK, A - lam * np.eye(n)
+        out[w:w + n, w + n:w + k], out[w + n:w + k, w + n:w + k] = G3, A3
         out[e, e], out[e, e + 1:e + m], out[e + 1:e + m, e + 1:e + m] = -lam, q2, A2
     out[-n:, -n:] = A
     return out

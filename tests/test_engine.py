@@ -344,7 +344,7 @@ def mid_run(model, gains, params, graph, sim, variant="state", seed=4):
     engine.t = engine._grid_t[4]
     engine.Z = engine.Z + rng.uniform(-0.2, 0.2, engine.Z.shape)
     engine.c = engine.c + rng.uniform(0.0, 1.0, engine.c.size)
-    engine._reset()  # the lift rows of this state
+    engine._broadcast((), engine.t, None, "trigger")  # re-forms the lift rows
     return engine
 
 

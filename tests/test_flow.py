@@ -174,8 +174,8 @@ class TestStar:
         rng = np.random.default_rng(8)
         sim.Z = sim.Z + rng.uniform(-0.3, 0.3, sim.Z.shape)
         sim.c = sim.c + rng.uniform(0, 1, sim.c.size)
-        sim.X = sim.X.copy()  # the reset re-forms the lift rows in place
-        sim._reset()
+        sim.X = sim.X.copy()  # a round of no broadcasts re-forms the lift rows in place
+        sim._broadcast((), 0.0, None, "trigger")
         agents = np.array([a for a in (1, 3) if a != sim.leader])
         star = sim.kernel.star(agents)
         f_star = sim.flow.star_triggers(sim._lifted(0), sim.Z, sim.dq[0], sim.c, star)

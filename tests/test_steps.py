@@ -52,7 +52,7 @@ def set_state(engine, rng):
     the lift rows re-formed from them."""
     engine.Z = rng.uniform(-1, 1, engine.Z.shape)
     engine.c = engine.c + rng.uniform(0, 1, engine.c.size)
-    engine._reset()
+    engine._broadcast((), engine.t, None, "trigger")  # a round of no broadcasts
 
 
 @pytest.mark.parametrize("kind", [None, "constant", "sinusoid", "uniform-random"])
