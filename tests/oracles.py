@@ -4,7 +4,9 @@ They are the straightforward per-agent, per-value and per-check forms of
 code that ``src/etcons`` runs in a faster shape: the protocol formulas are
 written for one agent or one edge (``ProtocolKernel`` stacks them), the
 flow between broadcasts is integrated by classical RK4, one stage at a time
-on the whole augmented state (the engine evaluates its closed form), event
+on the whole augmented state (the engine evaluates its closed form), the
+cascade's lift is built and exponentiated once per leakage rate (the
+engine places every rate in one generator), event
 localization evaluates every bisection midpoint, or the whole closed form
 at every point the localizer asks for (the engine evaluates the
 candidates' star), the CSV writers format one value per f-string, and the

@@ -1,8 +1,11 @@
-"""The closed-form flow's polynomial readout and the candidate-only
-localizer, against their oracles.
+"""The closed-form flow's one lift, its polynomial readout, its resets and
+the candidate-only localizer, against their oracles.
 
-``CascadeFlow.readout`` reads a width off the lifts' Taylor coefficients
-and must agree with ``_Expm.at``; ``CascadeFlow.star_triggers`` evaluates
+The one lift's tables must be those of one lift per leakage rate
+(``oracles.per_rate_tables``); ``CascadeFlow.readout`` reads a width off
+the lift's Taylor coefficients and must agree with ``_Expm.at``; a
+broadcast round forms the lift rows' moments by one coupling;
+``CascadeFlow.star_triggers`` evaluates
 the candidates' star off one polynomial per localization and must agree
 with the whole closed form; the localizer that bisects on it must land
 within event_tol of the one that evaluates every agent
@@ -13,6 +16,7 @@ the engine checks.
 
 import copy
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,12 +65,9 @@ def engine_for(cfg: dict) -> _Simulation:
             args.extend(given[:7])
             super().__init__(*given)
 
-    engine.CascadeFlow = Recorded
-    try:
+    with mock.patch.object(engine, "CascadeFlow", Recorded):
         sim = _Simulation(s.model, s.graph, s.design(), s.params, s.sim, s.x0, s.variant,
                           chi0=s.chi0)
-    finally:
-        engine.CascadeFlow = CascadeFlow
     sim.lift_args = args
     return sim
 
