@@ -11,7 +11,7 @@ Between broadcasts the cascade Z -> c -> v flows in closed form
 [v, (w, p) per group, r] in row i of X: each reset forms the (w, p)
 columns from the edge work, and between resets they flow with v. A pass
 evaluates the flow at a run of grid instants by the rows of the run's
-table, or at one instant off the lift's Taylor coefficients when now is
+table, or at one instant by the flow's tables at that width when now is
 off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per stack and
 ends at a switch instant (at every grid instant in dense mode). Its
 instants are committed up to the first with a trigger value >= 0. That
@@ -472,7 +472,7 @@ class _Simulation:
         if t_star == t1:
             return t1, end
         stats.localization_evaluations += 1
-        return t_star, (self._flow(self.flow.readout(t_star - t0), [t_star], [cell]), 0)
+        return t_star, (self._flow(self.flow.tables([t_star - t0]), [t_star], [cell]), 0)
 
     # -- main loop ---------------------------------------------------------
 
@@ -501,12 +501,12 @@ class _Simulation:
     def _pass(self, i: int, j: int):
         """The ``_flow`` from now to checkpoints i..j-1 by rows of the run's
         table when now lies one base step before checkpoint i, else to
-        checkpoint i alone by ``CascadeFlow.readout``."""
+        checkpoint i alone by ``CascadeFlow.tables`` at its width."""
         times, cells = self._grid_t[i:j], self._grid_cell[i:j]
         if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
             return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells,
                               self._threshold[i:j])
-        return self._flow(self.flow.readout(times[0] - self.t), times[:1], cells[:1],
+        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cells[:1],
                           self._threshold[i:i + 1])
 
     def _advance(self, i: int) -> int:

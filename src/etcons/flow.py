@@ -6,18 +6,16 @@ per leakage rate lambda = kappa varrho. An agent's lift row is
 over its edges of the group, r its disturbance states. A reset forms the (w, p)
 columns from the edge work (``moments``); the agent block of the lift's
 exponential then carries the whole row, and the other readouts are slices
-of the same exponential. The readout at a width s is the polynomial in s
-of the readout of the Taylor terms ``_Expm._P``, built once per run to the
-degree a width of dt needs; Horner's recurrence at ``_Expm.at``'s degree
-gives ``_Expm.at``'s bits."""
+of the same exponential. ``tables`` reads a width off ``_Expm.at``; a
+star's flow is the polynomial in the width of its flow of the Taylor terms
+``_Expm._P`` to the degree a width of dt needs, which ``linalg.horner``
+sums at ``_Expm.degree``, the degree ``_Expm.at`` takes."""
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
-from .linalg import _Expm, cascade_lift, symmetric_powers
+from .linalg import _Expm, cascade_lift, horner, symmetric_powers
 
 
 class CascadeFlow:
@@ -38,9 +36,7 @@ class CascadeFlow:
         self._edges = (first + np.arange(1 + len(self.mono2)), first)
         self.grid = [x.copy() for x in self.tables(dt * np.arange(steps + 1))]  # no view pins F
         P = self.expm._P
-        deg = min(bisect.bisect_left(self.expm._theta, self.expm._norm * dt), len(P) - 1)
-        self._taylor = np.stack(P[:deg + 1])
-        self._taylor.setflags(write=False)  # a readout of degree 0 is a view of it
+        self._taylor = P[:min(self.expm.degree(dt), len(P) - 1) + 1]
 
     def use(self, kernel):
         """Take the current graph's kernel, each edge's leakage group and the
@@ -62,21 +58,6 @@ class CascadeFlow:
         e^{-lambda s} and the weight integrals of m2(d) per group, (s, G)
         and (s, G, r2), and (e^{As})^T."""
         return self._read(np.stack([self.expm.at(s) for s in widths]))
-
-    def readout(self, s: float):
-        """``tables([s])``, off the Taylor terms unless s needs a higher degree."""
-        out = self._horner(self._taylor, s)
-        return self.tables([s]) if out is None else self._read(out[None])
-
-    def _horner(self, coef, s: float):
-        """coef (K + 1, ...) at s to ``_Expm.at``'s degree; None past K."""
-        k = bisect.bisect_left(self.expm._theta, self.expm._norm * s)
-        if k >= len(coef):
-            return None
-        out = coef[k]
-        for j in range(k - 1, -1, -1):
-            out = out * s + coef[j]
-        return out
 
     def _read(self, F):
         """The readout tables of stacked matrices F (s, D, D)."""
@@ -114,8 +95,8 @@ class CascadeFlow:
         coef = flat(self._read(self._taylor))
 
         def f(s: float, t: float):
-            out = self._horner(coef, s)
-            out = flat(self.tables([s]))[0] if out is None else out
+            k = self.expm.degree(s)
+            out = horner(coef, s, k) if k < len(coef) else flat(self.tables([s]))[0]
             live, Zs = out[:rows].reshape(-1, n), out[rows:2 * rows].reshape(-1, n)
             return kern.trigger_values(live, Zs, kern.edge_terms(Zs), out[2 * rows:], t)
 

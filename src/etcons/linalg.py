@@ -4,7 +4,8 @@ and the lifted generator of the flow between broadcasts.
 All of it is numpy. The Riccati solution comes from the matrix sign
 function and is admitted only after residual, definiteness and stability
 checks. e^{As} has one evaluator, ``_Expm``, a truncated Taylor series
-that the engine, the analysis layer and ``matrix_exponential`` share.
+that the engine, the analysis layer and ``matrix_exponential`` share, with
+one degree rule (``_Expm.degree``) and one Horner loop (``horner``).
 """
 
 from __future__ import annotations
@@ -251,19 +252,20 @@ _TAYLOR_THETA = [_taylor_radius(k) for k in range(_MAX_DEGREE + 1)]
 class _Expm:
     """e^{A s} from a truncated Taylor series, numpy only.
 
-    P_k = A^k / k! is computed once. For theta = ||A'||_1 |s|, A' = T^-1 A T
-    balanced by powers of two T (``_balance``), the series for A' cut at
-    degree K leaves at most theta^{K+1}/(K+1)! e^{theta}, and the one for
-    A = T A' T^-1 at most kappa = max T / min T times that. K is the
-    smallest degree whose radius ``_TAYLOR_THETA[K]`` / kappa^{1/(K+1)}
-    holds theta, which keeps that below u e^{-theta} / kappa: unit
-    roundoff u relative to ||e^{As}|| >= e^{-theta}. The products for A
-    are those for A' scaled by powers of two, so A is used as given; only
-    theta is A''s, which keeps Gamma's thousands in the engine's lifts
-    from forcing needless squarings. When A^k is exactly zero the series
-    is exact at degree k - 1, which caps K for every s (the triple
-    integrator stops at K = 2). Widths beyond the reach of degree
-    _MAX_DEGREE are scaled by 2^-j and the result squared j times.
+    P_k = A^k / k! is computed once, stacked (K + 1, D, D). For theta =
+    ||A'||_1 |s|, A' = T^-1 A T balanced by powers of two T (``_balance``),
+    the series for A' cut at degree K leaves at most theta^{K+1}/(K+1)!
+    e^{theta}, and the one for A = T A' T^-1 at most kappa = max T / min T
+    times that. K, ``degree(s)``, is the smallest degree whose radius
+    ``_TAYLOR_THETA[K]`` / kappa^{1/(K+1)} holds theta, which keeps that
+    below u e^{-theta} / kappa: unit roundoff u relative to ||e^{As}|| >=
+    e^{-theta}; ``horner`` sums the series to it. The products for A are
+    those for A' scaled by powers of two, so A is used as given; only theta
+    is A''s, which keeps Gamma's thousands in the engine's lifts from
+    forcing needless squarings. When A^k is exactly zero the series is
+    exact at degree k - 1, which caps K for every s (the triple integrator
+    stops at K = 2). Widths beyond the reach of degree _MAX_DEGREE are
+    scaled by 2^-j and the result squared j times.
     """
 
     def __init__(self, A: np.ndarray):
@@ -272,32 +274,42 @@ class _Expm:
         self._norm = float(np.abs(balanced).sum(axis=0).max())
         kappa = scale.max() / scale.min()
         self._theta = [th / kappa ** (1 / (k + 1)) for k, th in enumerate(_TAYLOR_THETA)]
-        term = np.eye(A.shape[0])
-        self._P = [term]
+        terms = [np.eye(A.shape[0])]
         self._exact = False
         for k in range(1, _MAX_DEGREE + 1):
-            term = (term @ A) / k
+            term = (terms[-1] @ A) / k
             if not term.any():
                 self._exact = True
                 break
-            self._P.append(term)
-        for P in self._P:
-            P.setflags(write=False)
+            terms.append(term)
+        self._P = np.stack(terms)
+        self._P.setflags(write=False)
+
+    def degree(self, s: float) -> int:
+        """The smallest degree K whose radius holds theta = ||A'||_1 |s|;
+        _MAX_DEGREE + 1 past the last radius."""
+        return bisect.bisect_left(self._theta, self._norm * abs(s))
 
     def at(self, s: float) -> np.ndarray:
         """e^{A s}."""
-        P, squarings, theta, radii = self._P, 0, self._norm * abs(s), self._theta
-        if theta > radii[-1] and not self._exact:
+        P, squarings = self._P, 0
+        if self.degree(s) > _MAX_DEGREE and not self._exact:
             # smallest j with theta 2^-j below the degree-cap radius
-            squarings = math.frexp(theta / radii[-1])[1]
-            s, theta = math.ldexp(s, -squarings), math.ldexp(theta, -squarings)
-        k = min(bisect.bisect_left(radii, theta), len(P) - 1)
-        out = P[k]
-        for j in range(k - 1, -1, -1):
-            out = out * s + P[j]
+            squarings = math.frexp(self._norm * abs(s) / self._theta[-1])[1]
+            s = math.ldexp(s, -squarings)
+        out = horner(P, s, min(self.degree(s), len(P) - 1))
         for _ in range(squarings):
             out = out @ out
         return out
+
+
+def horner(coef: np.ndarray, s: float, k: int) -> np.ndarray:
+    """sum_{j <= k} coef[j] s^j by Horner's recurrence, coef stacked along
+    its first axis; degree 0 is a view of coef[0]."""
+    out = coef[k]
+    for j in range(k - 1, -1, -1):
+        out = out * s + coef[j]
+    return out
 
 
 def symmetric_powers(A: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,14 +1,14 @@
-"""The closed-form flow's one lift, its polynomial readout, its resets and
+"""The closed-form flow's one lift, its one Taylor evaluator, its resets and
 the candidate-only localizer, against their oracles.
 
 The one lift's tables must be those of one lift per leakage rate
-(``oracles.per_rate_tables``); ``CascadeFlow.readout`` reads a width off
-the lift's Taylor coefficients and must agree with ``_Expm.at``; a
-broadcast round forms the lift rows' moments by one coupling;
-``CascadeFlow.star_triggers`` evaluates
-the candidates' star off one polynomial per localization and must agree
-with the whole closed form; the localizer that bisects on it must land
-within event_tol of the one that evaluates every agent
+(``oracles.per_rate_tables``); below the degree cap they must be
+``linalg.horner``'s sum of the lift's Taylor terms at ``_Expm.degree``,
+bit for bit, which is how a star's flow is read; a broadcast round forms
+the lift rows' moments by one coupling; ``CascadeFlow.star_triggers``
+evaluates the candidates' star off one polynomial per localization and
+must agree with the whole closed form; the localizer that bisects on it
+must land within event_tol of the one that evaluates every agent
 (``oracles.localize_full``); and the sampled audit
 (``oracles.audit_crossings``) must find no crossing between the instants
 the engine checks.
@@ -28,6 +28,7 @@ from etcons.cli import RunSetup, load_config
 from etcons.engine import _Simulation
 from etcons.flow import CascadeFlow
 from etcons.graph import build_graph, generate_graph
+from etcons.linalg import _MAX_DEGREE, horner
 from etcons.protocols import ProtocolKernel, ProtocolParams
 from oracles import audit_crossings, localize_full, per_rate_tables
 
@@ -89,10 +90,10 @@ def relative_gap(a, b) -> float:
 class TestReadout:
     def test_the_above_cap_case_is_above_the_cap(self):
         flow = ENGINES["above_cap"].flow
-        assert flow.expm._norm * 0.2 > flow.expm._theta[-1]
-        assert len(flow._taylor) == len(flow.expm._theta)
+        assert flow.expm.degree(0.2) > _MAX_DEGREE
+        assert len(flow._taylor) == _MAX_DEGREE + 1
         shipped = [e for name, e in ENGINES.items() if name != "above_cap"]
-        assert all(e.flow.expm._norm * e.cfg.dt <= 0.014 for e in shipped)
+        assert all(e.flow.expm.degree(e.cfg.dt) <= 8 for e in shipped)
         assert len(ENGINES["two_rates"].flow.lams) == 2
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
@@ -118,22 +119,27 @@ class TestReadout:
     @given(name=st.sampled_from(sorted(ENGINES)), frac=st.floats(0.0, 1.0, exclude_min=True))
     def test_polynomial_readout_is_the_exponentials(self, name, frac):
         engine = ENGINES[name]
-        s = frac * engine.cfg.dt
-        for poly, exact in zip(engine.flow.readout(s), engine.flow.tables([s])):
-            assert poly.shape == exact.shape
-            assert relative_gap(poly, exact) <= 1e-14, (name, s)
+        s, flow = frac * engine.cfg.dt, engine.flow
+        k = flow.expm.degree(s)
+        if k >= len(flow._taylor):
+            assert name == "above_cap"
+            return
+        for poly, exact in zip(flow._read(horner(flow._taylor, s, k)[None]), flow.tables([s])):
+            assert np.array_equal(poly, exact), (name, s)
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_both_branches_of_the_readout(self, name):
-        # within the coefficients' degree the readout is Horner's at
-        # _Expm.at's degree, so one lift's tables keep their bits
+        # within the Taylor terms' degree the tables are Horner's sum of
+        # them at _Expm.degree, bit for bit; past it, only above the cap
         engine = ENGINES[name]
         dt, flow = engine.cfg.dt, engine.flow
-        widths = dt * np.array([1e-9, 1e-4, 0.3, 0.99, 1.0])
-        for s in widths:
-            for poly, exact in zip(flow.readout(s), flow.tables([s])):
-                assert np.array_equal(poly, exact), (name, s)
-        past = flow._horner(flow._taylor, dt) is None
+        for s in dt * np.array([1e-9, 1e-4, 0.3, 0.99, 1.0]):
+            k = flow.expm.degree(s)
+            if k < len(flow._taylor):
+                poly = flow._read(horner(flow._taylor, s, k)[None])
+                for a, b in zip(poly, flow.tables([s])):
+                    assert np.array_equal(a, b), (name, s)
+        past = flow.expm.degree(dt) >= len(flow._taylor)
         assert past == (name == "above_cap")
 
 

@@ -3,7 +3,8 @@
 The engine evaluates e^{As} with the package's truncated Taylor series
 (``linalg._Expm``) and shares the Z-only edge work between the stages and
 checks that see the same estimate stack. These tests pin the accuracy of
-that exponential against scipy, that ``simulate`` never reaches scipy's
+that exponential against scipy, that it is ``linalg.horner``'s sum of its
+Taylor terms at ``_Expm.degree`` below the degree cap, that ``simulate`` never reaches scipy's
 ``expm``, that stored estimates are the closed-form propagation of the
 last samples on a non-nilpotent model (checked with scipy's ``expm``), and
 that the shared edge work and the passed-in endpoint value change nothing.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from etcons import engine
 from etcons.engine import SimConfig, locate_event, simulate
 from etcons.graph import build_graph, generate_graph
-from etcons.linalg import SystemModel, _Expm, design_gains
+from etcons.linalg import _MAX_DEGREE, SystemModel, _Expm, design_gains, horner
 from etcons.protocols import ProtocolKernel, ProtocolParams
 from oracles import events_for
 
@@ -96,6 +97,24 @@ class TestTaylorExpm:
         s = 1e-3
         expected = np.array([[1.0, s, 0.5 * s * s], [0, 1, s], [0, 0, 1]])
         assert np.array_equal(e.at(s), expected)
+
+    @pytest.mark.parametrize("name", sorted(EXPM_CASES))
+    def test_is_horner_at_the_degree(self, name):
+        # below the cap e^{As} is horner's sum of the terms at degree(s)
+        a, dt, _ = EXPM_CASES[name]
+        e, checked = _Expm(a), 0
+        for s in dt * np.array([1e-9, 1e-4, 0.3, 0.99, 1.0]):
+            k = e.degree(s)
+            if k <= _MAX_DEGREE:
+                assert np.array_equal(e.at(s), horner(e._P, s, min(k, len(e._P) - 1))), s
+                checked += 1
+        assert checked >= 2
+
+    def test_nilpotent_series_is_horner_past_the_cap(self):
+        # an exact series is summed at any width, with no squaring
+        e, s = _Expm(3.0 * np.eye(4, k=1)), 10.0
+        assert e._exact and e.degree(s) > _MAX_DEGREE
+        assert np.array_equal(e.at(s), horner(e._P, s, len(e._P) - 1))
 
     def test_zero_width_is_identity(self):
         for a, _, _ in EXPM_CASES.values():

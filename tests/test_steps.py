@@ -2,7 +2,7 @@
 
 ``_Simulation._pass`` evaluates the flow between broadcasts in closed form
 at a run of grid instants: rows of a table at the offsets k dt, or the
-polynomial readout at one width when the pass starts off the grid. ``oracles.rk4_flow``
+flow's tables at one width when the pass starts off the grid. ``oracles.rk4_flow``
 integrates the same flow with classical RK4, 100 steps per grid cell,
 one stage at a time on the whole augmented state. Drawn: connected graphs
 on 2..10 nodes (a leader for the leader-follower variant), controllable
