@@ -156,7 +156,7 @@ class _ZenoBounds:
         denom = d_i * (1.0 + p.delta * cbar)
 
         def theta(tau: float) -> float:
-            return math.sqrt(p.mu * math.exp(-p.nu * (t_k + tau)) / denom) / norm_k
+            return math.sqrt(p.decay(t_k + tau) / denom) / norm_k
 
         def step(tau: float) -> float:
             if norm_a == 0.0:

@@ -272,7 +272,7 @@ class _Simulation:
         self._segments = [WeightSegment(graph, 0.0, 0, [])]
 
         self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
-        self._threshold = self.kernel.decay(self._grid_t)  # the threshold at each checkpoint
+        self._threshold = params.decay(self._grid_t)  # the threshold at each checkpoint
         # a pass ends after a switch checkpoint (after every one in dense
         # mode) and before a checkpoint that is not one dt after the last
         t = np.array(self._grid_t)

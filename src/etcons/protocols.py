@@ -80,6 +80,13 @@ class ProtocolParams:
                 value = _constant(name, value, where)
             object.__setattr__(self, name, value)
 
+    def decay(self, t) -> float | np.ndarray:
+        """The trigger threshold mu e^{-nu t} at a time t, or a column (S, 1)
+        at a sequence of times, by math.exp: np.exp may differ in the last bit."""
+        if isinstance(t, (int, float)):
+            return self.mu * math.exp(-self.nu * t)
+        return np.fromiter((self.mu * math.exp(-self.nu * s) for s in t), float, len(t))[:, None]
+
     def _per_edge(self, name: str, g: Graph) -> np.ndarray:
         value = getattr(self, name)
         if not isinstance(value, Mapping):
@@ -228,14 +235,6 @@ class ProtocolKernel:
             setattr(star, name, getattr(self, name)[edges])
         return star, nodes, edges
 
-    def decay(self, t) -> float | np.ndarray:
-        """mu e^{-nu t} at a time t, or a column (S, 1) at a sequence of
-        times, by math.exp: np.exp may differ in the last bit."""
-        p = self.params
-        if isinstance(t, (int, float)):
-            return p.mu * math.exp(-p.nu * t)
-        return np.fromiter((p.mu * math.exp(-p.nu * s) for s in t), float, len(t))[:, None]
-
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,
                        t: float, decay=None) -> np.ndarray:
@@ -244,13 +243,13 @@ class ProtocolKernel:
         ``live`` is the stack the broadcasts sample from: X for state
         feedback and leader-follower runs, CHI for observer runs. On inputs
         stacked along one leading axis ``t`` holds one time per slice.
-        ``decay`` is ``decay(t)`` when the caller holds it.
+        ``decay`` is ``params.decay(t)`` when the caller holds it.
         """
         p = self.params
         eqf = self.quadratic(Z - live)
         err_coef = self._node_sum(self.err_w * (1.0 + p.delta * c))
         dis = self._node_sum(self.dis_w * dq[1])
-        f = err_coef * eqf - dis - (self.decay(t) if decay is None else decay)
+        f = err_coef * eqf - dis - (p.decay(t) if decay is None else decay)
         if self.leader is not None:
             f[..., self.leader] = -np.inf
         return f

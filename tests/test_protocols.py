@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,18 @@ class TestProtocolParams:
             ProtocolParams(delta=1, mu=2, nu=0.5, kappa=0.0).edge_arrays(g)
         with pytest.raises(ConfigError):
             ProtocolParams(delta=1, mu=2, nu=0.5, varrho=-0.1).edge_arrays(g)
+
+    def test_decay_is_math_exp_at_a_time_and_at_a_sequence(self):
+        # the threshold of the engine's grid, the kernel and the Zeno bound
+        # is one formula, bit for bit in either form
+        params = ProtocolParams(delta=1, mu=1.7, nu=0.3)
+        times = [0.0, 1e-3, 0.7, 3 * 0.1, 29.999, 1e4]
+        expected = [1.7 * math.exp(-0.3 * t) for t in times]
+        assert [params.decay(t) for t in times] == expected
+        column = params.decay(np.array(times))
+        assert column.shape == (len(times), 1)
+        assert column[:, 0].tolist() == expected
+        assert params.decay(2) == 1.7 * math.exp(-0.3 * 2)
 
 
 class TestControlInput:
