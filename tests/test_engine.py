@@ -678,13 +678,13 @@ class TestFlowQuality:
             tracemalloc.stop()
         assert peak < 20e6
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_flow_detected(self, params):
-        # synthetic unstable open loop: gains of zero leave xdot = 10 x
+        # synthetic unstable open loop: gains of zero leave xdot = 10 x,
+        # whose flow overflows on its way to the error
         m = SystemModel(A=[[10.0]], B=[[1.0]])
         gz = GainSet(P=np.eye(1), K=np.zeros((1, 1)), Gamma=np.zeros((1, 1)))
         g = build_graph(2, [(0, 1)])
-        with pytest.raises(NonFiniteStateError):
+        with pytest.raises(NonFiniteStateError), pytest.warns(RuntimeWarning):
             simulate(m, g, gz, params,
                      SimConfig(t_end=100.0, dt=0.05, event_tol=1e-6),
                      [[1.0], [2.0]])
