@@ -256,16 +256,16 @@ class _Expm:
     ||A'||_1 |s|, A' = T^-1 A T balanced by powers of two T (``_balance``),
     the series for A' cut at degree K leaves at most theta^{K+1}/(K+1)!
     e^{theta}, and the one for A = T A' T^-1 at most kappa = max T / min T
-    times that. K, ``degree(s)``, is the smallest degree whose radius
+    times that. K = ``degree(s)`` is the smallest degree whose radius
     ``_TAYLOR_THETA[K]`` / kappa^{1/(K+1)} holds theta, which keeps that
-    below u e^{-theta} / kappa: unit roundoff u relative to ||e^{As}|| >=
-    e^{-theta}; ``horner`` sums the series to it. The products for A are
-    those for A' scaled by powers of two, so A is used as given; only theta
-    is A''s, which keeps Gamma's thousands in the engine's lifts from
-    forcing needless squarings. When A^k is exactly zero the series is
-    exact at degree k - 1, which caps K for every s (the triple integrator
-    stops at K = 2). Widths beyond the reach of degree _MAX_DEGREE are
-    scaled by 2^-j and the result squared j times.
+    below u e^{-theta} / kappa, unit roundoff u relative to ||e^{As}|| >=
+    e^{-theta}, and ``horner`` sums to it. The products for A are those for
+    A' scaled by powers of two, so A is used as given; only theta is A''s,
+    which keeps Gamma's thousands in the engine's lifts from forcing
+    needless squarings. When A^k is exactly zero the series is exact at
+    degree k - 1, which caps K for every s (the triple integrator stops at
+    K = 2). Widths past the cap's radius are scaled by 2^-j and the result
+    squared j times.
     """
 
     def __init__(self, A: np.ndarray):
@@ -286,8 +286,7 @@ class _Expm:
         self._P.setflags(write=False)
 
     def degree(self, s: float) -> int:
-        """The smallest degree K whose radius holds theta = ||A'||_1 |s|;
-        _MAX_DEGREE + 1 past the last radius."""
+        """The Taylor degree K that width s needs; _MAX_DEGREE + 1 past the cap."""
         return bisect.bisect_left(self._theta, self._norm * abs(s))
 
     def at(self, s: float) -> np.ndarray:
@@ -304,8 +303,7 @@ class _Expm:
 
 
 def horner(coef: np.ndarray, s: float, k: int) -> np.ndarray:
-    """sum_{j <= k} coef[j] s^j by Horner's recurrence, coef stacked along
-    its first axis; degree 0 is a view of coef[0]."""
+    """sum_{j <= k} coef[j] s^j by Horner's recurrence (coef[0] itself at k = 0)."""
     out = coef[k]
     for j in range(k - 1, -1, -1):
         out = out * s + coef[j]
