@@ -146,14 +146,32 @@ class WeightSegment:
 
     ``first_index`` points into ``Trajectory.times``; row k of ``values``
     holds the weights at ``times[first_index + k]`` for ``graph.edges``.
-    The engine appends rows to a list while it runs and stacks them when
-    the run ends.
+    While the engine runs, ``values`` is the segment's row store, whose
+    filled rows it becomes when the run ends.
     """
 
     graph: Graph
     t_start: float
     first_index: int
     values: np.ndarray
+
+
+class _Rows:
+    """Rows of one stored array, written in place: the store starts at
+    ``first`` rows and doubles when full, and ``view()`` is its filled rows."""
+
+    def __init__(self, shape, first=256):
+        self.a, self.n = np.empty((first,) + shape), 0
+
+    def add(self, rows):
+        k = self.n + len(rows)
+        if k > len(self.a):  # a new store, and a copy of the filled rows
+            a = np.empty((max(k, 2 * len(self.a)),) + self.a.shape[1:])
+            a[:self.n], self.a = self.a[:self.n], a
+        self.a[self.n:k], self.n = rows, k
+
+    def view(self) -> np.ndarray:
+        return self.a[:self.n]
 
 
 @dataclass
@@ -249,7 +267,7 @@ class _Simulation:
         self.kernel = ProtocolKernel(graph, params, gains.K, gains.Gamma)
 
         # the agent stack v: x, and chi beside it on observer runs
-        n, A = model.n, model.A
+        n, A, N = model.n, model.A, graph.n_nodes
         v, L, Bv = np.asarray(x0, dtype=float), A, model.B
         if variant == "observer":
             FC = gains.F @ model.C
@@ -267,9 +285,10 @@ class _Simulation:
         self._f_now = None  # the trigger maximum at the current state, when known
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
 
-        # the stored rows: times, then blocks of x, Z and chi
-        self._times, self._states, self._estimates, self._chis = [], [], [], []
-        self._segments = [WeightSegment(graph, 0.0, 0, [])]
+        # the stored rows, one store per array: times, x, Z and chi
+        self._times, self._states, self._estimates = _Rows(()), _Rows((N, n)), _Rows((N, n))
+        self._chis = _Rows((N, self._nv - n)) if variant == "observer" else None
+        self._segments = [WeightSegment(graph, 0.0, 0, _Rows(self.c.shape))]
 
         self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
         self._threshold = params.decay(self._grid_t)  # the threshold at each checkpoint
@@ -421,14 +440,14 @@ class _Simulation:
 
     def _store(self, times, V, Z, c):
         """Record rows at ``times`` from lift rows V (r, N, D), estimate
-        stacks Z (r, N, n) and weights c (r, M), copied into compact arrays."""
+        stacks Z (r, N, n) and weights c (r, M), written into their stores."""
         n = self.model.n
-        self._times.extend(times)
-        self._states.append(V[..., :n].copy())
-        if self.variant == "observer":
-            self._chis.append(V[..., n:self._nv].copy())
-        self._estimates.append(Z.copy())
-        self._segments[-1].values.append(c.copy())
+        self._times.add(times)
+        self._states.add(V[..., :n])
+        if self._chis is not None:
+            self._chis.add(V[..., n:self._nv])
+        self._estimates.add(Z)
+        self._segments[-1].values.add(c)
 
     def _store_row(self):
         """Record the current instant, after every reset at it."""
@@ -559,7 +578,7 @@ class _Simulation:
 
     def _apply_switch(self, t: float, new_graph: Graph):
         c = self.c
-        self._segments[-1].values.append(c[None].copy())  # the old graph's row at t
+        self._segments[-1].values.add(c[None])  # the old graph's row at t
         old = dict(zip(self.kernel.graph.edges, c))
         kernel = ProtocolKernel(new_graph, self.params, self.gains.K, self.gains.Gamma)
         self.c = np.array([old.get(e, c0) for e, c0 in zip(new_graph.edges, kernel.c0)])
@@ -567,7 +586,7 @@ class _Simulation:
         self.dq = kernel.edge_terms(self.Z)  # re-indexed by the new edge list
         self.flow.use(kernel)  # the broadcast round forms the (w, p) columns anew
         # the new segment opens with the next row stored, the one at t
-        self._segments.append(WeightSegment(new_graph, t, len(self._times), []))
+        self._segments.append(WeightSegment(new_graph, t, self._times.n, _Rows(self.c.shape)))
         self._force_broadcast(t, kind="switch")
 
     def run(self) -> Trajectory:
@@ -583,12 +602,12 @@ class _Simulation:
 
     def _finalize(self) -> Trajectory:
         for seg in self._segments:
-            seg.values = np.concatenate(seg.values)
+            seg.values = seg.values.view()
         return Trajectory(
-            times=np.array(self._times),
-            states=np.concatenate(self._states),
-            estimates=np.concatenate(self._estimates),
-            observer_states=np.concatenate(self._chis) if self.variant == "observer" else None,
+            times=self._times.view(),
+            states=self._states.view(),
+            estimates=self._estimates.view(),
+            observer_states=None if self._chis is None else self._chis.view(),
             weight_segments=self._segments,
             events=self.events,
             variant=self.variant,
