@@ -302,11 +302,11 @@ class _Simulation:
         Ed, W = self._setup_disturbance(self._nv)
 
         # one lift with a group per leakage rate lambda = kappa varrho of any
-        # graph, read at every offset k dt that a pass of any graph can reach
+        # graph, read at every offset k dt that a pass of this run can reach
         graphs = [graph] + [g for (_, g) in sim.topology_schedule]
         lams = {float(lam) for g in graphs for lam in np.multiply(*params.edge_arrays(g)[:2])}
-        self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt,
-                                max(self._cap(len(g.edges)) for g in graphs))
+        steps = min(max(self._cap(len(g.edges)) for g in graphs), len(self._grid_t))
+        self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt, steps)
         self.flow.use(self.kernel)
         # the state: each agent's lift row [v, (w, p) per group, r], whose
         # (w, p) columns each reset forms and whose r columns each pass sets

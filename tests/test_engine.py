@@ -680,6 +680,13 @@ class TestFlowQuality:
             tracemalloc.stop()
         assert peak < 20e6
 
+    def test_grid_table_spans_the_run_at_most(self, model, gains, params, ring6):
+        # a pass over ring6 may take 113 steps, but this run has 10 checkpoints
+        engine = _Simulation(model, ring6, gains, params, short_sim(t_end=0.01),
+                             random_x0(), "state")
+        assert len(engine.flow.grid[0]) <= len(engine._grid_t) + 1
+        assert len(engine.run().times) == 11
+
     def test_non_finite_flow_detected(self, params):
         # synthetic unstable open loop: gains of zero leave xdot = 10 x,
         # whose flow overflows on its way to the error
