@@ -701,7 +701,7 @@ class TestFlowQuality:
 
 class TestRowStore:
     @staticmethod
-    def run(model, params, ring6, monkeypatch, first):
+    def stored_run(model, params, ring6, monkeypatch, first):
         # an observer run with a switch writes every store: times, x, Z,
         # chi and a weight segment per graph
         class Sized(_Rows):
@@ -716,7 +716,7 @@ class TestRowStore:
 
     def test_rows_across_growths_are_the_rows_of_a_store_that_never_grows(
             self, model, params, ring6, monkeypatch):
-        grown, fixed = (self.run(model, params, ring6, monkeypatch, first)
+        grown, fixed = (self.stored_run(model, params, ring6, monkeypatch, first)
                         for first in (1, 4096))
         assert len(grown.times) > 512  # 1 -> 1024 rows is ten growths
         assert len(fixed.states.base) == 4096
@@ -728,33 +728,35 @@ class TestRowStore:
 
     def test_returned_arrays_are_their_rows_alone_and_contiguous(
             self, model, params, ring6, monkeypatch):
-        traj = self.run(model, params, ring6, monkeypatch, 256)
+        traj = self.stored_run(model, params, ring6, monkeypatch, 256)
         rows = len(traj.times)
+        assert traj.times[-1] == 0.6 and (np.diff(traj.times) > 0).all()
+        assert sum(len(seg.values) for seg in traj.weight_segments) == rows + 1  # one switch
         for a in (traj.times, traj.states, traj.estimates, traj.observer_states):
             assert len(a) == rows and a.flags.c_contiguous and a.dtype == np.float64
         for seg in traj.weight_segments:
             assert seg.values.flags.c_contiguous and seg.values.dtype == np.float64
 
-    def test_a_switch_keeps_the_old_graph_row_in_the_old_segment(
-            self, model, params, ring6, monkeypatch):
-        traj = self.run(model, params, ring6, monkeypatch, 256)
-        old, new = traj.weight_segments
-        assert traj.times[new.first_index] == new.t_start == 0.3
-        assert old.values.shape == (new.first_index + 1, len(ring6.edges))
-        assert new.values.shape == (len(traj.times) - new.first_index, len(new.graph.edges))
-        # the extra row is the old graph's weights at the switch instant,
-        # which the shared edges (0, 1) and (0, 5) carry into the new one
-        at_switch = dict(zip(old.graph.edges, old.values[-1]))
-        carried = dict(zip(new.graph.edges, new.values[0]))
-        assert [at_switch[e] for e in ((0, 1), (0, 5))] == [carried[e] for e in ((0, 1), (0, 5))]
+    def test_each_switch_keeps_the_old_graph_row_in_the_old_segment(self):
+        from etcons.cli import RunSetup
+
+        # switches at 2, 4 and 6 s
+        traj = RunSetup(_shipped("switching", t_end=6.5, dt=1e-2)).run()[0]
+        segs = traj.weight_segments
+        assert [seg.t_start for seg in segs] == [0.0, 2.0, 4.0, 6.0]
+        for old, new in zip(segs, segs[1:]):
+            assert traj.times[new.first_index] == new.t_start
+            assert old.values.shape == (new.first_index - old.first_index + 1,
+                                        len(old.graph.edges))
+        assert len(segs[-1].values) == len(traj.times) - segs[-1].first_index
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads VmHWM from /proc/self/status")
     def test_simulate_peak_memory_stays_near_the_trajectory(self):
         # VmHWM, not ru_maxrss, which carries the launching process's high
         # water mark across exec; a fresh child keeps pytest's heap out.
-        # With the rows kept in per-pass blocks and stacked at the end the
-        # growth was 2.18x, with rows stored in place it is 1.21x
+        # Rows kept in per-pass blocks and stacked at the end grew it by
+        # 2.18x the trajectory's bytes; stored in place, by 1.21x
         code = textwrap.dedent("""
             import json, sys
             from etcons.cli import RunSetup, load_config
