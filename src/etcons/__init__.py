@@ -14,7 +14,6 @@ from .analysis import (
     observer_error,
     predicted_consensus_value,
     theorem1_bound,
-    zeno_bound,
     zeno_report,
 )
 from .engine import (

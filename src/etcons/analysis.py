@@ -5,6 +5,8 @@ Laplacian spectra); the protocols themselves never do. It checks the
 observable consequences of the theory: consensus error decay, the ultimate
 bound of the sigma-modified protocol, strictly positive inter-event
 intervals, and the conservation of the network-average state.
+``zeno_report`` is the one place that computes the inter-event bound; it
+evaluates it only for intervals that end at a trigger.
 """
 
 from __future__ import annotations
@@ -105,95 +107,6 @@ def _events_by_agent(traj: Trajectory) -> list[list[EventRecord]]:
     return out
 
 
-class _ZenoBounds:
-    """Run-wide inputs of the inter-event bound, computed once per run.
-
-    ``bound(agent, k)`` then costs only the stored rows of that interval,
-    so a report over every interval is linear in events plus rows.
-    """
-
-    def __init__(self, traj: Trajectory):
-        self.traj = traj
-        self.events = _events_by_agent(traj)
-        self.cbar = max(traj.max_weight, 0.0)
-        self.norm_a = float(np.linalg.norm(traj.model.A, 2))
-        self.norm_k = float(np.linalg.norm(traj.gains.K, 2))
-        self.norm_bk = float(np.linalg.norm(traj.model.B @ traj.gains.K, 2))
-        self.fc = traj.gains.F @ traj.model.C if traj.variant == "observer" else None
-        self.starts = [seg.t_start for seg in traj.weight_segments]
-        self.graphs = [seg.graph for seg in traj.weight_segments]
-
-    def bound(self, agent: int, k: int) -> float:
-        traj = self.traj
-        recs = self.events[agent]
-        if not (0 <= k + 1 < len(recs)):
-            raise ValueError(f"agent {agent} has no event pair ({k}, {k + 1})")
-        t_k, t_k1 = recs[k].time, recs[k + 1].time
-        # the active topology at t_k: the last segment starting by then
-        seg = max(bisect.bisect_right(self.starts, t_k) - 1, 0)
-        neigh = self.graphs[seg].neighbors(agent)
-        d_i = len(neigh)
-        if d_i == 0:
-            return math.inf
-
-        p = traj.params
-        cbar, norm_a, norm_k = self.cbar, self.norm_a, self.norm_k
-        rows = _grid_slice(traj, t_k, t_k1)
-        z = traj.estimates[rows]
-        diffs = z[:, [agent], :] - z[:, neigh, :]
-        sigma_i = float(self.norm_bk * np.linalg.norm(diffs, axis=2).sum(axis=1).max())
-
-        b = cbar * sigma_i
-        if self.fc is not None:
-            gap = traj.observer_states[rows, agent] - traj.states[rows, agent]
-            b += float(np.linalg.norm(gap @ self.fc.T, axis=1).max())
-        dist = traj.sim.disturbance
-        if dist is not None and traj.variant != "observer":
-            b += dist.amplitude * math.sqrt(traj.model.n)
-        if b <= 0.0:
-            return math.inf
-
-        denom = d_i * (1.0 + p.delta * cbar)
-
-        def theta(tau: float) -> float:
-            return math.sqrt(p.decay(t_k + tau) / denom) / norm_k
-
-        def step(tau: float) -> float:
-            if norm_a == 0.0:
-                return theta(tau) / b
-            return math.log1p(norm_a * theta(tau) / b) / norm_a
-
-        tau = 0.0
-        for _ in range(200):
-            nxt = step(tau)
-            if abs(nxt - tau) < 1e-15:
-                tau = nxt
-                break
-            tau = nxt
-        return tau
-
-
-def zeno_bound(traj: Trajectory, agent: int, k: int) -> float:
-    """Guaranteed minimum inter-event time after the agent's k-th broadcast.
-
-    Solves the implicit relation
-
-        tau = (1/||A||) ln(1 + ||A|| theta(tau) / b)
-        theta(tau) = sqrt(mu e^{-nu (t_k + tau)} / (d_i (1 + delta cbar))) / ||K||
-
-    by fixed-point iteration from tau = 0 (the right side decreases in
-    tau). b bounds the non-homogeneous part of the measurement-error
-    growth: cbar sigma_i from the control term, plus the output-injection
-    term on observer runs and the disturbance amplitude on perturbed runs.
-    cbar is the largest edge weight observed over the whole run, sigma_i
-    the largest incident estimate-disagreement sum sampled on the stored
-    grid (conservative up to the grid resolution). For ||A|| = 0 the
-    limiting form tau = theta(tau) / b applies. Returns inf when the error
-    cannot grow at all (no neighbours or zero drive).
-    """
-    return _ZenoBounds(traj).bound(agent, k)
-
-
 @dataclass
 class ZenoCheck:
     """One inter-event interval against its guaranteed lower bound."""
@@ -231,18 +144,69 @@ def zeno_report(traj: Trajectory) -> ZenoReport:
     An interval qualifies when it ends at an organic trigger; forced
     broadcasts (topology switches, dense-sampling mode) are not crossings
     of the trigger function, so no positive lower bound applies to them.
+
+    The bound, the guaranteed minimum inter-event time after the agent's
+    k-th broadcast at t_k, solves the implicit relation
+
+        tau = (1/||A||) ln(1 + ||A|| theta(tau) / b)
+        theta(tau) = sqrt(mu e^{-nu (t_k + tau)} / (d_i (1 + delta cbar))) / ||K||
+
+    by fixed-point iteration from tau = 0 (the right side decreases in
+    tau). b bounds the non-homogeneous part of the measurement-error
+    growth: cbar sigma_i from the control term, plus the output-injection
+    term on observer runs and the disturbance amplitude on perturbed runs.
+    cbar is the largest edge weight observed over the whole run, sigma_i
+    the largest incident estimate-disagreement sum sampled on the stored
+    grid (conservative up to the grid resolution). For ||A|| = 0 the
+    limiting form tau = theta(tau) / b applies. The bound is inf when the
+    error cannot grow at all (no neighbours or zero drive).
     """
-    bounds = _ZenoBounds(traj)
+    # run-wide inputs, once; each interval then costs only its stored rows
+    p = traj.params
+    cbar = max(traj.max_weight, 0.0)
+    norm_a = float(np.linalg.norm(traj.model.A, 2))
+    norm_k = float(np.linalg.norm(traj.gains.K, 2))
+    norm_bk = float(np.linalg.norm(traj.model.B @ traj.gains.K, 2))
+    fc = traj.gains.F @ traj.model.C if traj.variant == "observer" else None
+    starts = [seg.t_start for seg in traj.weight_segments]
+    dist = traj.sim.disturbance
+    drive = dist.amplitude * math.sqrt(traj.model.n) if dist is not None and fc is None else 0.0
+
     checks = []
-    for agent, recs in enumerate(bounds.events):
+    for agent, recs in enumerate(_events_by_agent(traj)):
         for k in range(len(recs) - 1):
             if recs[k + 1].kind != "trigger":
                 continue
-            checks.append(ZenoCheck(
-                agent=agent, k=k,
-                interval=recs[k + 1].time - recs[k].time,
-                bound=bounds.bound(agent, k),
-            ))
+            t_k, t_k1 = recs[k].time, recs[k + 1].time
+            check = ZenoCheck(agent=agent, k=k, interval=t_k1 - t_k, bound=math.inf)
+            checks.append(check)
+            # the active topology at t_k: the last segment starting by then
+            seg = traj.weight_segments[max(bisect.bisect_right(starts, t_k) - 1, 0)]
+            neigh = seg.graph.neighbors(agent)
+            if not neigh:
+                continue
+
+            rows = _grid_slice(traj, t_k, t_k1)
+            z = traj.estimates[rows]
+            diffs = z[:, [agent], :] - z[:, neigh, :]
+            sigma_i = float(norm_bk * np.linalg.norm(diffs, axis=2).sum(axis=1).max())
+            b = cbar * sigma_i
+            if fc is not None:
+                gap = traj.observer_states[rows, agent] - traj.states[rows, agent]
+                b += float(np.linalg.norm(gap @ fc.T, axis=1).max())
+            b += drive
+            if b <= 0.0:
+                continue
+
+            denom = len(neigh) * (1.0 + p.delta * cbar)
+            tau = 0.0
+            for _ in range(200):
+                theta = math.sqrt(p.decay(t_k + tau) / denom) / norm_k
+                prev = tau
+                tau = theta / b if norm_a == 0.0 else math.log1p(norm_a * theta / b) / norm_a
+                if abs(tau - prev) < 1e-15:
+                    break
+            check.bound = tau
     return ZenoReport(checks=checks)
 
 

@@ -206,7 +206,7 @@ class Trajectory:
 
     @property
     def max_weight(self) -> float:
-        return max(float(seg.values.max()) for seg in self.weight_segments)
+        return max(float(seg.values.max(initial=-np.inf)) for seg in self.weight_segments)
 
     @property
     def final_states(self) -> np.ndarray:
@@ -477,17 +477,17 @@ class _Simulation:
         cands = np.flatnonzero(f1 >= 0)
         f_star = self.flow.star_triggers(self._lifted(cell), self.Z, self.dq[0], self.c,
                                          self.kernel.star(cands))
-        seen = {t1: float(f1.max())}
+        f_hi = float(f1.max())
 
-        def g(tm: float) -> float:
-            if tm not in seen:
-                if tm == t0 and self._f_now is not None:
-                    return self._f_now
-                stats.localization_evaluations += 1
-                seen[tm] = float(f_star(tm - t0, tm)[:cands.size].max())
-            return seen[tm]
+        def g(tm: float) -> float:  # the ends are the pass's full evaluations
+            if tm == t1:
+                return f_hi
+            if tm == t0 and self._f_now is not None:
+                return self._f_now
+            stats.localization_evaluations += 1
+            return float(f_star(tm - t0, tm)[:cands.size].max())
 
-        t_star = locate_event(g, t0, t1, self.cfg.event_tol, f_hi=seen[t1])
+        t_star = locate_event(g, t0, t1, self.cfg.event_tol, f_hi=f_hi)
         if t_star == t1:
             return t1, end
         stats.localization_evaluations += 1

@@ -129,6 +129,8 @@ def lambda2(g: Graph) -> float:
     """
     if g.leader is not None:
         raise ValueError("lambda2 is defined for leaderless graphs")
+    if g.n_nodes < 2:
+        raise ValueError(f"lambda2 needs at least 2 nodes, got {g.n_nodes}")
     if not is_connected(g):
         raise DisconnectedGraphError(
             f"graph with {g.n_nodes} nodes and {len(g.edges)} edges is disconnected"

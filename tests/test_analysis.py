@@ -15,14 +15,12 @@ from etcons.analysis import (
     predicted_consensus_value,
     stacked_norm,
     theorem1_bound,
-    zeno_bound,
     zeno_report,
 )
 from etcons.engine import SimConfig, simulate
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import SystemModel, design_gains
 from etcons.protocols import ProtocolParams
-from oracles import events_for
 
 A_TRIPLE = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
 B_TRIPLE = np.array([[0.0], [0.0], [1.0]])
@@ -128,21 +126,18 @@ class TestZenoBound:
         assert report.min_margin >= 0
 
     def test_bound_positive_for_finite_times(self, base_traj):
-        for agent in range(6):
-            recs = events_for(base_traj, agent)
-            for k in range(len(recs) - 1):
-                tau = zeno_bound(base_traj, agent, k)
-                assert tau > 0
+        checks = zeno_report(base_traj).checks
+        assert len(checks) > 0
+        assert all(c.bound > 0 for c in checks)
 
     def test_monotone_in_mu(self, base_traj):
-        agent = base_traj.events[6].agent
-        k = 0
-        tau_small = zeno_bound(base_traj, agent, k)
+        small = {(c.agent, c.k): c.bound for c in zeno_report(base_traj).checks}
         bigger = dataclasses.replace(
             base_traj,
             params=ProtocolParams(delta=1.0, mu=8.0, nu=0.5, kappa=0.2, varrho=0.0))
-        tau_big = zeno_bound(bigger, agent, k)
-        assert tau_big > tau_small
+        big = {(c.agent, c.k): c.bound for c in zeno_report(bigger).checks}
+        assert len(small) > 0 and big.keys() == small.keys()
+        assert all(big[key] > small[key] for key in small)
 
     def test_zero_drift_limit(self):
         # single-integrator network: ||A|| = 0 takes the limiting form
@@ -154,10 +149,6 @@ class TestZenoBound:
         report = zeno_report(traj)
         assert report.verdict
         assert all(c.bound > 0 for c in report.checks)
-
-    def test_missing_pair_raises(self, base_traj):
-        with pytest.raises(ValueError):
-            zeno_bound(base_traj, 0, 10_000)
 
 
 class TestEventStats:

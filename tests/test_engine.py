@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from etcons import engine as engine_module
-from etcons.analysis import consensus_error, invariance_deviation, stacked_norm
+from etcons.analysis import consensus_error, invariance_deviation, stacked_norm, zeno_report
 from etcons.engine import (
     DisturbanceSpec,
     SimConfig,
@@ -222,6 +222,9 @@ class TestConsensusManifold:
         assert len(traj.events) == 1  # the t=0 broadcast only
         # open-loop flow: xdot = 0 for the neutral scalar agent
         assert np.allclose(traj.states[:, 0, 0], 0.7, atol=1e-12)
+        # no weight to bound and no interval to check
+        report = zeno_report(traj)
+        assert report.checks == [] and report.verdict
 
 
 @pytest.fixture(scope="module")

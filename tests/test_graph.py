@@ -205,6 +205,10 @@ class TestLambda2:
         with pytest.raises(ValueError):
             lambda2(build_graph(2, [(0, 1)], leader=0))
 
+    def test_rejects_single_node(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            lambda2(build_graph(1, []))
+
 
 class TestLeaderPartition:
     """The leader's block of the Laplacian: its row is zero."""
