@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -7,12 +6,9 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from etcons import flow
-from etcons.cli import RunSetup, load_config
 from etcons.errors import ConfigError, NotDetectableError, NotStabilizableError
 from etcons.linalg import (
     SystemModel,
-    _balance,
     _Expm,
     care_residual,
     design_gains,
@@ -189,12 +185,17 @@ class TestMatrixExponential:
             assert np.allclose(lhs, rhs, rtol=1e-8, atol=1e-8)
 
     def test_inverse_property(self):
-        rng = np.random.default_rng(9)
+        # each factor errs by a few eps of its own norm, so the product's
+        # gap from I is bounded relative to cond = ||e^{At}|| ||e^{-At}||
+        # (1-norms): measured at most 2.6 u cond over these draws, where
+        # cond runs from 4.0 to 2.0e8 (the second draw; the others <= 1.3e3)
+        rng, u = np.random.default_rng(9), 2.0 ** -53
         for _ in range(10):
             a = rng.normal(size=(3, 3))
             t = rng.uniform(0, 5)
-            prod = matrix_exponential(a, t) @ matrix_exponential(a, -t)
-            assert np.allclose(prod, np.eye(3), rtol=1e-8, atol=1e-8)
+            fwd, back = matrix_exponential(a, t), matrix_exponential(a, -t)
+            cond = np.abs(fwd).sum(axis=0).max() * np.abs(back).sum(axis=0).max()
+            assert np.abs(fwd @ back - np.eye(3)).sum(axis=0).max() <= 8 * u * cond
 
     # max over 200 times up to the horizon of the 1-norm relative error
     # against [[cos t, sin t], [-sin t, cos t]], measured: 29 eps up to
@@ -264,19 +265,9 @@ class TestSystemModel:
 
 # -- scipy as the oracle of the numpy kernels --------------------------------
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-SHIPPED = ("leaderless_sec5", "ultimate_bound", "observer", "leader_follower",
-           "switching", "disturbance")
-
-
 def _matrices(rows, cols, entries):
     return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
         lambda v: np.array(v, dtype=float).reshape(rows, cols))
-
-
-# entries spread over many binades, with exact zeros, so balancing rescales
-_SPREAD = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 2.0 ** e,
-                                            st.floats(-1.0, 1.0), st.integers(-30, 30)))
 
 
 @st.composite
@@ -286,38 +277,9 @@ def _pairs(draw):
     return draw(_matrices(n, n, entries)), draw(_matrices(n, draw(st.integers(1, n)), entries))
 
 
-def _is_lapacks(a) -> bool:
-    """Whether ``_balance`` gives LAPACK's balanced matrix and scaling, bit for bit."""
-    ours, scale = _balance(a)
-    ref, (ref_scale, _) = scipy.linalg.matrix_balance(a, permute=False, separate=True)
-    return np.array_equal(ours, ref) and np.array_equal(scale, ref_scale)
-
-
 # scipy warns on the draws where it loses accuracy, which the tests skip
 @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::scipy.linalg.LinAlgWarning")
 class TestScipyOracle:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(a=st.integers(1, 10).flatmap(lambda n: _matrices(n, n, _SPREAD)))
-    def test_balance_is_lapacks_bit_for_bit(self, a):
-        assert _is_lapacks(a)
-
-    def test_balance_is_lapacks_on_every_config_lift(self, monkeypatch):
-        balanced = []
-
-        class Recording(_Expm):
-            def __init__(self, a):
-                balanced.append(a)
-                super().__init__(a)
-
-        monkeypatch.setattr(flow, "_Expm", Recording)
-        for name in SHIPPED:
-            cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-            cfg["sim"]["t_end"] = 2 * cfg["sim"]["dt"]  # the lifts are built before the first step
-            RunSetup(cfg).run()
-        assert len(balanced) >= len(SHIPPED)
-        for a in balanced:
-            assert _is_lapacks(a)
-
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(pair=_pairs())
     def test_solve_care_agrees_with_scipy(self, pair):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from etcons import engine
 from etcons.engine import SimConfig, locate_event, simulate
 from etcons.graph import build_graph, generate_graph
-from etcons.linalg import _MAX_DEGREE, SystemModel, _Expm, design_gains, horner
+from etcons.linalg import _MAX_DEGREE, SystemModel, _Expm, cascade_lift, design_gains, horner
 from etcons.protocols import ProtocolKernel, ProtocolParams
 from oracles import events_for
 
@@ -34,19 +34,37 @@ def _stiff():
     return a
 
 
+def _high_gamma_lift():
+    """The cascade lift (``linalg.cascade_lift``, no leakage, no disturbance)
+    of a seeded random n = 3 model whose Gamma reaches 12,508: ||M||_1 is
+    55,640, from Gamma's thousands in one corner."""
+    rng = np.random.default_rng(22)
+    a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 1))
+    g = design_gains(SystemModel(A=a, B=b))
+    return cascade_lift(a, b @ g.K, a, g.Gamma, [0.0], np.zeros((3, 0)), np.zeros((0, 0))).T
+
+
 # name -> (A, dt, bound in multiples of eps on the 1-norm relative error).
 # The stiff case has ||A||_1 dt > 1, so the evaluator scales and squares;
 # scipy's own error there reaches ~16 eps against a 40-digit reference.
-# Balancing spreads the scales of the slow chain's rows over 2^22 and cuts
-# its norm by a factor above 1000: a degree chosen by the balanced norm
-# alone erred by 1e-10 at dt.
+# The degree follows d_k = ||A^k||_1^{1/k} of A as given: the slow chain
+# is nilpotent but for its diagonal, so d_3 = 0.086 against ||A||_1 = 1
+# (a degree chosen by a norm a thousand times below ||A||_1 erred by 1e-10
+# at dt), and the high-Gamma lift's d_k fall from 55,640 at k = 1 to 125
+# at k = 4. On that lift, and on four more seeded alike, degree 9 to 11
+# held dt = 1e-3 without squaring, within 0.43 eps of a 40-digit
+# reference (scipy: 0.9 to 1.4 eps); at s = 0.3 it squared 5 or 6 times
+# and erred by 4.1 to 7.8 eps, where a degree chosen by the Parlett-Reinsch
+# balanced norm squared 4 or 5 times and erred by 1.8 to 7.8 eps.
 EXPM_CASES = {
     "nilpotent-chain": (3.0 * np.eye(4, k=1), 1e-3, 4),
     "rotation": (np.array([[0.0, 6 * math.pi], [-6 * math.pi, 0.0]]), 1e-2, 4),
     "random-dense": (np.random.default_rng(7).normal(size=(5, 5)), 5e-2, 4),
     "stiff": (_stiff(), 2e-2, 64),
     "slow-chain": (np.array([[-2e-4, 0, 0], [-0.64, -2e-4, 0], [0, 1.0, -6e-4]]), 1e-2, 4),
+    "high-gamma-lift": (_high_gamma_lift(), 1e-3, 4),
 }
+WIDTHS = np.array([1e-9, 1e-4, 0.3, 0.99, 1.0])  # in units of each case's dt
 
 
 def _above(x: float, ulps: int) -> float:
@@ -86,14 +104,28 @@ class TestTaylorExpm:
         a, dt, _ = EXPM_CASES["stiff"]
         assert _norm1(a) * dt > 1.0
 
-    def test_slow_chain_is_balanced_far(self):
-        a, _, _ = EXPM_CASES["slow-chain"]
-        assert _Expm(a)._norm * 1000 < _norm1(a)
+    @pytest.mark.parametrize("name", sorted(EXPM_CASES))
+    def test_degree_bounds_the_remainder(self, name):
+        # the terms past K = degree(s) sum to at most theta^{K+1}/(K+1)!
+        # e^theta, theta = alpha(K) s, alpha(K) the least max(d_p, d_{p+1})
+        # over p (p - 1) <= K + 1, d_k = ||A^k||_1^{1/k} of A as given
+        a, dt, _ = EXPM_CASES[name]
+        e, checked = _Expm(a), 0
+        d = [_norm1(np.linalg.matrix_power(a, k)) ** (1 / k) if k else 0.0 for k in range(6)]
+        for s in dt * WIDTHS:
+            k = e.degree(s)
+            if k <= _MAX_DEGREE:
+                alpha = min(max(d[p], d[p + 1]) for p in range(1, 5) if p * (p - 1) <= k + 1)
+                theta = alpha * s
+                tail = sum(_norm1(t) * s ** j for j, t in enumerate(e._P) if j > k)
+                assert tail <= theta ** (k + 1) / math.factorial(k + 1) * math.exp(theta), s
+                checked += 1
+        assert checked >= 2
 
     def test_series_stops_at_nilpotency(self):
         triple = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
         e = _Expm(triple)
-        assert e._exact and len(e._P) == 3
+        assert len(e._P) == 3 and e.degree(1e9) == 2
         s = 1e-3
         expected = np.array([[1.0, s, 0.5 * s * s], [0, 1, s], [0, 0, 1]])
         assert np.array_equal(e.at(s), expected)
@@ -103,18 +135,20 @@ class TestTaylorExpm:
         # below the cap e^{As} is horner's sum of the terms at degree(s)
         a, dt, _ = EXPM_CASES[name]
         e, checked = _Expm(a), 0
-        for s in dt * np.array([1e-9, 1e-4, 0.3, 0.99, 1.0]):
+        for s in dt * WIDTHS:
             k = e.degree(s)
             if k <= _MAX_DEGREE:
-                assert np.array_equal(e.at(s), horner(e._P, s, min(k, len(e._P) - 1))), s
+                assert np.array_equal(e.at(s), horner(e._P, s, k)), s
                 checked += 1
         assert checked >= 2
 
     def test_nilpotent_series_is_horner_past_the_cap(self):
-        # an exact series is summed at any width, with no squaring
-        e, s = _Expm(3.0 * np.eye(4, k=1)), 10.0
-        assert e._exact and e.degree(s) > _MAX_DEGREE
-        assert np.array_equal(e.at(s), horner(e._P, s, len(e._P) - 1))
+        # an exact series is summed in full at any width, with no squaring:
+        # here ||A||_1 s = 30, far past the degree cap's theta of 0.76
+        a, s = 3.0 * np.eye(4, k=1), 10.0
+        e = _Expm(a)
+        assert len(e._P) == 4 and e.degree(s) == 3
+        assert np.array_equal(e.at(s), horner(e._P, s, 3))
 
     def test_zero_width_is_identity(self):
         for a, _, _ in EXPM_CASES.values():
