@@ -247,10 +247,12 @@ class _Expm:
             terms.append(term)
         self._P = np.stack(terms)
         self._P.setflags(write=False)
+        # the series is exact from degree len(P) - 1 on if the loop stopped early
         exact = len(terms) - 1 if len(terms) <= _MAX_DEGREE else _MAX_DEGREE + 1
         norms = np.abs(self._P[1:6]).sum(axis=1).max(axis=1)
         d = [0.0] + [(math.factorial(k) * v) ** (1 / k) for k, v in enumerate(norms, 1)]
         d += [0.0] * (6 - len(d))  # d_k = 0 where A^k = 0
+        # p (p - 1) <= _MAX_DEGREE + 1 holds up to p = 4
         self._radius = [math.inf if k >= exact else th / min(
             max(d[p], d[p + 1]) for p in range(1, 5) if p * (p - 1) <= k + 1)
             for k, th in enumerate(_TAYLOR_THETA)]

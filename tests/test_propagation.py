@@ -111,7 +111,7 @@ class TestTaylorExpm:
         # over p (p - 1) <= K + 1, d_k = ||A^k||_1^{1/k} of A as given
         a, dt, _ = EXPM_CASES[name]
         e, checked = _Expm(a), 0
-        d = [_norm1(np.linalg.matrix_power(a, k)) ** (1 / k) if k else 0.0 for k in range(6)]
+        d = [0.0] + [_norm1(np.linalg.matrix_power(a, k)) ** (1 / k) for k in range(1, 6)]
         for s in dt * WIDTHS:
             k = e.degree(s)
             if k <= _MAX_DEGREE:
