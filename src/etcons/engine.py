@@ -291,7 +291,6 @@ class _Simulation:
         self._segments = [WeightSegment(graph, 0.0, 0, _Rows(self.c.shape))]
 
         self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
-        self._threshold = params.decay(self._grid_t)  # the threshold at each checkpoint
         # a pass ends after a switch checkpoint (after every one in dense
         # mode) and before a checkpoint that is not one dt after the last
         t = np.array(self._grid_t)
@@ -364,7 +363,7 @@ class _Simulation:
         self.X[:, self.flow.r] = self._dist(self.t, cell)
         return self.X
 
-    def _flow(self, tab, times, cells, threshold=None):
+    def _flow(self, tab, times, cells):
         """``CascadeFlow`` from now to the instants ``times``, step k in grid
         cell cells[k]: the stacks of lift rows, Z, the edge work, c and the
         trigger values there."""
@@ -373,7 +372,7 @@ class _Simulation:
             steps = np.diff(self._draws(cells), axis=0)
         V, Zs, c = self.flow(lifted, self.Z, self.dq[0], self.c, tab, steps)
         dq = kern.edge_terms(Zs)
-        f = kern.trigger_values(V[..., self.flow.live], Zs, dq, c, times, threshold)
+        f = kern.trigger_values(V[..., self.flow.live], Zs, dq, c, times)
         return V, Zs, dq, c, f
 
     # -- triggers --------------------------------------------------------
@@ -523,10 +522,8 @@ class _Simulation:
         checkpoint i alone by ``CascadeFlow.tables`` at its width."""
         times, cells = self._grid_t[i:j], self._grid_cell[i:j]
         if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
-            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells,
-                              self._threshold[i:j])
-        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cells[:1],
-                          self._threshold[i:i + 1])
+            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells)
+        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cells[:1])
 
     def _advance(self, i: int) -> int:
         """One pass from now over the checkpoints from i on: commit every

@@ -237,19 +237,18 @@ class ProtocolKernel:
 
     def trigger_values(self, live: np.ndarray, Z: np.ndarray,
                        dq: tuple[np.ndarray, np.ndarray], c: np.ndarray,
-                       t: float, decay=None) -> np.ndarray:
+                       t: float) -> np.ndarray:
         """Stacked trigger values (N,); the leader's entry is -inf.
 
         ``live`` is the stack the broadcasts sample from: X for state
         feedback and leader-follower runs, CHI for observer runs. On inputs
         stacked along one leading axis ``t`` holds one time per slice.
-        ``decay`` is ``params.decay(t)`` when the caller holds it.
         """
         p = self.params
         eqf = self.quadratic(Z - live)
         err_coef = self._node_sum(self.err_w * (1.0 + p.delta * c))
         dis = self._node_sum(self.dis_w * dq[1])
-        f = err_coef * eqf - dis - (p.decay(t) if decay is None else decay)
+        f = err_coef * eqf - dis - p.decay(t)
         if self.leader is not None:
             f[..., self.leader] = -np.inf
         return f
