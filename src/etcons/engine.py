@@ -13,8 +13,9 @@ columns from the edge work, and between resets they flow with v. A pass
 evaluates the flow at a run of grid instants by the rows of the run's
 table, or at one instant by the flow's tables at that width when now is
 off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per stack and
-ends at a switch instant (at every grid instant in dense mode). Its
-instants are committed up to the first with a trigger value >= 0. That
+ends at a switch instant, and at every grid instant in dense mode or
+under a uniform-random disturbance (so that r holds one cell's draw).
+Its instants are committed up to the first with a trigger value >= 0. That
 crossing is bisected on the closed form of the candidates alone, the
 agents whose trigger value is >= 0 there, on their star (their rows,
 their neighbours' estimates and their incident edges), read off one
@@ -62,8 +63,8 @@ class DisturbanceSpec:
     """Bounded per-agent disturbance entering the state equation.
 
     ``constant`` applies amplitude * ones; ``sinusoid`` dephases agents by
-    2 pi i / N; ``uniform-random`` draws piecewise-constant values per base
-    step from a seeded generator, keeping runs deterministic.
+    2 pi i / N; ``uniform-random`` is constant per base step, seeded and
+    deterministic, and drawn as the run enters the step: a pass holds one.
     """
 
     kind: str
@@ -291,20 +292,21 @@ class _Simulation:
         self._segments = [WeightSegment(graph, 0.0, 0, _Rows(self.c.shape))]
 
         self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
-        # a pass ends after a switch checkpoint (after every one in dense
-        # mode) and before a checkpoint that is not one dt after the last
+        Ed, W = self._setup_disturbance(self._nv)
+        # a pass ends after a switch checkpoint (after every one in dense mode
+        # and under a uniform-random disturbance, so that a pass holds one
+        # cell's draw) and before a checkpoint that is not one dt after the last
+        every = broadcast_every_step or self._dist_kind == "uniform-random"
         t = np.array(self._grid_t)
         off = np.abs(np.diff(t) - sim.dt) > 4 * np.spacing(t[1:])
-        self._ends = sorted({k + 1 for k, g in enumerate(self._grid_switch)
-                             if broadcast_every_step or g is not None}
-                            | set((np.flatnonzero(off) + 1).tolist()) | {t.size})
-        Ed, W = self._setup_disturbance(self._nv)
+        ends = np.logical_or(off, [every or g is not None for g in self._grid_switch[:-1]])
+        self._ends = (np.flatnonzero(ends) + 1).tolist() + [t.size]
 
         # one lift with a group per leakage rate lambda = kappa varrho of any
         # graph, read at every offset k dt that a pass of this run can reach
         graphs = [graph] + [g for (_, g) in sim.topology_schedule]
         lams = {float(lam) for g in graphs for lam in np.multiply(*params.edge_arrays(g)[:2])}
-        steps = min(max(self._cap(len(g.edges)) for g in graphs), len(self._grid_t))
+        steps = min(max(self._cap(len(g.edges)) for g in graphs), max(np.diff([0] + self._ends)))
         self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt, steps)
         self.flow.use(self.kernel)
         # the state: each agent's lift row [v, (w, p) per group, r], whose
@@ -323,7 +325,7 @@ class _Simulation:
         from t in grid cell ``cell``."""
         d, n, N = self.cfg.disturbance, self.model.n, self.n_agents
         self._dist_kind = None if d is None or d.amplitude == 0.0 else d.kind
-        mask = self._mask = np.ones((N, 1))
+        mask = np.ones((N, 1))
         if self.leader is not None:
             mask[self.leader] = 0.0  # the leader flows unperturbed
         if self._dist_kind is None:
@@ -339,22 +341,14 @@ class _Simulation:
             self._dist = lambda t, cell: const
         else:  # uniform-random, piecewise constant per base step
             seed = d.seed if d.seed is not None else (self.cfg.seed or 0) + 1
-            self._rng, self._held, self._w_next = np.random.default_rng(seed), {}, 0
-            self._dist = lambda t, cell: self._draws([cell])[0]
-        return np.eye(nv, n), np.zeros((n, n))
+            rng, last = np.random.default_rng(seed), [-1, None]  # the last cell entered, its draw
 
-    def _draws(self, cells) -> np.ndarray:
-        """The uniform-random values (len(cells), N, n) of grid cells ``cells``."""
-        # cells are entered in order, so drawing each one's (N, n) values on
-        # first use reads the generator's stream as one (cells, N, n) draw
-        # would; a cell is held until a pass starts past it
-        shape, amp = (self.n_agents, self.model.n), self.cfg.disturbance.amplitude
-        for cell in range(self._w_next, cells[-1] + 1):
-            self._held[cell] = self._rng.uniform(-amp, amp, shape) * self._mask
-        self._w_next = max(self._w_next, cells[-1] + 1)
-        for cell in [c for c in self._held if c < cells[0]]:
-            del self._held[cell]
-        return np.stack([self._held[c] for c in cells])
+            def draw(t, cell):  # cells are entered in order: rows of one (cells, N, n) draw
+                while last[0] < cell:
+                    last[:] = last[0] + 1, rng.uniform(-d.amplitude, d.amplitude, (N, n)) * mask
+                return last[1]
+            self._dist = draw
+        return np.eye(nv, n), np.zeros((n, n))
 
     # -- flow ----------------------------------------------------------
 
@@ -363,16 +357,12 @@ class _Simulation:
         self.X[:, self.flow.r] = self._dist(self.t, cell)
         return self.X
 
-    def _flow(self, tab, times, cells):
-        """``CascadeFlow`` from now to the instants ``times``, step k in grid
-        cell cells[k]: the stacks of lift rows, Z, the edge work, c and the
-        trigger values there."""
-        lifted, steps, kern = self._lifted(cells[0]), None, self.kernel
-        if self._dist_kind == "uniform-random" and len(cells) > 1:
-            steps = np.diff(self._draws(cells), axis=0)
-        V, Zs, c = self.flow(lifted, self.Z, self.dq[0], self.c, tab, steps)
-        dq = kern.edge_terms(Zs)
-        f = kern.trigger_values(V[..., self.flow.live], Zs, dq, c, times)
+    def _flow(self, tab, times, cell: int):
+        """``CascadeFlow`` from now, in grid cell ``cell``, to the instants ``times``:
+        the stacks of lift rows, Z, the edge work, c and the trigger values there."""
+        V, Zs, c = self.flow(self._lifted(cell), self.Z, self.dq[0], self.c, tab)
+        dq = self.kernel.edge_terms(Zs)
+        f = self.kernel.trigger_values(V[..., self.flow.live], Zs, dq, c, times)
         return V, Zs, dq, c, f
 
     # -- triggers --------------------------------------------------------
@@ -490,7 +480,7 @@ class _Simulation:
         if t_star == t1:
             return t1, end
         stats.localization_evaluations += 1
-        return t_star, (self._flow(self.flow.tables([t_star - t0]), [t_star], [cell]), 0)
+        return t_star, (self._flow(self.flow.tables([t_star - t0]), [t_star], cell), 0)
 
     # -- main loop ---------------------------------------------------------
 
@@ -520,10 +510,10 @@ class _Simulation:
         """The ``_flow`` from now to checkpoints i..j-1 by rows of the run's
         table when now lies one base step before checkpoint i, else to
         checkpoint i alone by ``CascadeFlow.tables`` at its width."""
-        times, cells = self._grid_t[i:j], self._grid_cell[i:j]
+        times, cell = self._grid_t[i:j], self._grid_cell[i]
         if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
-            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cells)
-        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cells[:1])
+            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cell)
+        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cell)
 
     def _advance(self, i: int) -> int:
         """One pass from now over the checkpoints from i on: commit every
@@ -532,7 +522,7 @@ class _Simulation:
         j = min(i + self._cap(self.kernel.ei.size), self._ends[bisect.bisect_right(self._ends, i)])
         flow = V, Zs, _, c, f = self._pass(i, j)
         B = len(V)
-        j, times, cells = i + B, self._grid_t[i:i + B], self._grid_cell[i:i + B]
+        j, times = i + B, self._grid_t[i:i + B]
         self.stats.steps += B
         self.stats.passes += 1
         fmax = f.max(axis=1).tolist()
@@ -551,7 +541,7 @@ class _Simulation:
             return j
 
         t1 = times[hit]
-        t_star, (flow, k) = self._localize(t1, cells[hit], (flow, hit))
+        t_star, (flow, k) = self._localize(t1, self._grid_cell[i + hit], (flow, hit))
         self._commit(t_star, flow, k)
         # if the state is still below zero at t_star, no agent fires: the
         # next pass localizes again from t_star, where the closed form

@@ -65,23 +65,16 @@ class CascadeFlow:
         C = F[:, self._edges[0], self._edges[1]]
         return F[:, :a, :a], C[..., 0], C[..., 1:], F[:, -n:, -n:]
 
-    def __call__(self, X, Z, d, c, tab, steps=None, star=None):
-        """The lift rows, Z and c at the offsets of ``tab`` from lift rows X,
-        Z, its disagreements d and c, on ``star`` alone when given
-        (``ProtocolKernel.star``); ``steps`` jump the disturbance states at
-        the offsets after the first (into v: a pass sets the r columns anew)."""
+    def __call__(self, X, Z, d, c, tab, star=None):
+        """The lift rows, Z and c at the offsets of ``tab`` from lift rows X, Z,
+        its disagreements d and c, on ``star`` (``ProtocolKernel.star``) alone if given."""
         kern, g, (F, decay, R, ET) = self.kernel, self.g, tab
         if star is not None:
             kern, nodes, edges = star
             X, d, Z, c, g = X[nodes], d[edges], Z[nodes], c[edges], g[edges]
         dd = d[:, self.mono2].prod(axis=-1)  # m2(d) per edge
-        V = X @ F
-        if steps is not None:
-            lag = np.maximum(np.arange(1, len(V) + 1)[:, None] - np.arange(1, len(V)), 0)
-            V[..., :self.nv] += np.einsum("jna,kjab->knb", steps,
-                                          self.grid[0][:, self.r, :self.nv][lag])
         c = decay[:, g] * c + kern.kappa * (R @ dd.T)[:, g, np.arange(g.size)]  # by group
-        return V, Z @ ET, c
+        return X @ F, Z @ ET, c
 
     def star_triggers(self, X, Z, d, c, star):
         """f(s, t), the trigger values of ``star``'s nodes at width s and

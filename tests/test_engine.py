@@ -647,26 +647,27 @@ class TestFlowQuality:
 
     def test_random_disturbance_draws_follow_one_table(self, model, gains, params, ring6,
                                                         monkeypatch):
-        # each cell's values are drawn on first use and held while passes
-        # need them, and they are the rows of one (cells, N, n) draw; the
-        # switch at 0.1005 splits a cell in two
+        # every pass sets one cell's values, drawn on first entry, and they
+        # are the rows of one (cells, N, n) draw; the switch at 0.1005
+        # splits a cell in two, and each pass is one step
         seen = {}
-        draw = _Simulation._draws
+        lifted = _Simulation._lifted
 
-        def record(self, cells):
-            w = draw(self, cells)
-            for cell, values in zip(cells, w):
-                assert np.array_equal(seen.setdefault(cell, values.copy()), values)
-            return w
+        def record(self, cell):
+            X = lifted(self, cell)
+            w = X[:, self.flow.r]
+            assert np.array_equal(seen.setdefault(cell, w.copy()), w)
+            return X
 
-        monkeypatch.setattr(_Simulation, "_draws", record)
+        monkeypatch.setattr(_Simulation, "_lifted", record)
         dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
         sim = short_sim(t_end=0.2, dwell_min=0.05, disturbance=dist,
                         topology_schedule=((0.1005, generate_graph("star", 6)),))
-        simulate(model, ring6, gains, params, sim, random_x0())
+        traj = simulate(model, ring6, gains, params, sim, random_x0())
         table = np.random.default_rng(9).uniform(-0.2, 0.2, (200, 6, 3))
         assert sorted(seen) == list(range(200))
         assert all(np.array_equal(seen[k], table[k]) for k in seen)
+        assert traj.stats.passes == traj.stats.steps > 200
 
     def test_random_disturbance_holds_no_horizon_table(self, model, gains, params):
         # ring400 over 30 s at dt = 1e-3 is 30,000 cells: a pre-drawn table
