@@ -10,7 +10,9 @@ k of an ensemble runs a config with ``x0[0, 0]`` scaled by 1 + 1e-12 k,
 and ``gate`` compares the new code's ensemble with the parent's.
 
 The full gate runs K = 12 members at full horizon on the six shipped
-configs, with this tree's ``src/`` and with REV's (extracted by
+configs and on ``disturbance_uniform-random`` (disturbance.json with a
+uniform-random disturbance of amplitude 0.1, which no shipped config
+runs), with this tree's ``src/`` and with REV's (extracted by
 ``git archive``) in separate processes, prints one line per config and
 exits 1 when any config fails. ``--record-short`` runs the short gate's
 settings (three configs, t_end = 5, K = 8) with REV's ``src/`` and writes
@@ -33,6 +35,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(TESTS)
 SHIPPED = ("leaderless_sec5", "ultimate_bound", "switching", "leader_follower",
            "observer", "disturbance")
+UNIFORM = "disturbance_uniform-random"
 FULL_K = 12
 SHORT = {"configs": ("observer", "leader_follower", "switching"), "t_end": 5.0, "k": 8}
 SHORT_REFERENCE = os.path.join(TESTS, "data", "ensemble_short.json")
@@ -40,8 +43,14 @@ NUDGE = 1e-12
 
 
 def load(name: str) -> dict:
-    with open(os.path.join(REPO, "configs", name + ".json"), encoding="utf-8") as fh:
-        return json.load(fh)
+    """A shipped config, or ``UNIFORM``, built as ``tools/compare_outputs.py``
+    builds its variant but at full horizon."""
+    base = "disturbance" if name == UNIFORM else name
+    with open(os.path.join(REPO, "configs", base + ".json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if name == UNIFORM:
+        cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1}
+    return cfg
 
 
 def run_ensemble(cfg: dict, k: int, t_end: float | None = None) -> list[dict]:
@@ -174,19 +183,19 @@ def main(argv=None) -> int:
                 fh.write("\n")
             return 0
         failed = False
-        for name in SHIPPED:
+        for name in SHIPPED + (UNIFORM,):
             procs = [_child(src, name, FULL_K, None)
                      for src in (rev_src, os.path.join(REPO, "src"))]
             try:
                 parent, new = _collect(procs)
             except RuntimeError as exc:
                 failed = True
-                print(f"{name:16s} FAILED to run: {exc}", flush=True)
+                print(f"{name:26s} FAILED to run: {exc}", flush=True)
                 continue
             broken = gate(parent, new)
             failed |= bool(broken)
             verdict = "FAIL " + "; ".join(broken) if broken else "pass"
-            print(f"{name:16s} {verdict} | parent {spread(parent)} | new {spread(new)}",
+            print(f"{name:26s} {verdict} | parent {spread(parent)} | new {spread(new)}",
                   flush=True)
     return 1 if failed else 0
 
