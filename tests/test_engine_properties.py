@@ -3,7 +3,8 @@
 Each example draws a connected graph on 2..10 nodes, a controllable pair
 (A, B) with n <= 4 states and p <= 2 inputs, and initial states, designs
 the gains with the Riccati solver and runs the state-feedback protocol
-for 1 s at dt = 1e-3 without leakage (varrho = 0).
+for 1 s at dt = 1e-3 without leakage (varrho = 0); the disturbed test
+also draws a disturbance kind of amplitude 0.1.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcons.analysis import invariance_deviation, zeno_report
-from etcons.engine import SimConfig, simulate
+from etcons.engine import DISTURBANCE_KINDS, DisturbanceSpec, SimConfig, simulate
 from etcons.graph import build_graph
 from etcons.linalg import SystemModel, design_gains
 from etcons.protocols import ProtocolParams
@@ -60,3 +61,19 @@ def test_engine_invariants(g, model, seed):
     assert invariance_deviation(traj) < 1e-6 * (1.0 + np.linalg.norm(x0.ravel()))
     assert zeno_report(traj).verdict
     assert _events(simulate(model, g, gains, PARAMS, SIM, x0)) == _events(traj)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs(), model=controllable_models(), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(DISTURBANCE_KINDS))
+def test_disturbed_engine_invariants(g, model, seed, kind):
+    x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (g.n_nodes, model.n))
+    gains = design_gains(model)
+    sim = SimConfig(t_end=1.0, dt=1e-3,
+                    disturbance=DisturbanceSpec(kind=kind, amplitude=0.1, seed=seed))
+    traj = simulate(model, g, gains, PARAMS, sim, x0)
+    (segment,) = traj.weight_segments
+    assert (np.diff(segment.values, axis=0) >= 0).all()
+    assert _events(simulate(model, g, gains, PARAMS, sim, x0)) == _events(traj)
+    # a uniform-random pass holds one cell's draw, so it is one step
+    assert kind != "uniform-random" or traj.stats.passes == traj.stats.steps
