@@ -1,6 +1,6 @@
 """Perturbation ensembles: behavioural equivalence that survives bit changes.
 
-    python tests/ensemble.py REV                 # full gate, about 9 min on 2 cores
+    python tests/ensemble.py REV                 # full gate, about 2.5 min on 2 cores
     python tests/ensemble.py REV --record-short  # rewrite tests/data/ensemble_short.json
 
 A change that moves output bits cannot be checked by byte identity
