@@ -64,7 +64,7 @@ class DisturbanceSpec:
 
     ``constant`` applies amplitude * ones; ``sinusoid`` dephases agents by
     2 pi i / N; ``uniform-random`` is constant per base step, seeded and
-    deterministic, and drawn as the run enters the step: a pass holds one.
+    deterministic, drawn as the run enters the step; a pass spans one step.
     """
 
     kind: str
