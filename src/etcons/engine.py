@@ -9,22 +9,22 @@ stack Z, so an agent's own estimate cannot drift numerically.
 Between broadcasts the cascade Z -> c -> v flows in closed form
 (``flow.CascadeFlow``). The engine's state is agent i's lift row
 [v, (w, p) per group, r] in row i of X: each reset forms the (w, p)
-columns from the edge work, and between resets they flow with v. A pass
-evaluates the flow at a run of grid instants by the rows of the run's
-table, or at one instant by the flow's tables at that width when now is
-off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per stack and
-ends at a switch instant, and at every grid instant in dense mode or
-under a uniform-random disturbance (so that r holds one cell's draw).
-Its instants are committed up to the first with a trigger value >= 0. That
-crossing is bisected on the closed form of the candidates alone, the
-agents whose trigger value is >= 0 there, on their star (their rows,
-their neighbours' estimates and their incident edges), read off one
-polynomial in the width per localization. At the localized instant the
-whole flow is evaluated and committed, and every agent whose trigger
-function is nonnegative there broadcasts (ascending index, each reset
-immediately visible, one broadcast per agent per instant). If none is,
-the crossing is localized again from that instant. Each instant's row is
-stored once, after its last reset.
+columns from the edge work, and between resets they flow with v and r. A
+pass evaluates the flow at a run of grid instants by the rows of the
+run's table, or at one instant by the flow's tables at that width when
+now is off the grid; it spans at most ``_BLOCK_ELEMENTS`` values per
+stack and ends at a switch instant, and at every grid instant in dense
+mode or under a uniform-random disturbance (whose pass writes its cell's
+draw in r). Its instants are committed up to the first with a trigger
+value >= 0. That crossing is bisected on the closed form of the
+candidates alone, the agents whose trigger value is >= 0 there, on their
+star (their rows, their neighbours' estimates and their incident edges),
+read off one polynomial in the width per localization. At the localized
+instant the whole flow is evaluated and committed, and every agent whose
+trigger function is nonnegative there broadcasts (ascending index, each
+reset immediately visible, one broadcast per agent per instant). If none
+is, the crossing is localized again from that instant. Each instant's
+row is stored once, after its last reset.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ DISTURBANCE_KINDS = ("constant", "sinusoid", "uniform-random")
 class DisturbanceSpec:
     """Bounded per-agent disturbance entering the state equation.
 
-    ``constant`` applies amplitude * ones; ``sinusoid`` dephases agents by
-    2 pi i / N; ``uniform-random`` is constant per base step, seeded and
-    deterministic, drawn as the run enters the step; a pass spans one step.
+    ``constant`` applies amplitude * ones and ``sinusoid`` dephases agents
+    by 2 pi i / N, both as lift states; ``uniform-random`` is constant per
+    base step, seeded and deterministic, drawn as the run enters the step,
+    which a pass spans.
     """
 
     kind: str
@@ -292,11 +293,11 @@ class _Simulation:
         self._segments = [WeightSegment(graph, 0.0, 0, _Rows(self.c.shape))]
 
         self._grid_t, self._grid_cell, self._grid_switch = self._checkpoints()
-        Ed, W = self._setup_disturbance(self._nv)
+        Ed, W, r0 = self._setup_disturbance(self._nv)
         # a pass ends after a switch checkpoint (after every one in dense mode
         # and under a uniform-random disturbance, so that a pass holds one
         # cell's draw) and before a checkpoint that is not one dt after the last
-        every = broadcast_every_step or self._dist_kind == "uniform-random"
+        every = broadcast_every_step or self._draw is not None
         t = np.array(self._grid_t)
         off = np.abs(np.diff(t) - sim.dt) > 4 * np.spacing(t[1:])
         ends = np.logical_or(off, [every or g is not None for g in self._grid_switch[:-1]])
@@ -310,8 +311,8 @@ class _Simulation:
         self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt, steps)
         self.flow.use(self.kernel)
         # the state: each agent's lift row [v, (w, p) per group, r], whose
-        # (w, p) columns each reset forms and whose r columns each pass sets
-        self.X = np.hstack([v, np.zeros((self.n_agents, self.flow.r.stop - self._nv))])
+        # (w, p) columns each reset forms
+        self.X = np.hstack([v, np.zeros((self.n_agents, self.flow.r.start - self._nv)), r0])
 
     def _cap(self, m: int) -> int:
         """Most steps in a pass over m edges."""
@@ -321,46 +322,36 @@ class _Simulation:
 
     def _setup_disturbance(self, nv: int):
         """The disturbance states r: their input matrix into v, their
-        generator, and ``_dist(t, cell)``, their values (N, r) on a step
-        from t in grid cell ``cell``."""
+        generator W and their values (N, r) at t = 0; a uniform-random one
+        sets ``_draw(cell)``, their values on grid cell ``cell``."""
         d, n, N = self.cfg.disturbance, self.model.n, self.n_agents
-        self._dist_kind = None if d is None or d.amplitude == 0.0 else d.kind
+        self._draw = None
         mask = np.ones((N, 1))
         if self.leader is not None:
             mask[self.leader] = 0.0  # the leader flows unperturbed
-        if self._dist_kind is None:
-            self._dist = lambda t, cell: np.zeros((N, 0))
-            return np.zeros((nv, 0)), np.zeros((0, 0))
+        if d is None or d.amplitude == 0.0:
+            return np.zeros((nv, 0)), np.zeros((0, 0)), np.zeros((N, 0))
         if d.kind == "sinusoid":  # r = amplitude (sin, cos)(omega t + phase)
             phases, w = 2 * np.pi * np.arange(N) / N, 2 * np.pi * d.frequency
-            self._dist = lambda t, cell: d.amplitude * np.stack(
-                [np.sin(w * t + phases), np.cos(w * t + phases)], axis=1) * mask
-            return np.outer(np.arange(nv) < n, [1.0, 0.0]), np.array([[0.0, w], [-w, 0.0]])
-        if d.kind == "constant":
-            const = d.amplitude * np.ones((N, n)) * mask
-            self._dist = lambda t, cell: const
-        else:  # uniform-random, piecewise constant per base step
+            r0 = d.amplitude * np.stack([np.sin(phases), np.cos(phases)], axis=1) * mask
+            return np.outer(np.arange(nv) < n, [1.0, 0.0]), np.array([[0.0, w], [-w, 0.0]]), r0
+        if d.kind == "uniform-random":  # constant per base step: each pass writes r
             seed = d.seed if d.seed is not None else (self.cfg.seed or 0) + 1
             rng, last = np.random.default_rng(seed), [-1, None]  # the last cell entered, its draw
 
-            def draw(t, cell):  # cells are entered in order: rows of one (cells, N, n) draw
+            def draw(cell):  # cells are entered in order: rows of one (cells, N, n) draw
                 while last[0] < cell:
                     last[:] = last[0] + 1, rng.uniform(-d.amplitude, d.amplitude, (N, n)) * mask
                 return last[1]
-            self._dist = draw
-        return np.eye(nv, n), np.zeros((n, n))
+            self._draw = draw
+        return np.eye(nv, n), np.zeros((n, n)), d.amplitude * np.ones((N, n)) * mask
 
     # -- flow ----------------------------------------------------------
 
-    def _lifted(self, cell: int):
-        """The lift rows of now, with the disturbance states of a step in cell ``cell``."""
-        self.X[:, self.flow.r] = self._dist(self.t, cell)
-        return self.X
-
-    def _flow(self, tab, times, cell: int):
-        """``CascadeFlow`` from now, in grid cell ``cell``, to the instants ``times``:
-        the stacks of lift rows, Z, the edge work, c and the trigger values there."""
-        V, Zs, c = self.flow(self._lifted(cell), self.Z, self.dq[0], self.c, tab)
+    def _flow(self, tab, times):
+        """``CascadeFlow`` from now to the instants ``times``: the stacks of
+        lift rows, Z, the edge work, c and the trigger values there."""
+        V, Zs, c = self.flow(self.X, self.Z, self.dq[0], self.c, tab)
         dq = self.kernel.edge_terms(Zs)
         f = self.kernel.trigger_values(V[..., self.flow.live], Zs, dq, c, times)
         return V, Zs, dq, c, f
@@ -452,9 +443,9 @@ class _Simulation:
 
     # -- event localization ------------------------------------------------
 
-    def _localize(self, t1: float, cell: int, end):
-        """Event time in (now, t1] on the closed-form flow from now through
-        grid cell ``cell``, and the flow there as (result, index). ``end``
+    def _localize(self, t1: float, end):
+        """Event time in (now, t1] on the closed-form flow from now, and the
+        flow there as (result, index). ``end``
         is the pass's flow at t1, whose trigger maximum is >= 0. Bisection
         evaluates the candidates alone, the agents with f(t1) >= 0, on
         their star; the flow at the answer is evaluated in full."""
@@ -464,7 +455,7 @@ class _Simulation:
         stats.localizations += 1
         f1 = end[0][4][end[1]]  # the pass's trigger values at t1
         cands = np.flatnonzero(f1 >= 0)
-        f_star = self.flow.star_triggers(self._lifted(cell), self.Z, self.dq[0], self.c,
+        f_star = self.flow.star_triggers(self.X, self.Z, self.dq[0], self.c,
                                          self.kernel.star(cands))
         f_hi = float(f1.max())
 
@@ -480,7 +471,7 @@ class _Simulation:
         if t_star == t1:
             return t1, end
         stats.localization_evaluations += 1
-        return t_star, (self._flow(self.flow.tables([t_star - t0]), [t_star], cell), 0)
+        return t_star, (self._flow(self.flow.tables([t_star - t0]), [t_star]), 0)
 
     # -- main loop ---------------------------------------------------------
 
@@ -509,11 +500,14 @@ class _Simulation:
     def _pass(self, i: int, j: int):
         """The ``_flow`` from now to checkpoints i..j-1 by rows of the run's
         table when now lies one base step before checkpoint i, else to
-        checkpoint i alone by ``CascadeFlow.tables`` at its width."""
-        times, cell = self._grid_t[i:j], self._grid_cell[i]
+        checkpoint i alone by ``CascadeFlow.tables`` at its width; a
+        uniform-random pass first writes cell i's draw into the r columns."""
+        times = self._grid_t[i:j]
+        if self._draw is not None:
+            self.X[:, self.flow.r] = self._draw(self._grid_cell[i])
         if abs(times[0] - self.t - self.cfg.dt) <= 4 * math.ulp(times[0]):  # up to rounding
-            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times, cell)
-        return self._flow(self.flow.tables([times[0] - self.t]), times[:1], cell)
+            return self._flow([x[1:j - i + 1] for x in self.flow.grid], times)
+        return self._flow(self.flow.tables([times[0] - self.t]), times[:1])
 
     def _advance(self, i: int) -> int:
         """One pass from now over the checkpoints from i on: commit every
@@ -541,7 +535,7 @@ class _Simulation:
             return j
 
         t1 = times[hit]
-        t_star, (flow, k) = self._localize(t1, self._grid_cell[i + hit], (flow, hit))
+        t_star, (flow, k) = self._localize(t1, (flow, hit))
         self._commit(t_star, flow, k)
         # if the state is still below zero at t_star, no agent fires: the
         # next pass localizes again from t_star, where the closed form

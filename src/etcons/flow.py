@@ -3,13 +3,13 @@
 It is the linear flow of one lift (``linalg.cascade_lift``), with a group
 per leakage rate lambda = kappa varrho. An agent's lift row is
 [v, (w, p) per group, r]: w = sum ±c_e d_e and p = sum ±kappa_e m3(d_e)
-over its edges of the group, r its disturbance states. A reset forms the (w, p)
-columns from the edge work (``moments``); the agent block of the lift's
-exponential then carries the whole row, and the other readouts are slices
-of the same exponential. ``tables`` reads a width off ``_Expm.at``; a
-star's flow is the polynomial in the width of its flow of the Taylor terms
-``_Expm._P`` to the degree a width of dt needs, which ``linalg.horner``
-sums at ``_Expm.degree``, the degree ``_Expm.at`` takes."""
+over its edges of the group, r its disturbance states (r' = W r). A reset
+forms the (w, p) columns from the edge work (``moments``); the agent block
+of the lift's exponential then carries the whole row, and the other
+readouts are slices of the same exponential. ``tables`` reads a width off
+``_Expm.at``; a star's flow is the polynomial in the width of its flow of
+the Taylor terms ``_Expm._P`` to the degree a width of dt needs, which
+``linalg.horner`` sums at ``_Expm.degree``, the degree ``_Expm.at`` takes."""
 
 from __future__ import annotations
 

@@ -119,7 +119,7 @@ def bisect_event(f, t_lo: float, t_hi: float, event_tol: float,
     return hi
 
 
-def localize_full(sim, t1: float, cell: int, end) -> float:
+def localize_full(sim, t1: float, end) -> float:
     """``_Simulation._localize``'s event time, with every point the
     localizer asks for evaluated on the whole closed form: the trigger
     maximum over all agents, at the width from now by ``_Expm.at``."""
@@ -132,7 +132,7 @@ def localize_full(sim, t1: float, cell: int, end) -> float:
             return float(end[0][4][end[1]].max())
         if tm == t0 and sim._f_now is not None:
             return sim._f_now
-        return float(sim._flow(sim.flow.tables([tm - t0]), [tm], [cell])[4].max())
+        return float(sim._flow(sim.flow.tables([tm - t0]), [tm])[4].max())
 
     return locate_event(g, t0, t1, sim.cfg.event_tol)
 
@@ -154,15 +154,16 @@ def audit_crossings(run, points: int = 7) -> dict:
     rec = {}
 
     def recorded_pass(sim, i, j):
-        # the engine at the pass start: a sweep resets rows of Z and X in
-        # place, and a switch after the pass hands the flow the next kernel
+        rec["flow"] = pass_(sim, i, j)
+        # the engine at the pass start, a uniform-random draw written: a sweep
+        # resets rows of Z and X in place, and a switch after the pass hands
+        # the flow the next kernel
         rec["start"] = start = copy.copy(sim)
         start.Z, start.X, start.flow = sim.Z.copy(), sim.X.copy(), copy.copy(sim.flow)
-        rec["flow"] = pass_(sim, i, j)
         return rec["flow"]
 
-    def recorded_localize(sim, t1, cell, end):
-        rec["t_star"], found = localize(sim, t1, cell, end)
+    def recorded_localize(sim, t1, end):
+        rec["t_star"], found = localize(sim, t1, end)
         return rec["t_star"], found
 
     def audited_advance(sim, i):
@@ -170,7 +171,7 @@ def audit_crossings(run, points: int = 7) -> dict:
         nxt = advance(sim, i)
         start, flow = rec["start"], rec["flow"]
         B = len(flow[0])
-        times, cells = sim._grid_t[i:i + B], sim._grid_cell[i:i + B]
+        times = sim._grid_t[i:i + B]
         fmax = flow[4].max(axis=1)
         hit = next((k for k in range(B) if fmax[k] >= 0), B)
         ends = list(times[:hit]) + ([rec["t_star"]] if hit < B else [])
@@ -181,7 +182,7 @@ def audit_crossings(run, points: int = 7) -> dict:
             t0 = probe.t
             inner = [t0 + (t_end - t0) * j / (points + 1) for j in range(1, points + 1)]
             tab = probe.flow.tables([t - t0 for t in inner])
-            top = float(probe._flow(tab, inner, [cells[k]])[4].max())
+            top = float(probe._flow(tab, inner)[4].max())
             out["steps"] += 1
             out["missed"] += top >= 0
             out["max_f"] = max(out["max_f"], top)

@@ -317,13 +317,13 @@ class TestRelocalization:
         localize = _Simulation._localize
         forced = []
 
-        def early(self, t1, cell, end):
-            t_star, state = localize(self, t1, cell, end)
+        def early(self, t1, end):
+            t_star, state = localize(self, t1, end)
             if forced:
                 return t_star, state
             forced.append(self.t + (t_star - self.t) / 2)
             tab = self.flow.tables([forced[0] - self.t])
-            return forced[0], (self._flow(tab, forced, [cell]), 0)
+            return forced[0], (self._flow(tab, forced), 0)
 
         monkeypatch.setattr(_Simulation, "_localize", early)
         traj = simulate(model, ring6, gains, params, sim, x0)
@@ -359,13 +359,13 @@ class TestClosedForm:
         # gives the current state's bits, and every width the oracle's
         engine = mid_run(model, gains, params, ring6, short_sim())
         t0, h = engine.t, short_sim().dt
-        V, Z, _, c, f = engine._flow(engine.flow.tables([0.0]), [t0], [5])
+        V, Z, _, c, f = engine._flow(engine.flow.tables([0.0]), [t0])
         assert np.array_equal(V[0], engine.X) and np.array_equal(Z[0], engine.Z)
         assert np.array_equal(c[0], engine.c)
         assert np.array_equal(f[0], engine._triggers(t0))
         for theta in (0.25, 0.5, 1.0):
             t = t0 + theta * h
-            V, Z, _, c, _ = engine._flow(engine.flow.tables([t - t0]), [t], [5])
+            V, Z, _, c, _ = engine._flow(engine.flow.tables([t - t0]), [t])
             v, cw, z = rk4_flow(engine, t)
             assert close(V[0][:, :3], v) and close(c[0], cw) and close(Z[0], z), theta
 
@@ -506,16 +506,16 @@ class TestReusedValues:
                                                variant):
         localize, checked = _Simulation._localize, []
 
-        def fresh(sim, t, cell):
-            return sim._flow(sim.flow.tables([t - sim.t]), [t], [cell])
+        def fresh(sim, t):
+            return sim._flow(sim.flow.tables([t - sim.t]), [t])
 
-        def checked_localize(sim, t1, cell, end):
+        def checked_localize(sim, t1, end):
             if sim._f_now is not None:  # what the bisection's evaluation at t0 gives
-                assert sim._f_now == fresh(sim, sim.t, cell)[4].max()
+                assert sim._f_now == fresh(sim, sim.t)[4].max()
                 checked.append("low end")
-            t_star, (flow, k) = localize(sim, t1, cell, end)
+            t_star, (flow, k) = localize(sim, t1, end)
             if t_star < t1:
-                again = fresh(sim, t_star, cell)
+                again = fresh(sim, t_star)
                 for a, b in zip(flow[:2] + flow[2] + flow[3:5], again[:2] + again[2] + again[3:5]):
                     assert np.array_equal(a[k], b[0])
                 checked.append("committed state")
@@ -647,27 +647,55 @@ class TestFlowQuality:
 
     def test_random_disturbance_draws_follow_one_table(self, model, gains, params, ring6,
                                                         monkeypatch):
-        # every pass sets one cell's values, drawn on first entry, and they
-        # are the rows of one (cells, N, n) draw; the switch at 0.1005
-        # splits a cell in two, and each pass is one step
-        seen = {}
-        lifted = _Simulation._lifted
+        # the cells are entered once each, in order, and their values are
+        # the rows of one (cells, N, n) draw; every flow, a localization's
+        # too, starts from rows that hold the draw of the cell entered last.
+        # The switch at 0.1005 splits a cell in two, and each pass is one step
+        setup, flow, calls = _Simulation._setup_disturbance, _Simulation._flow, []
 
-        def record(self, cell):
-            X = lifted(self, cell)
-            w = X[:, self.flow.r]
-            assert np.array_equal(seen.setdefault(cell, w.copy()), w)
-            return X
+        def recorded_setup(self, nv):
+            out, draw = setup(self, nv), self._draw
 
-        monkeypatch.setattr(_Simulation, "_lifted", record)
+            def recorded(cell):
+                calls.append((cell, draw(cell)))
+                return calls[-1][1]
+
+            self._draw = recorded
+            return out
+
+        def checked_flow(self, *args):
+            assert np.array_equal(self.X[:, self.flow.r], calls[-1][1])
+            return flow(self, *args)
+
+        monkeypatch.setattr(_Simulation, "_setup_disturbance", recorded_setup)
+        monkeypatch.setattr(_Simulation, "_flow", checked_flow)
         dist = DisturbanceSpec(kind="uniform-random", amplitude=0.2, seed=9)
         sim = short_sim(t_end=0.2, dwell_min=0.05, disturbance=dist,
                         topology_schedule=((0.1005, generate_graph("star", 6)),))
         traj = simulate(model, ring6, gains, params, sim, random_x0())
         table = np.random.default_rng(9).uniform(-0.2, 0.2, (200, 6, 3))
-        assert sorted(seen) == list(range(200))
-        assert all(np.array_equal(seen[k], table[k]) for k in seen)
-        assert traj.stats.passes == traj.stats.steps > 200
+        cells = [cell for cell, _ in calls]
+        assert [c for k, c in enumerate(cells) if not k or c != cells[k - 1]] == list(range(200))
+        assert all(np.array_equal(w, table[cell]) for cell, w in calls)
+        assert traj.stats.passes == traj.stats.steps == len(calls) > 200
+
+    @pytest.mark.parametrize("kind", ["constant", "sinusoid"])
+    def test_disturbance_states_flow_with_the_lift_rows(self, model, gains, params, kind):
+        # r starts at its value at t = 0 and flows with the lift rows, so
+        # after the run it is the exosystem's state at t_end; a constant's
+        # generator W = 0 carries it by an exact identity block, bit for bit
+        graph = generate_graph("ring", 6, leader=0)
+        dist = DisturbanceSpec(kind=kind, amplitude=0.1, frequency=1.3)
+        sim = short_sim(disturbance=dist)
+        engine = _Simulation(model, graph, gains, params, sim, random_x0(), "leader_follower")
+        traj = engine.run()
+        assert any(e.kind == "trigger" for e in traj.events)
+        r, mask = engine.X[:, engine.flow.r], (np.arange(6) != graph.leader)[:, None]
+        if kind == "constant":
+            assert np.array_equal(r, 0.1 * np.ones((6, 3)) * mask)
+        else:
+            phase = 2 * np.pi * (1.3 * sim.t_end + np.arange(6) / 6)
+            assert close(r, 0.1 * np.stack([np.sin(phase), np.cos(phase)], axis=1) * mask)
 
     def test_random_disturbance_holds_no_horizon_table(self, model, gains, params):
         # ring400 over 30 s at dt = 1e-3 is 30,000 cells: a pre-drawn table

@@ -30,6 +30,7 @@ from etcons.flow import CascadeFlow
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import _MAX_DEGREE, horner
 from etcons.protocols import ProtocolKernel, ProtocolParams
+from ensemble import UNIFORM
 from oracles import audit_crossings, localize_full, per_rate_tables
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -185,10 +186,10 @@ class TestStar:
         sim._broadcast((), 0.0, None, "trigger")
         agents = np.array([a for a in (1, 3) if a != sim.leader])
         star = sim.kernel.star(agents)
-        f_star = sim.flow.star_triggers(sim._lifted(0), sim.Z, sim.dq[0], sim.c, star)
+        f_star = sim.flow.star_triggers(sim.X, sim.Z, sim.dq[0], sim.c, star)
         for frac in (1e-6, 0.05, 0.4, 1.0):
             s = frac * sim.cfg.dt
-            whole = sim._flow(sim.flow.tables([s]), [s], [0])[4][0]
+            whole = sim._flow(sim.flow.tables([s]), [s])[4][0]
             assert relative_gap(f_star(s, s)[:agents.size], whole[agents]) <= 1e-10, (name, s)
 
 
@@ -203,11 +204,11 @@ def localizations(monkeypatch, cfg: dict, wanted: int, after_switch: int = 0):
         state["since_switch"] = 0
         return apply_switch(sim, t, graph)
 
-    def checked(sim, t1, cell, end):
+    def checked(sim, t1, end):
         since = state["since_switch"]
         check = len(compared) < wanted or (since is not None and since < after_switch)
-        oracle = localize_full(sim, t1, cell, end) if check else None
-        t_star, found = localize(sim, t1, cell, end)
+        oracle = localize_full(sim, t1, end) if check else None
+        t_star, found = localize(sim, t1, end)
         if check:
             assert abs(t_star - oracle) <= sim.cfg.event_tol, (t1, t_star, oracle)
             compared.append((t_star, since))
@@ -222,8 +223,14 @@ def localizations(monkeypatch, cfg: dict, wanted: int, after_switch: int = 0):
 
 
 def named(name: str, **sim) -> dict:
-    """A shipped config, or ``two_rates``, with ``sim`` keys replaced."""
-    return two_rates(**sim) if name == "two_rates" else config(name, **sim)
+    """A shipped config, ``two_rates`` or ``UNIFORM`` (disturbance.json with a
+    uniform-random disturbance of amplitude 0.1), with ``sim`` keys replaced."""
+    if name == "two_rates":
+        return two_rates(**sim)
+    cfg = config("disturbance" if name == UNIFORM else name, **sim)
+    if name == UNIFORM:
+        cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1}
+    return cfg
 
 
 class TestLocalizer:
@@ -242,9 +249,10 @@ class TestLocalizer:
 
 class TestAudit:
     # a missed crossing is a committed step whose largest interior trigger
-    # value reaches 0; the localized steps (t0, t*] are audited too
+    # value reaches 0; the localized steps (t0, t*] are audited too, and
+    # UNIFORM brings the one disturbance kind that no shipped config runs
     @pytest.mark.parametrize("dt, t_end", [(1e-3, 0.6), (1e-2, 3.0)], ids=["dt1e-3", "dt1e-2"])
-    @pytest.mark.parametrize("name", SHIPPED + ("two_rates",))
+    @pytest.mark.parametrize("name", SHIPPED + ("two_rates", UNIFORM))
     def test_no_missed_crossing(self, name, dt, t_end):
         cfg = named(name, t_end=t_end, dt=dt)
         audit = audit_crossings(lambda: RunSetup(cfg).run())

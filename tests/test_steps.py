@@ -4,9 +4,12 @@
 at a run of grid instants: rows of a table at the offsets k dt, or the
 flow's tables at one width when the pass starts off the grid. ``oracles.rk4_flow``
 integrates the same flow with classical RK4, 100 steps per grid cell,
-one stage at a time on the whole augmented state. Drawn: connected graphs
-on 2..10 nodes (a leader for the leader-follower variant), controllable
-(A, B) with n <= 4, every variant, scalar and per-edge leakage varrho >= 0
+one stage at a time on the whole augmented state. The engine's disturbance
+states r flow with its lift rows, so a mid-run start sets them to the
+sinusoid's value there; a uniform-random pass writes its cell's draw
+itself. Drawn: connected graphs on 2..10 nodes (a leader for the
+leader-follower variant), controllable (A, B) with n <= 4, every variant,
+scalar and per-edge leakage varrho >= 0
 (so that several leakage rates lambda = kappa varrho share a run), every
 disturbance kind, 1..12 grid instants (one under a uniform-random
 disturbance, whose passes the engine ends at every grid instant), a start
@@ -84,21 +87,24 @@ def test_pass_matches_the_rk4_oracle(variant, kind, data, leak, steps, dt, offse
     if switch:
         engine._apply_switch(engine.t, star)
     set_state(engine, rng)
+    mask = np.ones((g.n_nodes, 1))
+    if leader is not None:
+        mask[leader] = 0.0
+    phases = 2 * np.pi * np.arange(g.n_nodes) / g.n_nodes
+    if kind == "sinusoid":  # the exosystem's state at the pass start
+        phase = 2 * np.pi * engine.t + phases
+        engine.X[:, engine.flow.r] = 0.1 * np.stack([np.sin(phase), np.cos(phase)], axis=1) * mask
     # a uniform-random run ends its passes at every grid instant
     B = 1 if offset or kind == "uniform-random" else min(steps, engine._cap(engine.kernel.ei.size))
     V, Z, dq, c, f = engine._pass(first, first + B)
     assert V.shape[0] == Z.shape[0] == c.shape[0] == f.shape[0] == B
 
-    mask = np.ones((g.n_nodes, 1))
-    if leader is not None:
-        mask[leader] = 0.0
     table = np.random.default_rng(5).uniform(-0.1, 0.1, (first + B + 1,) + shape) * mask
 
     def disturbance(cell):
         if kind == "constant":
             return lambda s: 0.1 * np.ones(shape) * mask
         if kind == "sinusoid":
-            phases = 2 * np.pi * np.arange(g.n_nodes) / g.n_nodes
             return lambda s: (0.1 * np.sin(2 * np.pi * s + phases))[:, None] * mask
         return None if kind is None else (lambda s: table[cell])
 
