@@ -11,13 +11,15 @@ localization evaluates every bisection midpoint, or the whole closed form
 at every point the localizer asks for (the engine evaluates the
 candidates' star), the CSV writers format one value per f-string, and the
 Zeno report rescans the event list and every weight row for each interval
-it checks. ``audit_crossings`` samples the closed form between the
-instants the engine checks.
+it checks. ``record_steps`` rebuilds the start of every step of a run from
+its record alone, from which ``audit_crossings`` samples the closed form
+between the instants the engine checks and ``localization_gaps`` localizes
+each trigger afresh.
 """
 
 from __future__ import annotations
 
-import copy
+import bisect
 import math
 from typing import Mapping
 
@@ -25,10 +27,10 @@ import numpy as np
 import scipy.linalg
 
 from etcons.analysis import ZenoCheck, ZenoReport, _grid_slice
-from etcons import engine
-from etcons.engine import EventRecord, Trajectory, locate_event
+from etcons.engine import EventRecord, Trajectory, _Simulation, locate_event
 from etcons.graph import Graph
 from etcons.linalg import _Expm, symmetric_powers
+from etcons.protocols import ProtocolKernel
 
 
 def control_input(
@@ -119,81 +121,78 @@ def bisect_event(f, t_lo: float, t_hi: float, event_tol: float,
     return hi
 
 
-def localize_full(sim, t1: float, end) -> float:
-    """``_Simulation._localize``'s event time, with every point the
-    localizer asks for evaluated on the whole closed form: the trigger
+def record_steps(traj: Trajectory):
+    """Every step between two stored rows of ``traj``: an engine, rebuilt
+    from the run's inputs for its flow, checkpoints and uniform-random draw,
+    set to the row at the step's start; the step's end t1; and the
+    checkpoint at or after t1 (a ``_grid_t`` index).
+
+    A stored row holds the state after every reset at its instant, so the
+    step flows from it: its lift row is v, the (w, p) columns of its edge
+    work and r, the disturbance at t0 (a sinusoid's r0 rotated to t0, a
+    uniform-random run's draw of the checkpoint's cell). A relocalization
+    instant stores no row, so the two steps around it read as one.
+    """
+    obs, d = traj.observer_states, traj.sim.disturbance
+    sim = _Simulation(traj.model, traj.graph, traj.gains, traj.params, traj.sim,
+                      traj.states[0], traj.variant, None if obs is None else obs[0])
+    r0 = sim.X[:, sim.flow.r]
+    for seg in traj.weight_segments:
+        sim.kernel = ProtocolKernel(seg.graph, traj.params, traj.gains.K, traj.gains.Gamma)
+        sim.flow.use(sim.kernel)
+        for k, c in enumerate(seg.values[:-1], seg.first_index):
+            t0, t1 = traj.times[k], traj.times[k + 1]
+            cp = bisect.bisect_left(sim._grid_t, t1)
+            r = r0
+            if sim._draw is not None:
+                r = sim._draw(sim._grid_cell[cp])
+            elif r0.size and d.kind == "sinusoid":
+                a = 2 * math.pi * d.frequency * t0
+                r = r0 @ np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            v = traj.states[k] if obs is None else np.hstack([traj.states[k], obs[k]])
+            sim.t, sim.Z, sim.c = t0, traj.estimates[k], c
+            sim.dq = sim.kernel.edge_terms(sim.Z)
+            sim.X = np.hstack([v, sim.flow.moments(sim.dq, c), r])
+            yield sim, t1, cp
+
+
+def localize_full(sim, t1: float) -> float:
+    """``_Simulation._localize``'s event time in (now, t1], with every point
+    the localizer asks for evaluated on the whole closed form: the trigger
     maximum over all agents, at the width from now by ``_Expm.at``."""
     t0 = sim.t
     if t1 - t0 <= sim.cfg.event_tol:
         return t1
-
-    def g(tm: float) -> float:
-        if tm == t1:
-            return float(end[0][4][end[1]].max())
-        if tm == t0 and sim._f_now is not None:
-            return sim._f_now
-        return float(sim._flow(sim.flow.tables([tm - t0]), [tm])[4].max())
-
-    return locate_event(g, t0, t1, sim.cfg.event_tol)
+    return locate_event(lambda tm: float(sim._flow(sim.flow.tables([tm - t0]), [tm])[4].max()),
+                        t0, t1, sim.cfg.event_tol)
 
 
-def audit_crossings(run, points: int = 7) -> dict:
-    """The sampled missed-crossing audit of ``run()``, a call that runs
-    ``simulate`` once: the whole closed form is evaluated at ``points``
-    interior points of every committed step, each from the state at the
-    step's start, the localized steps (t0, t*] included.
+def localization_gaps(traj: Trajectory) -> list[float]:
+    """|t* - localize_full| for every step of ``traj`` that ends at a
+    trigger, localized afresh from the step's start to its checkpoint."""
+    triggers = {e.time for e in traj.events if e.kind == "trigger"}
+    return [abs(t1 - localize_full(sim, sim._grid_t[cp]))
+            for sim, t1, cp in record_steps(traj) if t1 in triggers]
+
+
+def audit_crossings(traj: Trajectory, points: int = 7) -> dict:
+    """The sampled missed-crossing audit of ``traj``: the whole closed form
+    is evaluated at ``points`` interior points of every step between two
+    stored rows (``record_steps``), the localized steps (t0, t*] included.
 
     Returns the number of steps audited, the number of them whose largest
-    interior trigger value reaches 0 (a crossing the engine missed), the
+    interior trigger value reaches 0 (a crossing the engine missed) and the
     largest interior trigger value of any step (``max_f``; its negative is
-    the smallest interior margin) and what ``run()`` returned.
+    the smallest interior margin).
     """
-    sim_class = engine._Simulation
-    advance, pass_, localize = sim_class._advance, sim_class._pass, sim_class._localize
     out = {"steps": 0, "missed": 0, "max_f": -math.inf}
-    rec = {}
-
-    def recorded_pass(sim, i, j):
-        rec["flow"] = pass_(sim, i, j)
-        # the engine at the pass start, a uniform-random draw written: a sweep
-        # resets rows of Z and X in place, and a switch after the pass hands
-        # the flow the next kernel
-        rec["start"] = start = copy.copy(sim)
-        start.Z, start.X, start.flow = sim.Z.copy(), sim.X.copy(), copy.copy(sim.flow)
-        return rec["flow"]
-
-    def recorded_localize(sim, t1, end):
-        rec["t_star"], found = localize(sim, t1, end)
-        return rec["t_star"], found
-
-    def audited_advance(sim, i):
-        rec.clear()
-        nxt = advance(sim, i)
-        start, flow = rec["start"], rec["flow"]
-        B = len(flow[0])
-        times = sim._grid_t[i:i + B]
-        fmax = flow[4].max(axis=1)
-        hit = next((k for k in range(B) if fmax[k] >= 0), B)
-        ends = list(times[:hit]) + ([rec["t_star"]] if hit < B else [])
-        for k, t_end in enumerate(ends):
-            probe = copy.copy(start)
-            if k:
-                probe._commit(times[k - 1], flow, k - 1)
-            t0 = probe.t
-            inner = [t0 + (t_end - t0) * j / (points + 1) for j in range(1, points + 1)]
-            tab = probe.flow.tables([t - t0 for t in inner])
-            top = float(probe._flow(tab, inner)[4].max())
-            out["steps"] += 1
-            out["missed"] += top >= 0
-            out["max_f"] = max(out["max_f"], top)
-        return nxt
-
-    sim_class._advance, sim_class._pass = audited_advance, recorded_pass
-    sim_class._localize = recorded_localize
-    try:
-        out["result"] = run()
-    finally:
-        sim_class._advance, sim_class._pass, sim_class._localize = advance, pass_, localize
+    for sim, t1, _ in record_steps(traj):
+        t0 = sim.t
+        inner = [t0 + (t1 - t0) * j / (points + 1) for j in range(1, points + 1)]
+        top = float(sim._flow(sim.flow.tables([t - t0 for t in inner]), inner)[4].max())
+        out["steps"] += 1
+        out["missed"] += top >= 0
+        out["max_f"] = max(out["max_f"], top)
     return out
 
 

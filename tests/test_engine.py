@@ -30,7 +30,7 @@ from etcons.errors import (
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import GainSet, SystemModel, design_gains
 from etcons.protocols import ProtocolParams
-from oracles import events_for, rk4_flow
+from oracles import audit_crossings, events_for, rk4_flow
 
 A_TRIPLE = [[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]
 B_TRIPLE = [[0.0], [0.0], [1.0]]
@@ -332,6 +332,8 @@ class TestRelocalization:
         assert not np.any(traj.times == forced[0])
         assert abs(triggers[0].time - first) <= sim.event_tol
         assert traj.stats.relocalizations == 1 + plain.stats.relocalizations
+        # the steps around the relocalization instant read as one step
+        assert audit_crossings(traj)["missed"] == 0
 
 
 def close(a, b, tol=1e-12):
@@ -829,6 +831,25 @@ class TestZenoGuard:
         sim = short_sim(t_end=5.0, max_events_per_unit_time=1, seed=42)
         with pytest.raises(ZenoGuardError, match="agent"):
             simulate(model, ring6, gains, params, sim, random_x0())
+
+
+class TestEventStorm:
+    def test_trigger_rate_grows_as_the_threshold_decays(self):
+        # a constant disturbance leaves the measurement errors growing while
+        # only mu e^{-nu t} holds a trigger off, so intervals shrink as
+        # e^{-nu t / 2} and the triggers per 3 s window (28, 42, 94, 191,
+        # 391) grow by e^{3 nu / 2}: the rate guard fires in finite time.
+        # 6% is the largest relative gap of the two earlier window ratios
+        # (2.24 and 2.03) from the law
+        from etcons.cli import RunSetup
+
+        cfg = _shipped("disturbance", t_end=15.0,
+                       disturbance={"kind": "constant", "amplitude": 0.1})
+        traj = RunSetup(cfg).run()[0]
+        times = np.array([e.time for e in traj.events if e.kind == "trigger"])
+        late, early = (np.count_nonzero((a <= times) & (times < a + 3)) for a in (12.0, 9.0))
+        assert times.size > 700
+        assert abs(late / early / np.exp(1.5 * traj.params.nu) - 1) <= 0.06
 
 
 class TestTopologySwitch:

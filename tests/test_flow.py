@@ -9,12 +9,14 @@ the lift rows' moments by one coupling; ``CascadeFlow.star_triggers``
 evaluates the candidates' star off one polynomial per localization and
 must agree with the whole closed form; the localizer that bisects on it
 must land within event_tol of the one that evaluates every agent
-(``oracles.localize_full``); and the sampled audit
-(``oracles.audit_crossings``) must find no crossing between the instants
-the engine checks.
+(``oracles.localize_full``) at every trigger of a run; and the sampled
+audit (``oracles.audit_crossings``) must find no crossing between the
+instants the engine checks, and must find the one left when a trigger's
+row is dropped. Both oracles read the run's record (``oracles.record_steps``).
 """
 
 import copy
+import dataclasses
 import os
 from unittest import mock
 
@@ -31,11 +33,12 @@ from etcons.graph import build_graph, generate_graph
 from etcons.linalg import _MAX_DEGREE, horner
 from etcons.protocols import ProtocolKernel, ProtocolParams
 from ensemble import UNIFORM
-from oracles import audit_crossings, localize_full, per_rate_tables
+from oracles import audit_crossings, localization_gaps, per_rate_tables
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = ("leaderless_sec5", "ultimate_bound", "switching", "leader_follower",
            "observer", "disturbance")
+CONSTANT = "disturbance_constant"
 
 
 def config(name: str, **sim) -> dict:
@@ -193,73 +196,63 @@ class TestStar:
             assert relative_gap(f_star(s, s)[:agents.size], whole[agents]) <= 1e-10, (name, s)
 
 
-def localizations(monkeypatch, cfg: dict, wanted: int, after_switch: int = 0):
-    """Run cfg and compare the first ``wanted`` localizations, and the first
-    ``after_switch`` after each switch, with the whole-flow localizer."""
-    localize, compared = _Simulation._localize, []
-    state = {"since_switch": None}
-    apply_switch = _Simulation._apply_switch
-
-    def switched(sim, t, graph):
-        state["since_switch"] = 0
-        return apply_switch(sim, t, graph)
-
-    def checked(sim, t1, end):
-        since = state["since_switch"]
-        check = len(compared) < wanted or (since is not None and since < after_switch)
-        oracle = localize_full(sim, t1, end) if check else None
-        t_star, found = localize(sim, t1, end)
-        if check:
-            assert abs(t_star - oracle) <= sim.cfg.event_tol, (t1, t_star, oracle)
-            compared.append((t_star, since))
-            if since is not None:
-                state["since_switch"] = since + 1
-        return t_star, found
-
-    monkeypatch.setattr(_Simulation, "_localize", checked)
-    monkeypatch.setattr(_Simulation, "_apply_switch", switched)
-    RunSetup(cfg).run()
-    return compared
-
-
 def named(name: str, **sim) -> dict:
-    """A shipped config, ``two_rates`` or ``UNIFORM`` (disturbance.json with a
-    uniform-random disturbance of amplitude 0.1), with ``sim`` keys replaced."""
+    """A shipped config, ``two_rates``, ``UNIFORM`` or ``CONSTANT``
+    (disturbance.json with a uniform-random or a constant disturbance of
+    amplitude 0.1), with ``sim`` keys replaced."""
     if name == "two_rates":
         return two_rates(**sim)
-    cfg = config("disturbance" if name == UNIFORM else name, **sim)
-    if name == UNIFORM:
-        cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1}
+    kind = {UNIFORM: "uniform-random", CONSTANT: "constant"}.get(name)
+    cfg = config("disturbance" if kind else name, **sim)
+    if kind:
+        cfg["sim"]["disturbance"] = {"kind": kind, "amplitude": 0.1}
     return cfg
 
 
 class TestLocalizer:
-    @pytest.mark.parametrize("name", [n for n in SHIPPED if n != "switching"] + ["two_rates"])
-    def test_first_localizations_match_the_whole_flow(self, monkeypatch, name):
-        compared = localizations(monkeypatch, named(name, t_end=10.0), 50)
-        assert len(compared) == 50
-
-    def test_localizations_after_each_switch(self, monkeypatch):
-        cfg = config("switching")
-        compared = localizations(monkeypatch, cfg, 50, after_switch=3)
-        switches = len(cfg["sim"]["topology_schedule"])
-        assert switches == 14 and len(compared) >= 50
-        assert sum(since is not None for _, since in compared) >= 3 * switches
+    # every localization of a run's first 10 s, and all 30 s of switching,
+    # through its 14 switches
+    @pytest.mark.parametrize("name", SHIPPED + ("two_rates",))
+    def test_first_localizations_match_the_whole_flow(self, name):
+        traj = RunSetup(named(name, t_end=30.0 if name == "switching" else 10.0)).run()[0]
+        gaps = localization_gaps(traj)
+        stats = traj.stats
+        assert len(gaps) == len({e.time for e in traj.events if e.kind == "trigger"})
+        assert len(gaps) >= stats.localizations - stats.relocalizations > 50
+        assert max(gaps) <= traj.sim.event_tol
 
 
 class TestAudit:
-    # a missed crossing is a committed step whose largest interior trigger
-    # value reaches 0; the localized steps (t0, t*] are audited too, and
-    # UNIFORM brings the one disturbance kind that no shipped config runs
+    # a missed crossing is a step between two stored rows whose largest
+    # interior trigger value reaches 0; the localized steps (t0, t*] are
+    # audited too, and UNIFORM and CONSTANT bring the disturbance kinds that
+    # no shipped config runs
     @pytest.mark.parametrize("dt, t_end", [(1e-3, 0.6), (1e-2, 3.0)], ids=["dt1e-3", "dt1e-2"])
-    @pytest.mark.parametrize("name", SHIPPED + ("two_rates", UNIFORM))
+    @pytest.mark.parametrize("name", SHIPPED + ("two_rates", UNIFORM, CONSTANT))
     def test_no_missed_crossing(self, name, dt, t_end):
-        cfg = named(name, t_end=t_end, dt=dt)
-        audit = audit_crossings(lambda: RunSetup(cfg).run())
-        traj = audit["result"][0]
+        traj = RunSetup(named(name, t_end=t_end, dt=dt)).run()[0]
+        audit = audit_crossings(traj)
         assert audit["steps"] >= round(t_end / dt)
         assert audit["missed"] == 0 and audit["max_f"] < 0
         assert any(e.kind == "trigger" for e in traj.events)
+
+    def test_a_dropped_trigger_row_is_a_missed_crossing(self):
+        # without the row of the first trigger off the grid, the step from
+        # the row before it runs on past the crossing with no reset
+        traj = RunSetup(named("leaderless_sec5", t_end=3.0)).run()[0]
+        dt = traj.sim.dt
+        t = next(e.time for e in traj.events
+                 if e.kind == "trigger" and round(e.time / dt) * dt != e.time)
+        k = int(np.flatnonzero(traj.times == t)[0])
+        (seg,) = traj.weight_segments
+        dropped = dataclasses.replace(
+            traj, times=np.delete(traj.times, k), states=np.delete(traj.states, k, 0),
+            estimates=np.delete(traj.estimates, k, 0),
+            weight_segments=[dataclasses.replace(seg, values=np.delete(seg.values, k, 0))])
+        assert abs(t - 0.20456) < 1e-5
+        assert audit_crossings(traj)["missed"] == 0
+        audit = audit_crossings(dropped)
+        assert audit["missed"] == 1 and audit["max_f"] > 0.05
 
 
 class TestResets:

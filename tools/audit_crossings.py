@@ -4,11 +4,12 @@
 
 Runs CONFIG (an ``etcons run`` config) in process with this tree's
 ``src/`` and evaluates the whole closed form at K interior points (default
-7) of every committed step, the localized steps (t0, t*] included, each
-from the state at the step's start (``tests/oracles.py:audit_crossings``).
-Prints the steps audited, the steps whose largest interior trigger value
-reaches 0 (missed crossings) and the smallest interior margin, and exits 1
-when any step missed a crossing.
+7) of every step between two stored rows of the run's trajectory, the
+localized steps (t0, t*] included, each from the stored row at the step's
+start (``tests/oracles.py:audit_crossings``). Prints the steps audited, the
+steps whose largest interior trigger value reaches 0 (missed crossings)
+and the smallest interior margin, and exits 1 when any step missed a
+crossing.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def main(argv=None) -> int:
                                     if s["t"] < args.t_end]
     if args.dt is not None:
         sim["dt"] = args.dt
-    audit = audit_crossings(lambda: RunSetup(cfg).run(), args.points)
+    audit = audit_crossings(RunSetup(cfg).run()[0], args.points)
     print(f"{os.path.basename(args.config)}: {audit['steps']} steps audited, "
           f"{audit['missed']} missed crossings, smallest interior margin "
           f"{-audit['max_f']:.3e}")
