@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from etcons.analysis import (
+    _last_axis_norms,
     consensus_error,
     event_stats,
     final_error_norm,
@@ -138,6 +139,14 @@ class TestZenoBound:
         big = {(c.agent, c.k): c.bound for c in zeno_report(bigger).checks}
         assert len(small) > 0 and big.keys() == small.keys()
         assert all(big[key] > small[key] for key in small)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_last_axis_norms_are_norms_bits(self, n):
+        # entries over 18 decades, so a sum in another order shows; below 8
+        # terms the column sum must give norm's bits, from 8 on it is norm
+        rng = np.random.default_rng(n)
+        d = rng.standard_normal((50, 7, n)) * 10.0 ** rng.integers(-9, 9, (50, 7, n))
+        assert np.array_equal(_last_axis_norms(d), np.linalg.norm(d, axis=-1))
 
     def test_zero_drift_limit(self):
         # single-integrator network: ||A|| = 0 takes the limiting form
