@@ -161,7 +161,8 @@ class WeightSegment:
 
 class _Rows:
     """Rows of one stored array, written in place: the store starts at
-    ``first`` rows, and ``view()`` trims it to its filled rows and returns it.
+    ``first`` rows, and ``view()`` trims it to its filled rows, returns it
+    and ends the store: no view of a store exists before ``view()``.
 
     A full store under ``_LARGE_STORE`` bytes doubles into a new block:
     malloc may keep a block that small in its heap, where a realloc copies
@@ -172,8 +173,8 @@ class _Rows:
     a block that large page by page: no filled row is copied and only the
     new rows are touched. On complete70 at t_end 1, whose weight store
     starts at 4.9 MB, the peak then grows by 1.13× the trajectory's bytes
-    against 1.55× when every store doubled into a copy. Resize's reference
-    check makes a large store refuse to grow while its ``view()`` is alive."""
+    against 1.55× when every store doubled into a copy. Resize skips its
+    reference check, which the references of a profiler or tracer fail."""
 
     def __init__(self, shape, first=256):
         self.a, self.n = np.empty((first,) + shape), 0
@@ -184,12 +185,13 @@ class _Rows:
             a = np.empty((max(k, 2 * len(self.a)),) + self.a.shape[1:])
             a[:self.n], self.a = self.a[:self.n], a
         elif k > len(self.a):
-            self.a.resize((max(k, len(self.a) + len(self.a) // 4),) + self.a.shape[1:])
+            self.a.resize((max(k, len(self.a) * 5 // 4),) + self.a.shape[1:], refcheck=False)
         self.a[self.n:k], self.n = rows, k
 
     def view(self) -> np.ndarray:
-        self.a.resize((self.n,) + self.a.shape[1:])
-        return self.a
+        a, self.a = self.a, None
+        a.resize((self.n,) + a.shape[1:], refcheck=False)
+        return a
 
 
 @dataclass

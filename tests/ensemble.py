@@ -10,19 +10,19 @@ k of an ensemble runs a config with ``x0[0, 0]`` scaled by 1 + 1e-12 k,
 and ``gate`` compares the new code's ensemble with the parent's.
 
 The full gate runs K = 12 members at full horizon on the six shipped
-configs and on ``disturbance_uniform-random`` (disturbance.json with a
-uniform-random disturbance of amplitude 0.1, which no shipped config
-runs), with this tree's ``src/`` and with REV's (extracted by
-``git archive``) in separate processes, prints one line per config and
-exits 1 when any config fails. ``--record-short`` runs the short gate's
-settings (three configs, t_end = 5, K = 8) with REV's ``src/`` and writes
-the reference that ``tests/test_ensemble.py`` gates this tree against.
+configs and on ``runs.UNIFORM`` (disturbance.json with a uniform-random
+disturbance, which no shipped config runs), with this tree's ``src/``
+and with REV's (extracted by ``git archive``) in separate processes,
+prints one line per config and exits 1 when any config fails.
+``--record-short`` runs the short gate's settings (three configs,
+t_end = 5, K = 8) with REV's ``src/`` and writes the reference that
+``tests/test_ensemble.py`` gates this tree against. Both build their
+configs with ``tests/runs.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import subprocess
@@ -31,42 +31,24 @@ import tempfile
 
 import numpy as np
 
+from runs import SHIPPED, UNIFORM
+
 TESTS = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(TESTS)
-SHIPPED = ("leaderless_sec5", "ultimate_bound", "switching", "leader_follower",
-           "observer", "disturbance")
-UNIFORM = "disturbance_uniform-random"
+FULL = SHIPPED + (UNIFORM,)
 FULL_K = 12
 SHORT = {"configs": ("observer", "leader_follower", "switching"), "t_end": 5.0, "k": 8}
 SHORT_REFERENCE = os.path.join(TESTS, "data", "ensemble_short.json")
 NUDGE = 1e-12
 
 
-def load(name: str) -> dict:
-    """A shipped config, or ``UNIFORM``, built as ``tools/compare_outputs.py``
-    builds its variant but at full horizon."""
-    base = "disturbance" if name == UNIFORM else name
-    with open(os.path.join(REPO, "configs", base + ".json"), encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if name == UNIFORM:
-        cfg["sim"]["disturbance"] = {"kind": "uniform-random", "amplitude": 0.1}
-    return cfg
-
-
-def run_ensemble(cfg: dict, k: int, t_end: float | None = None) -> list[dict]:
+def run_ensemble(cfg: dict, k: int) -> list[dict]:
     """The observables of K in-process runs of ``cfg``, member k with
-    ``x0[0, 0]`` scaled by 1 + 1e-12 k; ``t_end`` shortens the horizon
-    (switches past it are dropped)."""
+    ``x0[0, 0]`` scaled by 1 + 1e-12 k."""
     # imported here, so that the process running ``main`` needs no etcons
     from etcons import analysis
     from etcons.cli import RunSetup
 
-    cfg = copy.deepcopy(cfg)
-    if t_end is not None:
-        sim = cfg["sim"]
-        sim["t_end"] = t_end
-        sim["topology_schedule"] = [s for s in sim.get("topology_schedule", [])
-                                    if s["t"] < t_end]
     out = []
     for member in range(k):
         setup = RunSetup(cfg)
@@ -141,11 +123,11 @@ def spread(ensemble: list[dict]) -> str:
             f"min_interval {_span([r['min_interval'] for r in ensemble])}")
 
 
-def _child(src: str, name: str, k: int, t_end: float | None) -> subprocess.Popen:
-    """A process printing ``run_ensemble``'s JSON for config ``name`` with
-    the etcons package under ``src``."""
-    code = ("import json, sys, ensemble; json.dump(ensemble.run_ensemble("
-            f"ensemble.load({name!r}), {k}, {t_end!r}), sys.stdout)")
+def _child(src: str, name: str, k: int, **sim) -> subprocess.Popen:
+    """A process printing ``run_ensemble``'s JSON for ``runs.named(name,
+    **sim)`` with the etcons package under ``src``."""
+    code = ("import json, sys, ensemble, runs; json.dump(ensemble.run_ensemble("
+            f"runs.named({name!r}, **{sim!r}), {k}), sys.stdout)")
     return subprocess.Popen([sys.executable, "-c", code], cwd=TESTS,
                             env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, TESTS])),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -172,7 +154,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ensemble_") as tmp:
         rev_src = _extract_src(args.rev, tmp)
         if args.record_short:
-            procs = [_child(rev_src, name, SHORT["k"], SHORT["t_end"])
+            procs = [_child(rev_src, name, SHORT["k"], t_end=SHORT["t_end"])
                      for name in SHORT["configs"]]
             rev = subprocess.run(["git", "-C", REPO, "rev-parse", "--short", args.rev],
                                  check=True, capture_output=True, text=True).stdout.strip()
@@ -183,8 +165,8 @@ def main(argv=None) -> int:
                 fh.write("\n")
             return 0
         failed = False
-        for name in SHIPPED + (UNIFORM,):
-            procs = [_child(src, name, FULL_K, None)
+        for name in FULL:
+            procs = [_child(src, name, FULL_K)
                      for src in (rev_src, os.path.join(REPO, "src"))]
             try:
                 parent, new = _collect(procs)

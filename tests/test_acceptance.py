@@ -15,15 +15,11 @@ import pytest
 
 import etcons
 from etcons import analysis
-from etcons.cli import RunSetup, load_config, write_outputs
+from etcons.cli import RunSetup, write_outputs
 from etcons.engine import simulate
 from ensemble import NUDGE
 from oracles import events_for
-
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-
-SHIPPED = ("leaderless_sec5", "ultimate_bound", "observer", "leader_follower",
-           "switching", "disturbance")
+from runs import SHIPPED, named
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -31,16 +27,12 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _config(name: str) -> dict:
-    return load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-
-
 @pytest.fixture(scope="module")
 def runs():
     """One simulation per shipped config, plus wall times."""
     out = {}
     for name in SHIPPED:
-        setup = RunSetup(_config(name))
+        setup = RunSetup(named(name))
         start = time.perf_counter()
         traj, gains = setup.run()
         out[name] = {
@@ -81,7 +73,7 @@ def nudged_finals():
     """||xi(30)|| of eight leaderless_sec5 runs at the shipped dt, member k
     nudged by 1e-12 k (member 0 is the shipped run). One such residual is
     chaotic in the event cascade, so criteria 6 and 13 read their median."""
-    cfg = _config("leaderless_sec5")
+    cfg = named("leaderless_sec5")
     return np.array([_nudged_final_error(cfg, k) for k in range(8)])
 
 
@@ -254,7 +246,7 @@ def test_criterion_12_switching_topologies(runs):
 
 def test_criterion_13_determinism_and_convergence(base, nudged_finals, tmp_path):
     # determinism: a fresh end-to-end repeat produces byte-identical CSVs
-    cfg = _config("leaderless_sec5")
+    cfg = named("leaderless_sec5")
     dirs = []
     for tag in ("a", "b"):
         setup = RunSetup(copy.deepcopy(cfg))

@@ -11,6 +11,7 @@ import pytest
 
 import etcons
 from etcons.cli import RunSetup, load_config, main
+from runs import named
 
 BASE_CONFIG = {
     "model": {
@@ -170,8 +171,7 @@ class TestRunCommand:
         # topology schedule, in a fresh process, load no scipy module
         args = []
         for name in ("leaderless_sec5", "observer", "leader_follower", "switching"):
-            cfg = load_config(os.path.join(REPO, "configs", f"{name}.json"))
-            cfg["sim"]["t_end"] = 4.5  # past two switches of the schedule
+            cfg = named(name, t_end=4.5)  # past two switches of the schedule
             args += [write_config(tmp_path, cfg, f"{name}.json"), str(tmp_path / name)]
         code = ("import sys\n"
                 "from etcons.cli import main\n"

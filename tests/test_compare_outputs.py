@@ -1,13 +1,16 @@
 """``tools/compare_outputs.py`` on hand-made run directories: every CSV
 and summary.json byte counts, except the work counters under "stats",
-which are reported as moved."""
+which are reported as moved. And the runs of the two standing gates, the
+byte comparison and the full ensemble gate."""
 
 import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
-from compare_outputs import OUTPUTS, compare_dirs  # noqa: E402
+import ensemble  # noqa: E402
+from compare_outputs import OUTPUTS, _configs, compare_dirs  # noqa: E402
+from runs import SHIPPED, UNIFORM, VARIANTS  # noqa: E402
 
 SUMMARY = {"event_counts": {"total": 7}, "stats": {"passes": 2, "steps": 10},
            "zeno": {"verdict": "ok"}}
@@ -38,3 +41,10 @@ def test_every_other_byte_counts(tmp_path):
     assert compare_dirs(a, csv) == (["trajectory.csv", "events.csv", "weights.csv"], [])
     assert compare_dirs(a, spaced) == (["summary.json"], [])
     assert compare_dirs(a, run_dir(tmp_path / "same")) == ([], [])
+
+
+def test_the_gates_run_every_shipped_config_and_their_variants():
+    configs = _configs()
+    assert [name for name, _ in configs] == list(SHIPPED + VARIANTS + ("ring400", "complete70"))
+    assert [cfg["sim"]["t_end"] for name, cfg in configs if name in VARIANTS] == [5.0] * 3
+    assert ensemble.FULL == SHIPPED + (UNIFORM,)

@@ -12,6 +12,7 @@ import pytest
 
 from etcons import engine as engine_module
 from etcons.analysis import consensus_error, invariance_deviation, stacked_norm, zeno_report
+from etcons.cli import RunSetup
 from etcons.engine import (
     DisturbanceSpec,
     SimConfig,
@@ -31,6 +32,7 @@ from etcons.graph import build_graph, generate_graph
 from etcons.linalg import GainSet, SystemModel, design_gains
 from etcons.protocols import ProtocolParams
 from oracles import audit_crossings, events_for, rk4_flow
+from runs import CONSTANT, named
 
 A_TRIPLE = [[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]
 B_TRIPLE = [[0.0], [0.0], [1.0]]
@@ -530,15 +532,6 @@ class TestReusedValues:
         assert {"low end", "committed state"} <= set(checked)
 
 
-def _shipped(name: str, **sim) -> dict:
-    from etcons.cli import load_config
-
-    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
-                                   "configs", name + ".json"))
-    cfg["sim"].update(sim)
-    return cfg
-
-
 def _checked_passes(monkeypatch, wanted):
     """Record every pass as (steps, edge values per step); check the first
     ``wanted`` passes of more than one step, or of one when none is longer,
@@ -566,20 +559,16 @@ def _checked_passes(monkeypatch, wanted):
 
 class TestPasses:
     def test_leaderless_passes_span_many_steps_and_match_the_oracle(self, monkeypatch):
-        from etcons.cli import RunSetup
-
         passes = _checked_passes(monkeypatch, 3)
-        stats = RunSetup(_shipped("leaderless_sec5", t_end=5.0)).run()[0].stats
+        stats = RunSetup(named("leaderless_sec5", t_end=5.0)).run()[0].stats
         assert stats.steps >= 5000
         assert stats.passes <= stats.steps / 8
         assert (stats.passes, stats.steps) == (len(passes), sum(b for b, _ in passes))
         assert stats.localization_evaluations > stats.localizations > 0
 
     def test_ring400_passes_stay_within_the_element_cap(self, monkeypatch):
-        from etcons.cli import RunSetup
-
         passes = _checked_passes(monkeypatch, 1)
-        cfg = _shipped("leaderless_sec5", t_end=0.2)
+        cfg = named("leaderless_sec5", t_end=0.2)
         cfg["graph"] = {"generator": "ring", "n": 400}
         traj = RunSetup(cfg).run()[0]
         # a pass of more than one step holds at most the element budget
@@ -765,19 +754,35 @@ class TestRowStore:
                 assert a.first_index == b.first_index
                 assert np.array_equal(a.values, b.values)
 
-    def test_a_large_store_with_a_live_view_refuses_to_grow(self):
+    def test_a_viewed_store_refuses_to_grow(self):
         # a large store grows by reallocating its block in place, which would
-        # leave a live view dangling; resize's reference check refuses instead
+        # leave a returned array dangling; view() ends the store instead
         width = engine_module._LARGE_STORE // 8  # one row fills a large store
         rows = _Rows((width,), first=1)
         rows.add(np.ones((1, width)))
         view = rows.view()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             rows.add(np.zeros((1, width)))
-        assert rows.n == 1 and (view == 1).all()
-        del view
-        rows.add(np.zeros((1, width)))
-        assert rows.view().sum(axis=1).tolist() == [width, 0]
+        assert view.shape == (1, width) and (view == 1).all()
+
+    @pytest.mark.parametrize("hook", [sys.setprofile, sys.settrace],
+                             ids=["setprofile", "settrace"])
+    def test_stores_grow_under_a_profiler_or_tracer(self, model, params, ring6, monkeypatch,
+                                                    hook):
+        # a profiler's or tracer's frames hold references to a store's
+        # array, which resize's reference check would refuse
+        monkeypatch.setattr(engine_module, "_LARGE_STORE", 0)
+        plain = self.stored_run(model, params, ring6, monkeypatch, 1)
+        previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
+        hook(lambda frame, event, arg: None)
+        try:
+            traced = self.stored_run(model, params, ring6, monkeypatch, 1)
+        finally:
+            hook(previous)
+        for name in ("times", "states", "estimates", "observer_states"):
+            assert np.array_equal(getattr(traced, name), getattr(plain, name))
+        for a, b in zip(traced.weight_segments, plain.weight_segments, strict=True):
+            assert np.array_equal(a.values, b.values)
 
     def test_returned_arrays_are_their_rows_alone_and_contiguous(
             self, model, params, ring6, monkeypatch):
@@ -791,10 +796,8 @@ class TestRowStore:
             assert seg.values.flags.c_contiguous and seg.values.dtype == np.float64
 
     def test_each_switch_keeps_the_old_graph_row_in_the_old_segment(self):
-        from etcons.cli import RunSetup
-
         # switches at 2, 4 and 6 s
-        traj = RunSetup(_shipped("switching", t_end=6.5, dt=1e-2)).run()[0]
+        traj = RunSetup(named("switching", t_end=6.5, dt=1e-2)).run()[0]
         segs = traj.weight_segments
         assert [seg.t_start for seg in segs] == [0.0, 2.0, 4.0, 6.0]
         for old, new in zip(segs, segs[1:]):
@@ -821,7 +824,7 @@ class TestRowStore:
                  (None, 30.0, 1.7)]
         code = textwrap.dedent("""
             import json, sys
-            from etcons.cli import RunSetup, load_config
+            from etcons.cli import RunSetup
             from etcons.engine import simulate
 
             def hwm():
@@ -829,10 +832,7 @@ class TestRowStore:
                     return next(int(line.split()[1]) * 1024 for line in fh
                                 if line.startswith("VmHWM:"))
 
-            cfg = load_config(sys.argv[1])
-            cfg["graph"] = json.loads(sys.argv[2]) or cfg["graph"]
-            cfg["sim"].update(t_end=float(sys.argv[3]), seed=42)
-            setup = RunSetup(cfg)
+            setup = RunSetup(json.loads(sys.argv[1]))
             gains = setup.design()
             before = hwm()
             traj = simulate(setup.model, setup.graph, gains, setup.params, setup.sim,
@@ -845,12 +845,11 @@ class TestRowStore:
         src = os.path.dirname(os.path.dirname(os.path.abspath(engine_module.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                           "leaderless_sec5.json")
         for graph, t_end, bound in cases:
-            args = [cfg, json.dumps(graph), str(t_end)]
-            out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                                 timeout=300, capture_output=True, text=True).stdout
+            cfg = named("leaderless_sec5", t_end=t_end, seed=42)
+            cfg["graph"] = graph or cfg["graph"]
+            out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)], env=env,
+                                 check=True, timeout=300, capture_output=True, text=True).stdout
             grown, stored = json.loads(out)
             assert stored > 9e6
             assert grown <= bound * stored, (graph, t_end, grown / stored)
@@ -871,11 +870,7 @@ class TestEventStorm:
         # 391) grow by e^{3 nu / 2}: the rate guard fires in finite time.
         # 6% is the largest relative gap of the two earlier window ratios
         # (2.24 and 2.03) from the law
-        from etcons.cli import RunSetup
-
-        cfg = _shipped("disturbance", t_end=15.0,
-                       disturbance={"kind": "constant", "amplitude": 0.1})
-        traj = RunSetup(cfg).run()[0]
+        traj = RunSetup(named(CONSTANT, t_end=15.0)).run()[0]
         times = np.array([e.time for e in traj.events if e.kind == "trigger"])
         late, early = (np.count_nonzero((a <= times) & (times < a + 3)) for a in (12.0, 9.0))
         assert times.size > 700

@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from ensemble import SHORT_REFERENCE, gate, load, run_ensemble
+from ensemble import SHORT_REFERENCE, gate, run_ensemble
+from runs import named
 
 with open(SHORT_REFERENCE, encoding="utf-8") as fh:
     REFERENCE = json.load(fh)
@@ -19,7 +20,7 @@ with open(SHORT_REFERENCE, encoding="utf-8") as fh:
 
 @pytest.mark.parametrize("name", REFERENCE["configs"])
 def test_short_gate(name):
-    new = run_ensemble(load(name), REFERENCE["k"], REFERENCE["t_end"])
+    new = run_ensemble(named(name, t_end=REFERENCE["t_end"]), REFERENCE["k"])
     assert gate(REFERENCE["ensembles"][name], new) == []
 
 

@@ -17,7 +17,6 @@ row is dropped. Both oracles read the run's record (``oracles.record_steps``).
 
 import copy
 import dataclasses
-import os
 from unittest import mock
 
 import numpy as np
@@ -26,37 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etcons import engine
-from etcons.cli import RunSetup, load_config
+from etcons.cli import RunSetup
 from etcons.engine import _Simulation
 from etcons.flow import CascadeFlow
 from etcons.graph import build_graph, generate_graph
 from etcons.linalg import _MAX_DEGREE, horner
 from etcons.protocols import ProtocolKernel, ProtocolParams
-from ensemble import UNIFORM
 from oracles import audit_crossings, localization_gaps, per_rate_tables
-
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-SHIPPED = ("leaderless_sec5", "ultimate_bound", "switching", "leader_follower",
-           "observer", "disturbance")
-CONSTANT = "disturbance_constant"
-
-
-def config(name: str, **sim) -> dict:
-    cfg = load_config(os.path.join(CONFIG_DIR, name + ".json"))
-    cfg["sim"].update(sim)
-    if "t_end" in sim:
-        cfg["sim"]["topology_schedule"] = [s for s in cfg["sim"].get("topology_schedule", [])
-                                           if s["t"] < sim["t_end"]]
-    return cfg
-
-
-def two_rates(**sim) -> dict:
-    """leader_follower with two leakage rates: varrho 0.1 on edges 0-1 and
-    2-3 and 0.05 on the others."""
-    cfg = config("leader_follower", **sim)
-    cfg["protocol"]["varrho"] = {f"{i}-{j}": 0.1 if (i, j) in ((0, 1), (2, 3)) else 0.05
-                                 for i, j in cfg["graph"]["edges"]}
-    return cfg
+from runs import SHIPPED, TWO_RATES, VARIANTS, named
 
 
 def engine_for(cfg: dict) -> _Simulation:
@@ -82,9 +58,8 @@ def engine_for(cfg: dict) -> _Simulation:
 # cap: widths past the radius of degree 16 go to the exponentials, which
 # scale and square (its lift, with leakage, is not nilpotent as
 # leaderless_sec5's is)
-ENGINES = {name: engine_for(config(name, t_end=0.01)) for name in SHIPPED}
-ENGINES["two_rates"] = engine_for(two_rates(t_end=0.01))
-ENGINES["above_cap"] = engine_for(config("ultimate_bound", t_end=1.0, dt=0.2))
+ENGINES = {name: engine_for(named(name, t_end=0.01)) for name in SHIPPED + (TWO_RATES,)}
+ENGINES["above_cap"] = engine_for(named("ultimate_bound", t_end=1.0, dt=0.2))
 
 
 def relative_gap(a, b) -> float:
@@ -98,7 +73,7 @@ class TestReadout:
         assert len(flow._taylor) == _MAX_DEGREE + 1
         shipped = [e for name, e in ENGINES.items() if name != "above_cap"]
         assert all(e.flow.expm.degree(e.cfg.dt) == 6 for e in shipped)
-        assert len(ENGINES["two_rates"].flow.lams) == 2
+        assert len(ENGINES[TWO_RATES].flow.lams) == 2
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_one_lift_is_the_per_rate_lifts(self, name):
@@ -117,7 +92,7 @@ class TestReadout:
             for new, old in zip((F[..., :flow.nv], decay, R, ET), oracle):
                 assert new.shape == old.shape, name
                 assert np.array_equal(new, old) or (
-                    name == "two_rates" and relative_gap(new, old) <= 1e-15), name
+                    name == TWO_RATES and relative_gap(new, old) <= 1e-15), name
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(ENGINES)), frac=st.floats(0.0, 1.0, exclude_min=True))
@@ -196,23 +171,10 @@ class TestStar:
             assert relative_gap(f_star(s, s)[:agents.size], whole[agents]) <= 1e-10, (name, s)
 
 
-def named(name: str, **sim) -> dict:
-    """A shipped config, ``two_rates``, ``UNIFORM`` or ``CONSTANT``
-    (disturbance.json with a uniform-random or a constant disturbance of
-    amplitude 0.1), with ``sim`` keys replaced."""
-    if name == "two_rates":
-        return two_rates(**sim)
-    kind = {UNIFORM: "uniform-random", CONSTANT: "constant"}.get(name)
-    cfg = config("disturbance" if kind else name, **sim)
-    if kind:
-        cfg["sim"]["disturbance"] = {"kind": kind, "amplitude": 0.1}
-    return cfg
-
-
 class TestLocalizer:
     # every localization of a run's first 10 s, and all 30 s of switching,
     # through its 14 switches
-    @pytest.mark.parametrize("name", SHIPPED + ("two_rates",))
+    @pytest.mark.parametrize("name", SHIPPED + (TWO_RATES,))
     def test_first_localizations_match_the_whole_flow(self, name):
         traj = RunSetup(named(name, t_end=30.0 if name == "switching" else 10.0)).run()[0]
         gaps = localization_gaps(traj)
@@ -225,10 +187,10 @@ class TestLocalizer:
 class TestAudit:
     # a missed crossing is a step between two stored rows whose largest
     # interior trigger value reaches 0; the localized steps (t0, t*] are
-    # audited too, and UNIFORM and CONSTANT bring the disturbance kinds that
-    # no shipped config runs
+    # audited too, and the variants bring the disturbance kinds and the
+    # leakage rates that no shipped config runs
     @pytest.mark.parametrize("dt, t_end", [(1e-3, 0.6), (1e-2, 3.0)], ids=["dt1e-3", "dt1e-2"])
-    @pytest.mark.parametrize("name", SHIPPED + ("two_rates", UNIFORM, CONSTANT))
+    @pytest.mark.parametrize("name", SHIPPED + VARIANTS)
     def test_no_missed_crossing(self, name, dt, t_end):
         traj = RunSetup(named(name, t_end=t_end, dt=dt)).run()[0]
         audit = audit_crossings(traj)
@@ -261,7 +223,7 @@ class TestResets:
         # coupling over the stacked per-edge values, and they flow between
         # rounds: no pass or localization forms them again (ring400 at
         # seed 42, as the ring-sparse benchmark runs it, shortened)
-        cfg = config("leaderless_sec5", t_end=0.2)
+        cfg = named("leaderless_sec5", t_end=0.2)
         cfg["graph"] = {"generator": "ring", "n": 400}
         calls = {"coupling": 0, "rounds": 0}
         coupling, broadcast = ProtocolKernel.coupling, _Simulation._broadcast

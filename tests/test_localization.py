@@ -9,17 +9,15 @@ brackets and tolerances down to below the float spacing.
 """
 
 import math
-import os
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from etcons.cli import RunSetup, load_config
+from etcons.cli import RunSetup
 from etcons.engine import locate_event
 from oracles import bisect_event, rk4_extension
-
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+from runs import SHIPPED, named
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -77,11 +75,8 @@ def test_returns_bisections_time_bit_for_bit(case):
     assert locate_event(f, t_lo, t_hi, tol) == bisect_event(f, t_lo, t_hi, tol)
 
 
-@pytest.mark.parametrize("name", sorted(p[:-5] for p in os.listdir(CONFIG_DIR)
-                                        if p.endswith(".json")))
+@pytest.mark.parametrize("name", SHIPPED)
 def test_few_evaluations_per_localization(name):
     """Plain bisection took 15 per localization on every shipped config."""
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-    cfg["sim"]["t_end"] = 2.0
-    stats = RunSetup(cfg).run()[0].stats
+    stats = RunSetup(named(name, t_end=2.0)).run()[0].stats
     assert 0 < stats.localization_evaluations <= 6 * stats.localizations

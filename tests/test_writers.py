@@ -2,7 +2,6 @@
 
 import io
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -14,15 +13,14 @@ from etcons.cli import (
     RunSetup,
     _labels,
     _write_rows,
-    load_config,
     write_events_csv,
     write_trajectory_csv,
     write_weights_csv,
 )
 from etcons.textio import _digits
 from oracles import _fmt
+from runs import SHIPPED, named
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 WRITERS = [(write_trajectory_csv, oracles.write_trajectory_csv),
            (write_weights_csv, oracles.write_weights_csv),
            (write_events_csv, oracles.write_events_csv)]
@@ -37,15 +35,9 @@ SHAPES = {
 }
 
 
-def _run(name: str, t_end: float, **sim):
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-    cfg["sim"].update(sim, t_end=t_end)
-    return RunSetup(cfg).run()[0]
-
-
 @pytest.fixture(scope="module", params=sorted(SHAPES))
 def traj(request):
-    return _run(request.param, SHAPES[request.param])
+    return RunSetup(named(request.param, t_end=SHAPES[request.param])).run()[0]
 
 
 def _same_bytes(tmp_path, traj, new, ref):
@@ -93,7 +85,7 @@ EDGES = {
 
 @pytest.fixture(scope="module", params=sorted(EDGES))
 def short_traj(request):
-    return _run(request.param, 0.05, **EDGES[request.param])
+    return RunSetup(named(request.param, t_end=0.05, **EDGES[request.param])).run()[0]
 
 
 @pytest.mark.parametrize("block", [1, 7, 100, 1000])
@@ -114,12 +106,9 @@ def test_short_runs_cover_the_block_edges(short_traj):
 def test_fallback_is_rare_on_written_values():
     """Values that take Python's ``%`` instead of the vector path: fewer than
     one in 10^4 on every shipped config and on a complete graph of 70."""
-    cfg = load_config(os.path.join(CONFIG_DIR, "leaderless_sec5.json"))
-    cfg["graph"] = {"generator": "complete", "n": 70}
-    cfg["sim"]["t_end"] = 0.1
+    cfg = dict(named("leaderless_sec5", t_end=0.1), graph={"generator": "complete", "n": 70})
     runs = [RunSetup(cfg).run()[0]]
-    runs += [_run(os.path.basename(p)[:-5], 3.0) for p in sorted(os.listdir(CONFIG_DIR))
-             if p.endswith(".json")]
+    runs += [RunSetup(named(name, t_end=3.0)).run()[0] for name in SHIPPED]
     assert len(runs) == 7
     for run in runs:
         values = [run.times, run.states.ravel(),
@@ -132,9 +121,7 @@ def test_fallback_is_rare_on_written_values():
 
 
 def test_writing_a_ring400_run_stays_within_a_few_mb(tmp_path):
-    cfg = load_config(os.path.join(CONFIG_DIR, "leaderless_sec5.json"))
-    cfg["graph"] = {"generator": "ring", "n": 400}
-    cfg["sim"]["t_end"] = 0.05
+    cfg = dict(named("leaderless_sec5", t_end=0.05), graph={"generator": "ring", "n": 400})
     run = RunSetup(cfg).run()[0]
     tracemalloc.start()
     try:

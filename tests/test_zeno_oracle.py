@@ -1,14 +1,11 @@
 """The single-pass Zeno report against the per-check reference loop."""
 
-import os
-
 import pytest
 
 import oracles
 from etcons.analysis import zeno_report
-from etcons.cli import RunSetup, load_config
-
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+from etcons.cli import RunSetup
+from runs import named
 
 # config name -> short horizon; switching keeps three switches (t = 2, 4, 6)
 RUNS = {
@@ -23,9 +20,7 @@ RUNS = {
 
 @pytest.fixture(scope="module", params=sorted(RUNS))
 def traj(request):
-    cfg = load_config(os.path.join(CONFIG_DIR, f"{request.param}.json"))
-    cfg["sim"]["t_end"] = RUNS[request.param]
-    return RunSetup(cfg).run()[0]
+    return RunSetup(named(request.param, t_end=RUNS[request.param])).run()[0]
 
 
 def _rows(report):

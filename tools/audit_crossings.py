@@ -2,8 +2,9 @@
 
     python tools/audit_crossings.py CONFIG [--t-end T] [--dt DT] [--points K]
 
-Runs CONFIG (an ``etcons run`` config) in process with this tree's
-``src/`` and evaluates the whole closed form at K interior points (default
+Runs CONFIG (an ``etcons run`` config, its sim keys replaced by ``--t-end``
+and ``--dt`` as ``tests/runs.py:override`` replaces them) in process with
+this tree's ``src/`` and evaluates the whole closed form at K interior points (default
 7) of every step between two stored rows of the run's trajectory, the
 localized steps (t0, t*] included, each from the stored row at the step's
 start (``tests/oracles.py:audit_crossings``). Prints the steps audited, the
@@ -23,6 +24,7 @@ sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
 
 from etcons.cli import RunSetup, load_config  # noqa: E402
 from oracles import audit_crossings  # noqa: E402
+from runs import override  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -32,14 +34,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dt", type=float, help="run on a grid of step DT")
     parser.add_argument("--points", type=int, default=7, help="interior points per step")
     args = parser.parse_args(argv)
-    cfg = load_config(args.config)
-    sim = cfg["sim"]
-    if args.t_end is not None:
-        sim["t_end"] = args.t_end
-        sim["topology_schedule"] = [s for s in sim.get("topology_schedule", [])
-                                    if s["t"] < args.t_end]
-    if args.dt is not None:
-        sim["dt"] = args.dt
+    sim = {k: v for k, v in (("t_end", args.t_end), ("dt", args.dt)) if v is not None}
+    cfg = override(load_config(args.config), **sim)
     audit = audit_crossings(RunSetup(cfg).run()[0], args.points)
     print(f"{os.path.basename(args.config)}: {audit['steps']} steps audited, "
           f"{audit['missed']} missed crossings, smallest interior margin "

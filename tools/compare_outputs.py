@@ -2,14 +2,14 @@
 
     python tools/compare_outputs.py REV
 
-Runs the six shipped configs, two 5 s variants of disturbance.json with a
-constant and a uniform-random disturbance, a 5 s variant of
-leader_follower.json with two leakage rates (varrho 0.1 on edges 0-1 and
-2-3, 0.05 on the rest), and the ring400/complete70 benchmark configs
-(seed 42) through ``etcons run`` once with this tree's ``src/`` and once
-with REV's, extracted by ``git archive`` into a temporary directory, and
-compares trajectory.csv, events.csv, weights.csv and summary.json byte
-for byte, summary.json without its ``"stats"`` work counters. Prints one line per config, with the counters that moved, and
+Runs the six shipped configs, 5 s runs of the variants of ``tests/runs.py``
+(disturbance.json with a constant and with a uniform-random disturbance,
+leader_follower.json with two leakage rates) and the ring400/complete70
+benchmark configs (seed 42) through ``etcons run`` once with this tree's
+``src/`` and once with REV's, extracted by ``git archive`` into a
+temporary directory, and compares trajectory.csv, events.csv, weights.csv
+and summary.json byte for byte, summary.json without its ``"stats"`` work
+counters. Prints one line per config, with the counters that moved, and
 exits 1 on any other difference.
 The two sides of a config run in parallel, one process each.
 """
@@ -17,9 +17,7 @@ The two sides of a config run in parallel, one process each.
 from __future__ import annotations
 
 import argparse
-import copy
 import filecmp
-import glob
 import io
 import json
 import os
@@ -35,24 +33,11 @@ SEED = 42
 
 
 def _configs() -> list[tuple[str, dict]]:
-    out = []
-    for path in sorted(glob.glob(os.path.join(REPO, "configs", "*.json"))):
-        with open(path, encoding="utf-8") as fh:
-            out.append((os.path.splitext(os.path.basename(path))[0], json.load(fh)))
-    # the shipped configs use no constant or uniform-random disturbance
-    for kind in ("constant", "uniform-random"):
-        cfg = copy.deepcopy(dict(out)["disturbance"])
-        cfg["sim"]["t_end"] = 5.0
-        cfg["sim"]["disturbance"] = {"kind": kind, "amplitude": 0.1}
-        out.append((f"disturbance_{kind}", cfg))
-    # each shipped config has one leakage rate; this one has two, and a leader
-    cfg = copy.deepcopy(dict(out)["leader_follower"])
-    cfg["sim"]["t_end"] = 5.0
-    cfg["protocol"]["varrho"] = {f"{i}-{j}": 0.1 if (i, j) in ((0, 1), (2, 3)) else 0.05
-                                 for i, j in cfg["graph"]["edges"]}
-    out.append(("leader_follower_two_rates", cfg))
-    sys.path.insert(0, os.path.join(REPO, "perfbench"))
+    sys.path[:0] = [os.path.join(REPO, "perfbench"), os.path.join(REPO, "tests")]
+    import runs
     import workloads
+    out = [(name, runs.named(name)) for name in runs.SHIPPED]
+    out += [(name, runs.named(name, t_end=5.0)) for name in runs.VARIANTS]
     for workload in ("ring-sparse", "complete-dense"):
         out += workloads.configs(workload, SEED)
     return out
