@@ -234,13 +234,13 @@ class Trajectory:
 
 
 def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
-                 f_hi: float | None = None) -> float:
+                 f_lo: float | None = None, f_hi: float | None = None) -> float:
     """Bisect the first sign change of ``f`` on [t_lo, t_hi].
 
     Requires f(t_lo) < 0 <= f(t_hi); returns the upper end of a bracket of
     width <= event_tol, or of two adjacent floats when event_tol is finer
-    than their spacing, so f at the returned time is >= 0. ``f_hi`` is
-    f(t_hi) when the caller already holds it.
+    than their spacing, so f at the returned time is >= 0. ``f`` is never
+    called at an end whose value the caller gives as ``f_lo`` or ``f_hi``.
 
     The midpoints are bisection's, but a midpoint's sign is read off a
     second bracket f(a) < 0 <= f(b) when the midpoint lies outside (a, b).
@@ -248,9 +248,8 @@ def locate_event(f, t_lo: float, t_hi: float, event_tol: float,
     three of them in a row that fail to halve it, f(mid) itself is taken.
     With one sign change in [t_lo, t_hi] the answer is bisection's.
     """
-    f_lo = f(t_lo)
-    if f_hi is None:
-        f_hi = f(t_hi)
+    f_lo = f(t_lo) if f_lo is None else f_lo
+    f_hi = f(t_hi) if f_hi is None else f_hi
     if not (f_lo < 0 <= f_hi):
         raise ValueError(f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}")
     lo, hi = t_lo, t_hi
@@ -322,8 +321,8 @@ class _Simulation:
         self._ends = (np.flatnonzero(ends) + 1).tolist() + [t.size]
 
         # one lift with a group per leakage rate lambda = kappa varrho of any
-        # graph, read at every offset k dt that a pass of this run can reach
-        graphs = [graph] + [g for (_, g) in sim.topology_schedule]
+        # graph the run switches to, read at every offset k dt a pass can reach
+        graphs = [graph] + [g for g in self._grid_switch if g is not None]
         lams = {float(lam) for g in graphs for lam in np.multiply(*params.edge_arrays(g)[:2])}
         steps = min(max(self._cap(len(g.edges)) for g in graphs), max(np.diff([0] + self._ends)))
         self.flow = CascadeFlow(L, Bv @ gains.K, A, gains.Gamma, Ed, W, lams, sim.dt, steps)
@@ -461,35 +460,25 @@ class _Simulation:
 
     # -- event localization ------------------------------------------------
 
-    def _localize(self, t1: float, end):
-        """Event time in (now, t1] on the closed-form flow from now, and the
-        flow there as (result, index). ``end``
-        is the pass's flow at t1, whose trigger maximum is >= 0. Bisection
-        evaluates the candidates alone, the agents with f(t1) >= 0, on
-        their star; the flow at the answer is evaluated in full."""
+    def _localize(self, t1: float, f1: np.ndarray) -> float:
+        """Event time in (now, t1] on the closed-form flow from now; an
+        answer within ``_SLACK`` of t1 is t1. ``f1`` holds the pass's trigger
+        values at t1, whose maximum is >= 0. Bisection evaluates the
+        candidates alone, the agents with f(t1) >= 0, on their star."""
         t0, stats = self.t, self.stats
         if t1 - t0 <= self.cfg.event_tol:
-            return t1, end
+            return t1
         stats.localizations += 1
-        f1 = end[0][4][end[1]]  # the pass's trigger values at t1
         cands = np.flatnonzero(f1 >= 0)
         f_star = self.flow.star_triggers(self.X, self.Z, self.dq[0], self.c,
                                          self.kernel.star(cands))
-        f_hi = float(f1.max())
 
-        def g(tm: float) -> float:  # the ends are the pass's full evaluations
-            if tm == t1:
-                return f_hi
-            if tm == t0 and self._f_now is not None:
-                return self._f_now
+        def g(tm: float) -> float:
             stats.localization_evaluations += 1
             return float(f_star(tm - t0, tm)[:cands.size].max())
 
-        t_star = locate_event(g, t0, t1, self.cfg.event_tol, f_hi=f_hi)
-        if t_star == t1:
-            return t1, end
-        stats.localization_evaluations += 1
-        return t_star, (self._flow(self.flow.tables([t_star - t0]), [t_star]), 0)
+        t_star = locate_event(g, t0, t1, self.cfg.event_tol, self._f_now, float(f1.max()))
+        return t1 if t1 - t_star <= _SLACK * max(1.0, t1) else t_star
 
     # -- main loop ---------------------------------------------------------
 
@@ -552,15 +541,18 @@ class _Simulation:
             self._reach(j - 1)
             return j
 
-        t1 = times[hit]
-        t_star, (flow, k) = self._localize(t1, (flow, hit))
+        t1, k = times[hit], hit
+        t_star = self._localize(t1, f[hit])
+        if t_star < t1:  # the whole flow at t*
+            self.stats.localization_evaluations += 1
+            flow, k = self._flow(self.flow.tables([t_star - self.t]), [t_star]), 0
         self._commit(t_star, flow, k)
         # if the state is still below zero at t_star, no agent fires: the
         # next pass localizes again from t_star, where the closed form
         # returns this very state, so the bracket holds
         fired = self._sweep(t_star, flow[4][k])
         self.stats.relocalizations += not fired
-        if t1 - t_star > _SLACK * max(1.0, t1):
+        if t_star < t1:
             if fired:
                 self._store_row()
             return i + hit

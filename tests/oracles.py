@@ -100,13 +100,12 @@ def trigger_value(
 
 
 def bisect_event(f, t_lo: float, t_hi: float, event_tol: float,
-                 f_hi: float | None = None) -> float:
+                 f_lo: float | None = None, f_hi: float | None = None) -> float:
     """Plain bisection for the first sign change of ``f`` on [t_lo, t_hi],
-    one evaluation per midpoint; ``engine.locate_event`` must return the
-    same upper end."""
-    f_lo = f(t_lo)
-    if f_hi is None:
-        f_hi = f(t_hi)
+    one evaluation per midpoint, with the ends' values taken as
+    ``engine.locate_event`` takes them; it must return the same upper end."""
+    f_lo = f(t_lo) if f_lo is None else f_lo
+    f_hi = f(t_hi) if f_hi is None else f_hi
     if not (f_lo < 0 <= f_hi):
         raise ValueError(f"invalid bracket: f({t_lo})={f_lo}, f({t_hi})={f_hi}")
     lo, hi = t_lo, t_hi

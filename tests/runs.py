@@ -24,12 +24,8 @@ _BASE = {CONSTANT: "disturbance", UNIFORM: "disturbance", TWO_RATES: "leader_fol
 
 
 def override(cfg: dict, **sim) -> dict:
-    """``cfg`` with ``sim`` keys replaced in place. A new ``t_end`` drops
-    the config's own switches at or after it; a ``topology_schedule`` in
-    ``sim`` is used as given."""
-    schedule = cfg["sim"].get("topology_schedule")
-    if "t_end" in sim and schedule is not None:
-        cfg["sim"]["topology_schedule"] = [s for s in schedule if s["t"] < sim["t_end"]]
+    """``cfg`` with ``sim`` keys replaced in place. A run performs the
+    switches of its schedule at or before its ``t_end``, and no other."""
     cfg["sim"].update(sim)
     return cfg
 

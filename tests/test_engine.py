@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -319,13 +320,12 @@ class TestRelocalization:
         localize = _Simulation._localize
         forced = []
 
-        def early(self, t1, end):
-            t_star, state = localize(self, t1, end)
-            if forced:
-                return t_star, state
-            forced.append(self.t + (t_star - self.t) / 2)
-            tab = self.flow.tables([forced[0] - self.t])
-            return forced[0], (self._flow(tab, forced), 0)
+        def early(self, t1, f1):
+            t_star = localize(self, t1, f1)
+            if not forced:
+                forced.append(self.t + (t_star - self.t) / 2)
+                return forced[0]
+            return t_star
 
         monkeypatch.setattr(_Simulation, "_localize", early)
         traj = simulate(model, ring6, gains, params, sim, x0)
@@ -335,6 +335,18 @@ class TestRelocalization:
         assert abs(triggers[0].time - first) <= sim.event_tol
         assert traj.stats.relocalizations == 1 + plain.stats.relocalizations
         # the steps around the relocalization instant read as one step
+        assert audit_crossings(traj)["missed"] == 0
+
+    def test_a_fine_tolerance_relocalizes_unpatched(self):
+        # at event_tol 1e-15 the star's polynomial and the whole flow can
+        # disagree on the sign at t*: no agent fires there, and the loop
+        # localizes the crossing again from t*
+        traj = RunSetup(named("switching", t_end=4.5, event_tol=1e-15)).run()[0]
+        assert traj.stats.relocalizations > 0
+        triggers = [e for e in traj.events if e.kind == "trigger"]
+        assert triggers and all(e.trigger_value_before >= 0 for e in triggers)
+        times = set(traj.times.tolist())
+        assert all(e.time in times for e in traj.events)
         assert audit_crossings(traj)["missed"] == 0
 
 
@@ -502,34 +514,24 @@ class TestCarriedEdgeWork:
 
 class TestReusedValues:
     """A localization takes the trigger maximum at its low end from what
-    the engine already computed, and commits at t* the closed-form state
-    it evaluated there; both must be the bits a fresh evaluation gives."""
+    the engine already computed; it must be the bits a fresh evaluation
+    gives."""
 
     @pytest.mark.parametrize("variant", ["state", "observer"])
-    def test_low_end_value_and_committed_state(self, model, params, ring6, monkeypatch,
-                                               variant):
+    def test_low_end_value(self, model, params, ring6, monkeypatch, variant):
         localize, checked = _Simulation._localize, []
 
-        def fresh(sim, t):
-            return sim._flow(sim.flow.tables([t - sim.t]), [t])
-
-        def checked_localize(sim, t1, end):
+        def checked_localize(sim, t1, f1):
             if sim._f_now is not None:  # what the bisection's evaluation at t0 gives
-                assert sim._f_now == fresh(sim, sim.t)[4].max()
-                checked.append("low end")
-            t_star, (flow, k) = localize(sim, t1, end)
-            if t_star < t1:
-                again = fresh(sim, t_star)
-                for a, b in zip(flow[:2] + flow[2] + flow[3:5], again[:2] + again[2] + again[3:5]):
-                    assert np.array_equal(a[k], b[0])
-                checked.append("committed state")
-            return t_star, (flow, k)
+                assert sim._f_now == sim._flow(sim.flow.tables([0.0]), [sim.t])[4].max()
+                checked.append(sim.t)
+            return localize(sim, t1, f1)
 
         monkeypatch.setattr(_Simulation, "_localize", checked_localize)
         gains = design_gains(model, observer=variant == "observer")
         simulate(model, ring6, gains, params, short_sim(t_end=2.0, seed=3), random_x0(3),
                  variant=variant)
-        assert {"low end", "committed state"} <= set(checked)
+        assert checked
 
 
 def _checked_passes(monkeypatch, wanted):
@@ -845,6 +847,9 @@ class TestRowStore:
         src = os.path.dirname(os.path.dirname(os.path.abspath(engine_module.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        # numpy advises huge pages from 4 MiB, so the ratio reads with the THP mode
+        thp = pathlib.Path("/sys/kernel/mm/transparent_hugepage/enabled")
+        thp = "THP " + (thp.read_text().strip() if thp.exists() else "mode unknown")
         for graph, t_end, bound in cases:
             cfg = named("leaderless_sec5", t_end=t_end, seed=42)
             cfg["graph"] = graph or cfg["graph"]
@@ -852,7 +857,7 @@ class TestRowStore:
                                  check=True, timeout=300, capture_output=True, text=True).stdout
             grown, stored = json.loads(out)
             assert stored > 9e6
-            assert grown <= bound * stored, (graph, t_end, grown / stored)
+            assert grown <= bound * stored, (graph, t_end, grown / stored, thp)
 
 
 class TestZenoGuard:
@@ -950,6 +955,32 @@ class TestTopologySwitch:
         new = traj.weight_segments[1]
         assert traj.times[new.first_index] == 0.7
         assert not np.any(traj.times == 700 * 1e-3)
+
+    def test_a_run_performs_the_switch_at_its_end(self):
+        # the switch at t_end = 4 opens a segment of the one row at 4
+        traj = RunSetup(named("switching", t_end=4.0)).run()[0]
+        assert [(seg.t_start, len(seg.values)) for seg in traj.weight_segments] == \
+            [(0.0, 2033), (2.0, 2016), (4.0, 1)]
+
+    def test_a_switch_after_the_end_shapes_nothing(self):
+        # leakage on the star's own edges alone: a star the run never
+        # switches to adds no leakage group, no grid-table row and no bit
+        edges = set(generate_graph("ring", 6).edges) | set(generate_graph("star", 6).edges)
+        cfg = named("leaderless_sec5", t_end=1.0)
+        cfg["protocol"]["varrho"] = {f"{i}-{j}": 0.3 if (i, j) in ((0, 2), (0, 3), (0, 4))
+                                     else 0.0 for i, j in edges}
+        plain = RunSetup(copy.deepcopy(cfg)).run()[0]
+        cfg["sim"]["topology_schedule"] = [{"t": 5.0, "graph": {"generator": "star", "n": 6}}]
+        s = RunSetup(cfg)
+        engine = _Simulation(s.model, s.graph, s.design(), s.params, s.sim, s.x0, s.variant)
+        assert engine.flow.lams.tolist() == [0.0] and len(engine.flow.grid[0]) == 114
+        traj = engine.run()
+        for name in ("times", "states", "estimates"):
+            assert np.array_equal(getattr(traj, name), getattr(plain, name))
+        (seg,), (plain_seg,) = traj.weight_segments, plain.weight_segments
+        assert np.array_equal(seg.values, plain_seg.values)
+        assert [(e.agent, e.time, e.kind) for e in traj.events] == \
+            [(e.agent, e.time, e.kind) for e in plain.events]
 
     def test_schedule_must_keep_agent_count(self, model, gains, params, ring6):
         sim = short_sim(t_end=2.0, dwell_min=0.5,

@@ -75,6 +75,23 @@ def test_returns_bisections_time_bit_for_bit(case):
     assert locate_event(f, t_lo, t_hi, tol) == bisect_event(f, t_lo, t_hi, tol)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cubics())
+def test_given_ends_are_never_evaluated(case):
+    f, t_lo, t_hi, tol = case
+    f_lo, f_hi = f(t_lo), f(t_hi)
+    assume(f_lo < 0 <= f_hi)
+    asked = []
+
+    def inner(t):
+        asked.append(t)
+        return f(t)
+
+    t = locate_event(inner, t_lo, t_hi, tol, f_lo, f_hi)
+    assert t_lo not in asked and t_hi not in asked
+    assert t == bisect_event(f, t_lo, t_hi, tol, f_lo, f_hi)
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_few_evaluations_per_localization(name):
     """Plain bisection took 15 per localization on every shipped config."""
