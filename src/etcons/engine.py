@@ -22,9 +22,10 @@ star (their rows, their neighbours' estimates and their incident edges),
 read off one polynomial in the width per localization. At the localized
 instant the whole flow is evaluated and committed, and every agent whose
 trigger function is nonnegative there broadcasts (ascending index, each
-reset immediately visible, one broadcast per agent per instant). If none
-is, the crossing is localized again from that instant. Each instant's
-row is stored once, after its last reset.
+reset immediately visible, one broadcast per agent per instant: the state
+at now carries its trigger values and the agents that have sent). If
+none is, the crossing is localized again from that instant. Each
+instant's row is stored once, after its last reset.
 """
 
 from __future__ import annotations
@@ -301,7 +302,8 @@ class _Simulation:
         self.t = 0.0
         self.events: list[EventRecord] = []
         self.stats = RunStats()
-        self._f_now = None  # the trigger maximum at the current state, when known
+        self._f_now = None  # the trigger values of the current state, per agent
+        self._sent = np.zeros(self.n_agents, dtype=bool)  # the agents that broadcast at now
         self._zeno_windows = [deque() for _ in range(self.n_agents)]
 
         # the stored rows, one store per array: times, x, Z and chi
@@ -380,13 +382,14 @@ class _Simulation:
         return self.kernel.trigger_values(self.X[:, self.flow.live], self.Z, self.dq, self.c, t)
 
     def _broadcast(self, agents, t: float, f, kind: str):
-        """Reset each agent's estimate to its live value at t, logging f[i];
-        then form the edge work of the estimate stack, and from it the
-        (w, p) columns of the lift rows (with no agents, those of now)."""
+        """Reset each agent's estimate to its live value at t, logging f[i],
+        and mark it as sent at now; then form the edge work of the estimate
+        stack, from it the (w, p) columns of the lift rows (with no agents,
+        those of now), and the trigger values at t of the new state."""
         live = self.X[:, self.flow.live]
         for i in agents:
             value = live[i].copy()
-            self.Z[i] = value
+            self.Z[i], self._sent[i] = value, True
             self.events.append(EventRecord(
                 agent=i, time=t, value=value,
                 trigger_value_before=float(f[i]), kind=kind,
@@ -402,36 +405,26 @@ class _Simulation:
                         f"t={t:.6f}; exceeds max_events_per_unit_time="
                         f"{self.cfg.max_events_per_unit_time}"
                     )
-        self.dq, self._f_now = self.kernel.edge_terms(self.Z), None
+        self.dq = self.kernel.edge_terms(self.Z)
         self.X[:, self.flow.wp] = self.flow.moments(self.dq, self.c)
+        self._f_now = self._triggers(t)
 
-    def _sweep(self, t: float, f: np.ndarray) -> bool:
-        """Trigger every agent whose f >= 0, ascending index, resets
-        immediately visible, at most one broadcast per agent; whether any
-        fired. ``f`` holds the trigger values at t before any reset. The
-        leader's f is -inf, so it never fires."""
-        eligible = np.ones(self.n_agents, dtype=bool)
+    def _sweep(self, t: float) -> bool:
+        """Trigger every agent whose f >= 0 at the current instant t and
+        that has not sent at it, ascending index, each reset immediately
+        visible; whether any agent has sent at t. The leader's f is -inf, so
+        it never fires."""
         while True:
-            cands = np.flatnonzero(eligible & (f >= 0))
+            cands = np.flatnonzero(~self._sent & (self._f_now >= 0))
             if not cands.size:
-                self._f_now = float(f.max())
-                return not eligible.all()
-            if not eligible.all():
-                self.stats.cascade_broadcasts += 1
-            i = int(cands[0])
-            self._broadcast((i,), t, f, "trigger")
-            eligible[i] = False
-            f = self._triggers(t)
+                return bool(self._sent.any())
+            self.stats.cascade_broadcasts += bool(self._sent.any())
+            self._broadcast((int(cands[0]),), t, self._f_now, "trigger")
 
     def _force_broadcast(self, t: float, kind: str):
-        f = self._triggers(t)  # a pre-reset snapshot, informational only
-        # one broadcast per agent per instant: skip agents already sent at t
-        done = {self.leader}
-        for e in reversed(self.events):
-            if e.time != t:
-                break
-            done.add(e.agent)
-        self._broadcast([i for i in range(self.n_agents) if i not in done], t, f, kind)
+        """Broadcast every agent but the leader that has not sent at now."""
+        agents = [i for i in np.flatnonzero(~self._sent).tolist() if i != self.leader]
+        self._broadcast(agents, t, self._f_now, kind)
 
     # -- storage ---------------------------------------------------------
 
@@ -451,12 +444,13 @@ class _Simulation:
         self._store([self.t], self.X[None], self.Z[None], self.c[None])
 
     def _commit(self, t: float, flow, k: int):
-        """Make instant k of a ``_flow`` result the current instant t. The state
-        is then a view of the result that resets and passes write into: nothing
-        reads the result afterwards, and no stored row points into it."""
+        """Make instant k of a ``_flow`` result the current instant t, at which
+        no agent has sent. The state is then a view of the result: resets and
+        passes write into it, its row of f is only read, and no stored row
+        points into it."""
         V, Zs, dq, c, f = flow
         self.t, self.X, self.Z, self.dq, self.c = t, V[k], Zs[k], (dq[0][k], dq[1][k]), c[k]
-        self._f_now = float(f[k].max())
+        self._f_now, self._sent[:] = f[k], False
 
     # -- event localization ------------------------------------------------
 
@@ -464,7 +458,8 @@ class _Simulation:
         """Event time in (now, t1] on the closed-form flow from now; an
         answer within ``_SLACK`` of t1 is t1. ``f1`` holds the pass's trigger
         values at t1, whose maximum is >= 0. Bisection evaluates the
-        candidates alone, the agents with f(t1) >= 0, on their star."""
+        candidates alone, the agents with f(t1) >= 0, on their star; at now
+        it takes their values that the state holds."""
         t0, stats = self.t, self.stats
         if t1 - t0 <= self.cfg.event_tol:
             return t1
@@ -477,7 +472,8 @@ class _Simulation:
             stats.localization_evaluations += 1
             return float(f_star(tm - t0, tm)[:cands.size].max())
 
-        t_star = locate_event(g, t0, t1, self.cfg.event_tol, self._f_now, float(f1.max()))
+        t_star = locate_event(g, t0, t1, self.cfg.event_tol, float(self._f_now[cands].max()),
+                              float(f1.max()))
         return t1 if t1 - t_star <= _SLACK * max(1.0, t1) else t_star
 
     # -- main loop ---------------------------------------------------------
@@ -550,7 +546,7 @@ class _Simulation:
         # if the state is still below zero at t_star, no agent fires: the
         # next pass localizes again from t_star, where the closed form
         # returns this very state, so the bracket holds
-        fired = self._sweep(t_star, flow[4][k])
+        fired = self._sweep(t_star)
         self.stats.relocalizations += not fired
         if t_star < t1:
             if fired:
@@ -578,6 +574,7 @@ class _Simulation:
         self.flow.use(kernel)  # the broadcast round forms the (w, p) columns anew
         # the new segment opens with the next row stored, the one at t
         self._segments.append(WeightSegment(new_graph, t, self._times.n, _Rows(self.c.shape)))
+        self._f_now = self._triggers(t)  # on the new graph, before the round
         self._force_broadcast(t, kind="switch")
 
     def run(self) -> Trajectory:

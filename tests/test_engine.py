@@ -513,25 +513,41 @@ class TestCarriedEdgeWork:
 
 
 class TestReusedValues:
-    """A localization takes the trigger maximum at its low end from what
-    the engine already computed; it must be the bits a fresh evaluation
-    gives."""
+    """The state at now carries its trigger values: a localization takes
+    the candidates' maximum of them as its low end, and the switch and
+    forced rounds log them. Each must be the bits a fresh evaluation gives."""
 
     @pytest.mark.parametrize("variant", ["state", "observer"])
     def test_low_end_value(self, model, params, ring6, monkeypatch, variant):
-        localize, checked = _Simulation._localize, []
+        localize, force, checked = _Simulation._localize, _Simulation._force_broadcast, []
 
         def checked_localize(sim, t1, f1):
-            if sim._f_now is not None:  # what the bisection's evaluation at t0 gives
-                assert sim._f_now == sim._flow(sim.flow.tables([0.0]), [sim.t])[4].max()
-                checked.append(sim.t)
+            t, cands = sim.t, np.flatnonzero(f1 >= 0)
+            assert np.array_equal(sim._f_now, sim._flow(sim.flow.tables([0.0]), [t])[4][0])
+            # what the bisection's evaluation at t0 gives
+            f_star = sim.flow.star_triggers(sim.X, sim.Z, sim.dq[0], sim.c,
+                                            sim.kernel.star(cands))
+            assert sim._f_now[cands].max() == f_star(0.0, t)[:cands.size].max()
+            checked.append("localization")
             return localize(sim, t1, f1)
 
+        def checked_force(sim, t, kind):
+            fresh, n = sim._triggers(t), len(sim.events)
+            force(sim, t, kind)
+            assert [e.trigger_value_before for e in sim.events[n:]] == \
+                [fresh[e.agent] for e in sim.events[n:]]
+            checked.append(kind)
+
         monkeypatch.setattr(_Simulation, "_localize", checked_localize)
+        monkeypatch.setattr(_Simulation, "_force_broadcast", checked_force)
         gains = design_gains(model, observer=variant == "observer")
-        simulate(model, ring6, gains, params, short_sim(t_end=2.0, seed=3), random_x0(3),
-                 variant=variant)
-        assert checked
+        star6 = generate_graph("star", 6)
+        sim = short_sim(t_end=2.0, seed=3, topology_schedule=((0.7, star6), (1.4, ring6)))
+        simulate(model, ring6, gains, params, sim, random_x0(3), variant=variant)
+        dense = short_sim(t_end=0.5, dt=1e-2, topology_schedule=((0.2, star6),))
+        simulate(model, ring6, gains, params, dense, random_x0(3), variant=variant,
+                 broadcast_every_step=True)
+        assert {"localization", "switch", "forced"} <= set(checked)
 
 
 def _checked_passes(monkeypatch, wanted):
@@ -944,6 +960,28 @@ class TestTopologySwitch:
         # init, then one round at each of the 20 grid points
         assert len(traj.events) == 6 + 20 * 6
 
+    def test_one_broadcast_per_agent_when_a_trigger_meets_a_switch(self, model, gains, params,
+                                                                   ring6, monkeypatch):
+        # every crossing is committed at its step's end, so triggers land on
+        # the switch instants (seed 0: agent 1 at 0.5, agent 0 at 2.5); the
+        # switch round then skips the agents that triggered there
+        monkeypatch.setattr(_Simulation, "_localize", lambda self, t1, f1: t1)
+        star6 = generate_graph("star", 6)
+        schedule = tuple((0.5 * k, star6 if k % 2 else ring6) for k in range(1, 6))
+        sim = short_sim(t_end=3.0, dt=0.05, topology_schedule=schedule)
+        met = 0
+        for seed in range(6):
+            events = simulate(model, ring6, gains, params, sim, random_x0(seed)).events
+            pairs = [(e.agent, e.time) for e in events]
+            assert len(pairs) == len(set(pairs)), seed
+            for t, _ in schedule:
+                at = [e for e in events if e.time == t]
+                triggered = {e.agent for e in at if e.kind == "trigger"}
+                assert sorted(e.agent for e in at) == list(range(6)), (seed, t)
+                assert not triggered & {e.agent for e in at if e.kind == "switch"}, (seed, t)
+                met += len(triggered)
+        assert met > 0
+
     def test_switch_at_a_rounded_grid_point_is_one_instant(self, model, gains,
                                                            params, ring6):
         # 700 * 1e-3 is 0.7000000000000001: the switch at 0.7 takes that grid
@@ -988,26 +1026,31 @@ class TestTopologySwitch:
         with pytest.raises(ConfigError):
             simulate(model, ring6, gains, params, sim, random_x0())
 
-    @pytest.mark.parametrize("variant, first, scheduled, kappa, error, match", [
+    # the config is checked whole: a switch after t_end, which the run never
+    # performs, is checked as well
+    @pytest.mark.parametrize("variant, first, scheduled, at, kappa, error, match", [
         ("leader_follower", generate_graph("ring", 6, leader=0),
-         generate_graph("ring", 6, leader=1), 0.2, ConfigError, "leader"),
-        ("state", generate_graph("ring", 6), build_graph(6, [(0, 1), (2, 3), (4, 5)]), 0.2,
+         generate_graph("ring", 6, leader=1), 1.0, 0.2, ConfigError, "leader"),
+        ("state", generate_graph("ring", 6), build_graph(6, [(0, 1), (2, 3), (4, 5)]), 1.0, 0.2,
          DisconnectedGraphError, "not connected"),
         ("leader_follower", generate_graph("ring", 6, leader=0),
-         build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], leader=0), 0.2,
+         build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], leader=0), 1.0, 0.2,
          NoSpanningTreeError, "spanning tree"),
-        ("state", generate_graph("ring", 6), generate_graph("ring", 6, leader=0), 0.2,
+        ("state", generate_graph("ring", 6), generate_graph("ring", 6, leader=0), 1.0, 0.2,
          ConfigError, "leader"),
-        ("state", generate_graph("ring", 6), generate_graph("star", 6),
+        ("state", generate_graph("ring", 6), generate_graph("star", 6), 1.0,
          {(i, (i + 1) % 6): 0.2 for i in range(6)}, ConfigError, "protocol.kappa"),
+        ("state", generate_graph("ring", 6), generate_graph("star", 6), 5.0,
+         {(i, (i + 1) % 6): 0.2 for i in range(6)}, ConfigError,
+         r"^protocol\.kappa: .*\(in sim\.topology_schedule\[0\]\.graph\)$"),
     ], ids=["other-leader", "disconnected", "leader-misses-follower",
-            "leader-graph-in-state-run", "kappa-misses-edge"])
+            "leader-graph-in-state-run", "kappa-misses-edge", "kappa-misses-edge-after-the-end"])
     def test_scheduled_graphs_are_checked_before_the_first_step(
-            self, model, gains, monkeypatch, variant, first, scheduled, kappa, error, match):
+            self, model, gains, monkeypatch, variant, first, scheduled, at, kappa, error, match):
         monkeypatch.setattr(_Simulation, "run",
                             lambda self: pytest.fail("the run started before the check"))
         params = ProtocolParams(delta=1.0, mu=2.0, nu=0.5, kappa=kappa)
-        sim = short_sim(t_end=2.0, dwell_min=0.5, topology_schedule=((1.0, scheduled),))
+        sim = short_sim(t_end=2.0, dwell_min=0.5, topology_schedule=((at, scheduled),))
         with pytest.raises(error, match=match):
             simulate(model, first, gains, params, sim, random_x0(), variant=variant)
 
